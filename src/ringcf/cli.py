@@ -46,10 +46,7 @@ def _load_channel(path, snr_db=None):
 
 
 def _emit(args, payload):
-    if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        raise SystemExit("csv output is only available for sweep commands")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -189,10 +186,11 @@ def build_parser():
                     "compute-and-forward over block-fading channels.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
+    def common(p, formats=("json",)):
+        # csv exists only for sweeps; argparse rejects it elsewhere (exit 2)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--format", choices=["json", "csv"], default=fmt_default)
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("fields", help="list the built-in field catalog")
     common(p)
@@ -217,7 +215,7 @@ def build_parser():
         p.add_argument("--snr-grid-db", default="0:5:50")
         p.add_argument("--metrics", default=None)
         p.add_argument("--workers", type=int, default=None)
-        common(p, fmt_default="csv")
+        common(p, formats=("csv", "json"))
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("dof", help="degrees-of-freedom slope on a fixed channel")

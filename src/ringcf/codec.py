@@ -8,6 +8,7 @@ lattice and forward finite-field equations that a destination solves.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,6 +127,8 @@ class NestedLatticePair:
     gamma: float
     gen_fine: list
     gen_coarse: list
+    _lattices: dict = dataclasses.field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
     @property
     def p(self):
@@ -153,10 +156,16 @@ class NestedLatticePair:
         return emb
 
     def fine_lattice(self):
-        return ZLattice(self.gamma * self.embedded(self.gen_fine))
+        return self._lattice("fine", self.gen_fine)
 
     def coarse_lattice(self):
-        return ZLattice(self.gamma * self.embedded(self.gen_coarse))
+        return self._lattice("coarse", self.gen_coarse)
+
+    def _lattice(self, name, gen):
+        # built once, so the lattice's cached reduction serves every call
+        if name not in self._lattices:
+            self._lattices[name] = ZLattice(self.gamma * self.embedded(gen))
+        return self._lattices[name]
 
     def ring_vector(self, coord_blocks):
         return [self.field.element(coord_blocks[t * self.field.degree:

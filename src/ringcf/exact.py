@@ -182,7 +182,6 @@ def column_basis(cols):
         basis.append(piv)
         work = [c for c in work if c is not piv and c != piv]
         for c in work:
-            q = c[row] // piv[row] if piv[row] else 0
             # clear entry `row` exactly (it is a multiple of the pivot now)
             assert c[row] % piv[row] == 0
             q = c[row] // piv[row]

@@ -7,7 +7,7 @@ reported in the caller's original basis coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,21 +18,28 @@ class EnumerationError(RuntimeError):
     """Raised when lattice enumeration cannot certify its result."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZLattice:
-    """Full-rank lattice given by a square basis matrix (columns generate)."""
+    """Full-rank lattice given by a square basis matrix (columns generate).
+
+    The basis is copied and made read-only, so the reduction that
+    `closest_vector` and `successive_minima` cache on first use always
+    describes it.
+    """
 
     basis: np.ndarray
+    _reduction: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+        b = np.array(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("basis must be a square matrix")
         if not np.all(np.isfinite(b)):
             raise ValueError("basis entries must be finite")
         if abs(np.linalg.slogdet(b)[0]) != 1.0:
             raise ValueError("basis is singular")
-        self.basis = b
+        b.flags.writeable = False
+        object.__setattr__(self, "basis", b)
 
     @property
     def dim(self):
@@ -58,36 +65,80 @@ def _gso(b):
     return norms, mu
 
 
+def _gso_lists(cols):
+    """_gso of the basis with these columns, as lists for scalar updates."""
+    norms, mu = _gso(np.column_stack(cols))
+    return norms.tolist(), mu.tolist()
+
+
+def _first_unreduced(norms, mu, delta):
+    """Smallest k >= 1 where size reduction or the Lovasz condition fails
+    (len(norms) when the basis is LLL-reduced)."""
+    m = len(norms)
+    for k in range(1, m):
+        if (any(abs(x) > 0.5 for x in mu[k][:k])
+                or norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]):
+            return k
+    return m
+
+
+def _swap(b, u, norms, mu, k):
+    """Exchange columns k-1 and k, updating norms and mu in place in O(m)."""
+    b[k - 1], b[k] = b[k], b[k - 1]
+    u[k - 1], u[k] = u[k], u[k - 1]
+    mu[k - 1][:k - 1], mu[k][:k - 1] = mu[k][:k - 1], mu[k - 1][:k - 1]
+    t = mu[k][k - 1]
+    big = norms[k] + t * t * norms[k - 1]
+    c = mu[k][k - 1] = t * norms[k - 1] / big
+    norms[k] = norms[k - 1] * norms[k] / big
+    norms[k - 1] = big
+    if not norms[k] > 0:
+        raise EnumerationError("Gram-Schmidt collapsed; basis numerically singular")
+    for row in mu[k + 1:]:
+        s = row[k]
+        row[k] = row[k - 1] - t * s
+        row[k - 1] = s + c * row[k]
+
+
 def lll_reduce(lat, delta=0.99):
     """LLL-reduce a lattice basis.
 
     Returns (reduced ZLattice, U) where U is an exact integer matrix with
     reduced_basis = original_basis @ U and det(U) = +-1.
+
+    Gram-Schmidt data is computed once and then updated in place (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 2.6.3): reducing
+    b_k by b_j changes only row k of mu, and a swap costs O(m). A fresh
+    decomposition confirms the result; if float drift broke size reduction
+    or the Lovasz condition, the loop resumes from the fresh data.
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
-    b = lat.basis.copy()
-    m = b.shape[1]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    norms, mu = _gso(b)
+    b = list(lat.basis.T.copy())  # columns of the basis
+    m = len(b)
+    u = [[int(i == j) for i in range(m)] for j in range(m)]  # columns of U
+    norms, mu = _gso_lists(b)
     k = 1
     while k < m:
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            r = round(mu[k, j])
+            r = round(mk[j])
             if r != 0:
-                b[:, k] -= r * b[:, j]
-                for i in range(m):
-                    u[i][k] -= r * u[i][j]
-                norms, mu = _gso(b)
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+                b[k] = b[k] - r * b[j]
+                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= r * mj[i]
+                mk[j] -= r
+        if norms[k] >= (delta - mk[k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
-            b[:, [k - 1, k]] = b[:, [k, k - 1]]
-            for i in range(m):
-                u[i][k - 1], u[i][k] = u[i][k], u[i][k - 1]
-            norms, mu = _gso(b)
+            _swap(b, u, norms, mu, k)
             k = max(k - 1, 1)
-    return ZLattice(b), u
+        if k == m:
+            norms, mu = _gso_lists(b)
+            k = _first_unreduced(norms, mu, delta)
+    return ZLattice(np.column_stack(b)), [list(row) for row in zip(*u)]
 
 
 def unimodular_det(u):
@@ -151,6 +202,15 @@ def _qr_positive(b):
     return q * sign, (r.T * sign).T
 
 
+def _reduction(lat):
+    """(reduced basis, U, Q, R) of a lattice, computed on first use and kept."""
+    if lat._reduction is None:
+        red, u = lll_reduce(lat)
+        q, r_mat = _qr_positive(red.basis)
+        object.__setattr__(lat, "_reduction", (red.basis, u, q, r_mat))
+    return lat._reduction
+
+
 def _canonical(vec):
     """Pick the lexicographically smaller of a vector and its negation."""
     neg = tuple(-v for v in vec)
@@ -184,9 +244,8 @@ def successive_minima(lat, k, independence_tol=1e-9):
     m = lat.dim
     if not (1 <= k <= m):
         raise ValueError("k must satisfy 1 <= k <= dim")
-    red, u = lll_reduce(lat)
-    _, r_mat = _qr_positive(red.basis)
-    col_norms2 = np.sum(red.basis ** 2, axis=0)
+    red_basis, u, _, r_mat = _reduction(lat)
+    col_norms2 = np.sum(red_basis ** 2, axis=0)
     radius2 = float(np.max(col_norms2)) * (1 + 1e-9)
     cands = _enumerate_all(r_mat, radius2)
     entries = []
@@ -241,8 +300,7 @@ def closest_vector(lat, target):
         raise ValueError("target dimension mismatch")
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
-    red, u = lll_reduce(lat)
-    q, r_mat = _qr_positive(red.basis)
+    red_basis, u, q, r_mat = _reduction(lat)
     t = q.T @ target
     m = lat.dim
     # Babai nearest-plane gives a certified initial radius
@@ -251,7 +309,7 @@ def closest_vector(lat, target):
     for i in range(m - 1, -1, -1):
         c = resid[i] - sum(r_mat[i, j] * x_babai[j] for j in range(i + 1, m))
         x_babai[i] = round(c / r_mat[i, i])
-    babai_pt = red.basis @ np.array(x_babai, dtype=float)
+    babai_pt = red_basis @ np.array(x_babai, dtype=float)
     radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
     cands = _enumerate_all(r_mat, radius2, target=t)
     if not cands:
@@ -260,7 +318,7 @@ def closest_vector(lat, target):
     ties = [x for x, d in cands if d <= best_d + 1e-9 * (1 + best_d)]
     best = None
     for x in ties:
-        pt = red.basis @ np.array(x, dtype=float)
+        pt = red_basis @ np.array(x, dtype=float)
         key = tuple(np.round(target - pt, 12))
         if best is None or key < best[0]:
             best = (key, x)

@@ -194,6 +194,21 @@ def test_criterion_7_dof_slopes():
 
 # -- 8 -----------------------------------------------------------------------
 
+def _box_min_dist2(basis, lo, hi, target, skip_zero=False):
+    """Minimum ||basis @ x - target||^2 over every integer x in [lo, hi]
+    (x != 0 with skip_zero): numpy over the last coordinate, a loop over the
+    others."""
+    last = np.arange(lo[-1], hi[-1] + 1)
+    w = np.outer(basis[:, -1], last) - target[:, None]
+    best = np.inf
+    for head in itertools.product(*[range(a, z + 1) for a, z in zip(lo[:-1], hi[:-1])]):
+        d = np.sum((w + (basis[:, :-1] @ np.array(head, float))[:, None]) ** 2, axis=0)
+        if skip_zero and not any(head):
+            d[last == 0] = np.inf
+        best = min(best, float(d.min()))
+    return best
+
+
 def test_criterion_8_property_suites():
     rng = np.random.default_rng(808)
     # (a) quadratic form equals squared lattice length, 1000 cases
@@ -246,9 +261,7 @@ def test_criterion_8_property_suites():
         rows = np.linalg.norm(inv, axis=1)
         ub = math.sqrt(float(min(np.sum(red.basis ** 2, axis=0))))
         box = np.ceil(ub * rows + 1e-9).astype(int)
-        best = min(float(np.sum((b @ np.array(x, float)) ** 2))
-                   for x in itertools.product(*[range(-r, r + 1) for r in box])
-                   if any(x))
+        best = _box_min_dist2(b, -box, box, np.zeros(m), skip_zero=True)
         _, l1 = shortest_vector(lat)
         assert abs(l1 * l1 - best) < 1e-9 * (1 + best)
         t = rng.normal(size=m) * 2.0
@@ -256,9 +269,7 @@ def test_criterion_8_property_suites():
         ub_c = float(np.linalg.norm(b @ np.round(center) - t)) + 1e-9
         lo = np.floor(center - ub_c * rows - 1e-9).astype(int)
         hi = np.ceil(center + ub_c * rows + 1e-9).astype(int)
-        bestd = min(float(np.sum((b @ np.array(x, float) - t) ** 2))
-                    for x in itertools.product(*[range(a_, z_ + 1)
-                                                 for a_, z_ in zip(lo, hi)]))
+        bestd = _box_min_dist2(b, lo, hi, t)
         _, _, d = closest_vector(lat, t)
         assert abs(d * d - bestd) < 1e-9 * (1 + bestd)
     _report(8, "property suites", "form identity, AM-GM, Minkowski, LLL, SVP/CVP")

@@ -27,6 +27,14 @@ def test_unknown_flag_usage_error():
     assert e.value.code == 2
 
 
+def test_csv_outside_sweeps_is_usage_error(capsys):
+    for cmd in (["rate", "--field", "quad-5"], ["fields"]):
+        with pytest.raises(SystemExit) as e:
+            main(cmd + ["--format", "csv"])
+        assert e.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_fields_listing(capsys):
     code, out, _ = run_cli(capsys, "fields")
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from ringcf import (build_nested_pair, catalog_field, closest_vector,
                     decode_equation, destination_solve, encode,
-                    extract_ff_equation, prime_ideal, sample_dither,
+                    extract_ff_equation, lattices, prime_ideal, sample_dither,
                     scale_by_ring)
 from ringcf.codec import CodecError
 from ringcf.lattices import ZLattice
@@ -65,6 +65,27 @@ def test_nested_pair_volumes(golden):
     assert abs(vol_f - disc ** 0.5) < 1e-9 * vol_f
     assert abs(vol_c - 5 * disc ** 0.5) < 1e-9 * vol_c
     assert abs(vol_c / vol_f - 5.0) < 1e-9
+
+
+def test_pair_lattices_built_and_reduced_once(monkeypatch):
+    f = catalog_field("quad-5")
+    pair = build_nested_pair(f, prime_ideal(f, 5, 3), np.zeros((3, 0), int),
+                             [[1, 0], [0, 1], [2, 3]], T=3)
+    assert pair.fine_lattice() is pair.fine_lattice()
+    assert pair.coarse_lattice() is pair.coarse_lattice()
+    calls = []
+    original = lattices.lll_reduce
+
+    def counting(lat, *args):
+        calls.append(lat)
+        return original(lat, *args)
+
+    monkeypatch.setattr(lattices, "lll_reduce", counting)
+    for msg in ([1, 2], [3, 4], [0, 1]):
+        cw = encode(pair, msg)
+        decode_equation(pair, cw.X, [1.0, 1.0], [f.one()])
+    # one reduction each for the fine and the coarse lattice
+    assert len(calls) == 2
 
 
 def test_nested_pair_coded_volumes():

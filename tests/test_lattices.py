@@ -1,13 +1,17 @@
 """Lattice engine: LLL, enumeration, minima, CVP against brute force."""
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ringcf.lattices import (ZLattice, closest_vector, hermite_constant,
+from ringcf import lattices
+from ringcf.fields import catalog_field
+from ringcf.lattices import (ZLattice, _gso, closest_vector, hermite_constant,
                              lll_reduce, shortest_vector, successive_minima,
                              unimodular_det)
+from ringcf.rates import ChannelRealization, build_humbert
 
 
 def random_basis(rng, m, min_det=0.1):
@@ -17,34 +21,36 @@ def random_basis(rng, m, min_det=0.1):
             return b
 
 
-def brute_svp(basis, upper):
-    """Certified exhaustive shortest vector given an upper bound on lambda_1."""
-    m = basis.shape[0]
-    rows = np.linalg.norm(np.linalg.inv(basis), axis=1)
-    box = np.ceil(upper * rows + 1e-9).astype(int)
-    best = None
-    for x in itertools.product(*[range(-r, r + 1) for r in box]):
-        if all(v == 0 for v in x):
-            continue
-        n2 = float(np.sum((basis @ np.array(x, float)) ** 2))
-        if best is None or n2 < best:
-            best = n2
+def box_min_dist2(basis, lo, hi, target, skip_zero=False):
+    """Minimum ||basis @ x - target||^2 over every integer x in [lo, hi]
+    (x != 0 with skip_zero): numpy over the last coordinate, a loop over the
+    others."""
+    last = np.arange(lo[-1], hi[-1] + 1)
+    w = np.outer(basis[:, -1], last) - target[:, None]
+    best = np.inf
+    for head in itertools.product(*[range(a, z + 1) for a, z in zip(lo[:-1], hi[:-1])]):
+        d = np.sum((w + (basis[:, :-1] @ np.array(head, float))[:, None]) ** 2, axis=0)
+        if skip_zero and not any(head):
+            d[last == 0] = np.inf
+        best = min(best, float(d.min()))
     return best
 
 
+def brute_svp(basis, upper):
+    """Certified exhaustive shortest vector given an upper bound on lambda_1."""
+    rows = np.linalg.norm(np.linalg.inv(basis), axis=1)
+    box = np.ceil(upper * rows + 1e-9).astype(int)
+    return box_min_dist2(basis, -box, box, np.zeros(basis.shape[0]),
+                         skip_zero=True)
+
+
 def brute_cvp(basis, target, upper):
-    m = basis.shape[0]
     inv = np.linalg.inv(basis)
     center = inv @ target
     rows = np.linalg.norm(inv, axis=1)
     lo = np.floor(center - upper * rows - 1e-9).astype(int)
     hi = np.ceil(center + upper * rows + 1e-9).astype(int)
-    best = None
-    for x in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        d = float(np.sum((basis @ np.array(x, float) - target) ** 2))
-        if best is None or d < best:
-            best = d
-    return best
+    return box_min_dist2(basis, lo, hi, target)
 
 
 def test_lll_identity_unchanged():
@@ -60,9 +66,73 @@ def test_lll_shears_long_column():
     assert max(np.linalg.norm(red.basis, axis=0)) <= 100.0
     assert unimodular_det(u) in (1, -1)
     # Lovasz condition holds post-hoc
-    from ringcf.lattices import _gso
     norms, mu = _gso(red.basis)
     assert norms[1] >= (0.99 - mu[1, 0] ** 2) * norms[0] - 1e-12
+
+
+def assert_lll_reduced(basis, delta=0.99):
+    """LLL output contract: exact unimodular U, reduced = basis @ U, and a
+    fresh Gram-Schmidt decomposition that is size-reduced and Lovasz."""
+    red, u = lll_reduce(ZLattice(basis), delta)
+    assert all(type(x) is int for row in u for x in row)
+    assert unimodular_det(u) in (1, -1)
+    scale = np.max(np.abs(basis)) * max(1.0, np.max(np.abs(np.array(u, float))))
+    assert np.allclose(red.basis, basis @ np.array(u, float), rtol=0,
+                       atol=1e-9 * scale)
+    norms, mu = _gso(red.basis)
+    m = len(norms)
+    assert np.all(np.abs(mu[np.tril_indices(m, -1)]) <= 0.5 + 1e-9)
+    for k in range(1, m):
+        assert norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]
+
+
+def test_lll_output_is_reduced_on_random_bases():
+    rng = np.random.default_rng(11)
+    for m in range(2, 13):
+        for _ in range(4):
+            # skewed column scales force many swaps
+            assert_lll_reduced(random_basis(rng, m) * np.exp(rng.normal(size=m) * 2))
+
+
+@pytest.mark.parametrize("name,users", [("quintic-14641", 2), ("quartic-725", 3)])
+def test_lll_output_is_reduced_on_high_snr_humbert_bases(name, users):
+    field = catalog_field(name)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        ch = ChannelRealization(h=rng.normal(size=(field.degree, users)), snr=1e6)
+        assert_lll_reduced(build_humbert(field, ch).phi_M)
+
+
+def test_reduction_cached_per_lattice(monkeypatch):
+    calls = []
+    original = lattices.lll_reduce
+
+    def counting(lat, *args):
+        calls.append(lat)
+        return original(lat, *args)
+
+    monkeypatch.setattr(lattices, "lll_reduce", counting)
+    rng = np.random.default_rng(13)
+    lat = ZLattice(random_basis(rng, 5))
+    target = rng.normal(size=5)
+    coeffs = closest_vector(lat, target)[0]
+    assert closest_vector(lat, target)[0] == coeffs
+    successive_minima(lat, 5)
+    assert len(calls) == 1
+    # a new lattice on the same basis reduces afresh and agrees
+    assert closest_vector(ZLattice(lat.basis), target)[0] == coeffs
+    assert len(calls) == 2
+
+
+def test_lattice_basis_is_read_only_copy():
+    b = np.eye(3)
+    lat = ZLattice(b)
+    b[0, 0] = 2.0  # the caller's array stays writable and unshared
+    assert lat.basis[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        lat.basis[0, 0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lat.basis = np.eye(3)
 
 
 def test_lll_preserves_determinant():
