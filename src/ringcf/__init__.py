@@ -1,9 +1,8 @@
 """Compute-and-forward over block-fading channels with number-field lattices."""
 
-from .fields import (AlgebraicInt, FieldElement, FieldMismatchError,
-                     NotTotallyRealError, NumberField, catalog_field,
-                     catalog_names, field_from_json, field_to_json,
-                     rank_over_K, real_roots)
+from .fields import (AlgebraicInt, FieldMismatchError, NotTotallyRealError,
+                     NumberField, catalog_field, catalog_names,
+                     field_from_json, field_to_json, rank_over_K, real_roots)
 
 from .lattices import (EnumerationError, MinimaResult, ZLattice,
                        closest_vector, hermite_constant, lll_reduce,
@@ -21,7 +20,7 @@ from .experiments import (CurvePoint, SweepConfig, export_csv, run_if_sweep,
                           run_sweep)
 
 __all__ = [
-    "AlgebraicInt", "FieldElement", "FieldMismatchError", "NotTotallyRealError",
+    "AlgebraicInt", "FieldMismatchError", "NotTotallyRealError",
     "NumberField", "catalog_field", "catalog_names", "field_from_json",
     "field_to_json", "rank_over_K", "real_roots",
     "EnumerationError", "MinimaResult", "ZLattice", "closest_vector",

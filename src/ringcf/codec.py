@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .fields import AlgebraicInt
 from .lattices import ZLattice, closest_vector
 
 

@@ -19,16 +19,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
-def poly_scale(p, c):
-    return poly_trim([c * x for x in p])
-
-
 def poly_mul(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -51,35 +41,6 @@ def poly_mod(p, m):
                 p[len(p) - 1 - d + i] -= c * m[i]
         p.pop()
     return poly_trim(p)
-
-
-def poly_divmod(p, q):
-    p = [Fraction(x) for x in poly_trim(p)]
-    q = [Fraction(x) for x in poly_trim(q)]
-    if q == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-    while len(p) >= len(q) and p != [0]:
-        c = p[-1] / q[-1]
-        k = len(p) - len(q)
-        quot[k] = c
-        for i in range(len(q)):
-            p[k + i] -= c * q[i]
-        p = poly_trim(p)
-    return poly_trim(quot), p
-
-
-def poly_ext_gcd(a, b):
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = [Fraction(x) for x in poly_trim(a)], [Fraction(x) for x in poly_trim(b)]
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while r1 != [0]:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(q, s1), -1))
-        t0, t1 = t1, poly_add(t0, poly_scale(poly_mul(q, t1), -1))
-    return r0, s0, t0
 
 
 def poly_eval(p, x):
@@ -140,6 +101,32 @@ def int_mat_det(rows):
     d = mat_det(rows)
     assert d.denominator == 1
     return d.numerator
+
+
+def int_rank(rows):
+    """Rank over Q of an integer matrix given as a list of rows.
+
+    Fraction-free Bareiss elimination (Math. Comp. 1968): each step keeps
+    only the rows and columns past the pivot, whose entries are minors of
+    the input, so the division by the previous pivot is exact.
+    """
+    a = [list(map(int, row)) for row in rows]
+    rank, prev = 0, 1
+    while a and a[0]:
+        i = next((i for i, r in enumerate(a) if r[0]), None)
+        if i is None:
+            a = [r[1:] for r in a]
+            continue
+        top = a.pop(i)
+        p, tail = top[0], top[1:]
+        nxt = []
+        for r in a:
+            f = r[0]
+            nxt.append([(p * x - f * y) // prev for x, y in zip(r[1:], tail)])
+        a = nxt
+        prev = p
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
+import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +52,8 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, doc):
-        import json as _json
         if isinstance(doc, str):
-            doc = _json.loads(doc)
+            doc = json.loads(doc)
         return cls(**doc)
 
 
@@ -73,68 +74,57 @@ def _trial_rng(seed, trial):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _draw_channels(rng, degrees, users):
-    """Per-trial channel draws, one per distinct block count, fixed order."""
-    return {n: rng.normal(size=(n, users)) for n in sorted(degrees)}
+def _trial(cfg, block_shape, point, trial):
+    """Metric values of one trial, keyed (snr_db, field, metric) in CSV order.
 
-
-def _rate_trial(cfg, trial):
+    One channel is drawn per trial, block by block with the given per-block
+    shape, and `point` adds the metrics of each SNR of the grid.
+    """
     fields = [catalog_field(name) for name in cfg.fields]
-    degrees = {f.degree for f in fields}
     rng = _trial_rng(cfg.seed, trial)
-    hs = _draw_channels(rng, degrees, cfg.users)
+    h = rng.normal(size=(fields[0].degree,) + block_shape)
     out = {}
     for snr_db in cfg.snr_db_grid:
-        P = 10.0 ** (snr_db / 10.0)
-        for f in fields:
-            ch = ChannelRealization(h=hs[f.degree], snr=P)
-            rep = best_coefficients(f, ch)
-            mac = mac_capacity(ch)
-            lb, slb = rep.lower_bounds
-            if not (rep.best_rate >= lb - 1e-9 and rep.sum_rate >= slb - 1e-9
-                    and mac >= rep.sum_rate - 1e-9):
-                raise AssertionError(
-                    "per-trial sanity chain failed: trial=%d field=%s snr=%g"
-                    % (trial, f.name, snr_db))
-            if "rate1" in cfg.metrics:
-                out[(snr_db, f.name, "rate1")] = rep.best_rate
-            if "sumrate" in cfg.metrics:
-                out[(snr_db, f.name, "sumrate")] = rep.sum_rate
-        if "mac" in cfg.metrics:
-            n0 = fields[0].degree
-            out[(snr_db, "-", "mac")] = mac_capacity(
-                ChannelRealization(h=hs[n0], snr=P))
-        if "z_baseline" in cfg.metrics:
-            n0 = fields[0].degree
-            rates, _ = integer_baseline(
-                ChannelRealization(h=hs[n0], snr=P), k=1)
-            out[(snr_db, "Z", "z_baseline")] = rates[0]
+        point(cfg, fields, h, snr_db, trial, out)
     return out
 
 
-def _if_trial(cfg, trial):
-    fields = [catalog_field(name) for name in cfg.fields]
-    degrees = {f.degree for f in fields}
-    rng = _trial_rng(cfg.seed, trial)
-    hs = {n: [rng.normal(size=(cfg.users, cfg.users)) for _ in range(n)]
-          for n in sorted(degrees)}
-    out = {}
-    for snr_db in cfg.snr_db_grid:
-        P = 10.0 ** (snr_db / 10.0)
-        for f in fields:
-            rep = if_rate(f, hs[f.degree], P)
-            if rep.rate > rep.ml_capacity + 1e-9:
-                raise AssertionError(
-                    "IF rate exceeded ML benchmark: trial=%d field=%s snr=%g"
-                    % (trial, f.name, snr_db))
-            if "if_rate" in cfg.metrics:
-                out[(snr_db, f.name, "if_rate")] = rep.rate
-        n0 = fields[0].degree
-        if "z_if" in cfg.metrics:
-            out[(snr_db, "Z", "z_if")] = integer_if_rate(hs[n0], P)
-        if "ml" in cfg.metrics:
-            out[(snr_db, "-", "ml")] = ml_capacity(hs[n0], P)
-    return out
+def _rate_point(cfg, fields, h, snr_db, trial, out):
+    ch = ChannelRealization(h=h, snr=10.0 ** (snr_db / 10.0))
+    for f in fields:
+        rep = best_coefficients(f, ch)
+        mac = mac_capacity(ch)
+        lb, slb = rep.lower_bounds
+        if not (rep.best_rate >= lb - 1e-9 and rep.sum_rate >= slb - 1e-9
+                and mac >= rep.sum_rate - 1e-9):
+            raise AssertionError(
+                "per-trial sanity chain failed: trial=%d field=%s snr=%g"
+                % (trial, f.name, snr_db))
+        if "rate1" in cfg.metrics:
+            out[(snr_db, f.name, "rate1")] = rep.best_rate
+        if "sumrate" in cfg.metrics:
+            out[(snr_db, f.name, "sumrate")] = rep.sum_rate
+    if "mac" in cfg.metrics:
+        out[(snr_db, "-", "mac")] = mac_capacity(ch)
+    if "z_baseline" in cfg.metrics:
+        rates, _ = integer_baseline(ch, k=1)
+        out[(snr_db, "Z", "z_baseline")] = rates[0]
+
+
+def _if_point(cfg, fields, h, snr_db, trial, out):
+    P = 10.0 ** (snr_db / 10.0)
+    for f in fields:
+        rep = if_rate(f, h, P)
+        if rep.rate > rep.ml_capacity + 1e-9:
+            raise AssertionError(
+                "IF rate exceeded ML benchmark: trial=%d field=%s snr=%g"
+                % (trial, f.name, snr_db))
+        if "if_rate" in cfg.metrics:
+            out[(snr_db, f.name, "if_rate")] = rep.rate
+    if "z_if" in cfg.metrics:
+        out[(snr_db, "Z", "z_if")] = integer_if_rate(h, P)
+    if "ml" in cfg.metrics:
+        out[(snr_db, "-", "ml")] = ml_capacity(h, P)
 
 
 def _default_workers():
@@ -144,14 +134,18 @@ def _default_workers():
         return 1
 
 
-def _run(cfg, trial_fn, workers):
+def _run(cfg, known, block_shape, point, workers):
+    bad = set(cfg.metrics) - set(known)
+    if bad:
+        raise ValueError("unknown metrics: %s" % ", ".join(sorted(bad)))
     if workers is None:
         workers = _default_workers()
+    trial_fn = functools.partial(_trial, cfg, block_shape, point)
     if workers <= 1:
-        results = [trial_fn(cfg, t) for t in range(cfg.trials)]
+        results = [trial_fn(t) for t in range(cfg.trials)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_TrialRunner(cfg, trial_fn), range(cfg.trials),
+            results = list(pool.map(trial_fn, range(cfg.trials),
                                     chunksize=max(1, cfg.trials // (8 * workers))))
     keys = list(results[0].keys())
     points = []
@@ -166,31 +160,20 @@ def _run(cfg, trial_fn, workers):
     return points
 
 
-class _TrialRunner:
-    """Picklable (config, function) pair for process pools."""
-
-    def __init__(self, cfg, fn):
-        self.cfg = cfg
-        self.fn = fn
-
-    def __call__(self, trial):
-        return self.fn(self.cfg, trial)
-
-
 def run_sweep(cfg, workers=None):
-    """Computation-rate sweep; returns CurvePoints in deterministic order."""
-    bad = set(cfg.metrics) - set(RATE_METRICS)
-    if bad:
-        raise ValueError("unknown metrics: %s" % ", ".join(sorted(bad)))
-    return _run(cfg, _rate_trial, workers)
+    """Computation-rate sweep; returns CurvePoints in deterministic order.
+
+    Each block has one receive antenna: a row of L user gains.
+    """
+    return _run(cfg, RATE_METRICS, (cfg.users,), _rate_point, workers)
 
 
 def run_if_sweep(cfg, workers=None):
-    """Integer-forcing sweep; returns CurvePoints in deterministic order."""
-    bad = set(cfg.metrics) - set(IF_METRICS)
-    if bad:
-        raise ValueError("unknown metrics: %s" % ", ".join(sorted(bad)))
-    return _run(cfg, _if_trial, workers)
+    """Integer-forcing sweep; returns CurvePoints in deterministic order.
+
+    Each block is an L x L MIMO channel matrix.
+    """
+    return _run(cfg, IF_METRICS, (cfg.users, cfg.users), _if_point, workers)
 
 
 def export_csv(points, out):

@@ -129,70 +129,6 @@ class AlgebraicInt:
     def norm(self):
         return exact.int_mat_det(self.mul_matrix())
 
-    def as_field_element(self):
-        return FieldElement(self.field, tuple(Fraction(c) for c in self.coords))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Field element with exact rational coordinates over the integral basis."""
-
-    field: "NumberField"
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-
-    def _check(self, other):
-        if self.field is not other.field and self.field.name != other.field.name:
-            raise FieldMismatchError("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, tuple(other * a for a in self.coords))
-        self._check(other)
-        n = self.field.degree
-        table = self.field.mult_table
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                tij = table[i][j]
-                for k in range(n):
-                    out[k] += a * b * tij[k]
-        return FieldElement(self.field, tuple(out))
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def inverse(self):
-        """Multiplicative inverse via extended gcd against the minimal polynomial."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        poly = self.field.to_power_basis(self.coords)
-        g, s, _ = exact.poly_ext_gcd(poly, [Fraction(c) for c in self.field.min_poly])
-        if len(g) != 1:
-            raise ZeroDivisionError("element is a zero divisor (reducible modulus?)")
-        inv_poly = exact.poly_scale(s, 1 / g[0])
-        inv_poly = exact.poly_mod(inv_poly, [Fraction(c) for c in self.field.min_poly])
-        return FieldElement(self.field, self.field.from_power_basis(inv_poly))
-
 
 class NumberField:
     """Totally real number field with a fixed integral basis.
@@ -267,15 +203,6 @@ class NumberField:
 
     # -- coordinate conversions -------------------------------------------
 
-    def to_power_basis(self, coords):
-        """Rational polynomial in theta for basis coordinates."""
-        n = self.degree
-        out = [Fraction(0)] * n
-        for j, c in enumerate(coords):
-            for i in range(n):
-                out[i] += Fraction(c) * self.basis_polys[j][i]
-        return exact.poly_trim(out)
-
     def from_power_basis(self, poly):
         """Basis coordinates of a rational polynomial in theta."""
         n = self.degree
@@ -300,49 +227,29 @@ class NumberField:
         assert all(c.denominator == 1 for c in coords)
         return self.element([int(c) for c in coords])
 
-    def field_element(self, coords):
-        return FieldElement(self, tuple(coords))
-
     def __repr__(self):
         return "NumberField(%r, degree=%d, disc=%d)" % (self.name, self.degree,
                                                         self.discriminant)
 
 
 def rank_over_K(field, rows):
-    """Rank of a matrix with entries in the field, by exact elimination.
+    """Rank over the field of a matrix with entries in the ring of integers.
 
-    `rows` is a sequence of sequences of AlgebraicInt or FieldElement.
+    `rows` is a sequence of sequences of AlgebraicInt. The K-span of rows
+    a_1..a_k is the Q-span of the products omega_i * a_r over the integral
+    basis omega_1..omega_n, so the rank is rank_Q(X) / n for the integer
+    matrix X with one row per (r, i) holding the coordinates of
+    omega_i * a_r (column i of each entry's multiplication matrix).
     """
-    work = []
+    n = field.degree
+    x = []
     for row in rows:
-        conv = []
-        for x in row:
-            if isinstance(x, AlgebraicInt):
-                conv.append(x.as_field_element())
-            else:
-                conv.append(x)
-        work.append(conv)
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        piv_idx = next((i for i, r in enumerate(work) if not r[col].is_zero()), None)
-        if piv_idx is None:
-            col += 1
-            continue
-        piv = work.pop(piv_idx)
-        inv = piv[col].inverse()
-        piv = [x * inv for x in piv]
-        nxt = []
-        for r in work:
-            if not r[col].is_zero():
-                f = r[col]
-                r = [x - f * y for x, y in zip(r, piv)]
-            nxt.append(r)
-        work = nxt
-        rank += 1
-        col += 1
-    return rank
+        if any(a.field is not field and a.field.name != field.name for a in row):
+            raise FieldMismatchError("elements belong to a different field")
+        mats = [a.mul_matrix() for a in row]
+        for i in range(n):
+            x.append([m[k][i] for m in mats for k in range(n)])
+    return exact.int_rank(x) // n
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ class MinimaResult:
         return [lat.basis @ np.array(v, dtype=float) for v in self.vectors]
 
 
-def successive_minima(lat, k, independence_tol=1e-9):
+def successive_minima(lat, k):
     """First k successive minima of the lattice.
 
     LLL-reduces, enumerates every nonzero vector inside a radius certified to
@@ -264,18 +264,13 @@ def successive_minima(lat, k, independence_tol=1e-9):
         group = sorted(entries[i:j + 1], key=lambda e: e[1])
         ordered.extend(group)
         i = j + 1
+    # the picks are integer coordinates in a nonsingular basis, so
+    # R-independence of the points is Q-independence of the coordinates
     chosen, lengths = [], []
-    basis_span = np.zeros((m, 0))
     for d, vec in ordered:
-        pt = lat.basis @ np.array(vec, dtype=float)
-        if basis_span.shape[1]:
-            resid = pt - basis_span @ np.linalg.lstsq(basis_span, pt, rcond=None)[0]
-        else:
-            resid = pt
-        if np.linalg.norm(resid) > independence_tol * math.sqrt(max(d, 1e-300)):
+        if exact.int_rank(chosen + [vec]) > len(chosen):
             chosen.append(vec)
             lengths.append(math.sqrt(d))
-            basis_span = np.column_stack([basis_span, pt])
             if len(chosen) == k:
                 break
     if len(chosen) < k:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AlgebraicInt, rank_over_K
+from .fields import rank_over_K
 from .lattices import ZLattice, hermite_constant, successive_minima
 
 
@@ -97,27 +97,56 @@ def _embed_vector(field, coeffs):
 
 def build_humbert(field, channel):
     """MMSE quadratic form for a channel with n_blocks = field degree."""
-    n, L = channel.n_blocks, channel.users
-    if n != field.degree:
+    if channel.n_blocks != field.degree:
         raise ValueError("channel has %d blocks but field degree is %d"
-                         % (n, field.degree))
-    P = channel.snr
-    M, M_chol = [], []
-    for j in range(n):
-        hj = channel.h[j]
-        g = P * float(hj @ hj) + 1.0
-        Mj = np.eye(L) - (P / g) * np.outer(hj, hj)
-        M.append(Mj)
-        try:
-            low = np.linalg.cholesky(Mj)
-        except np.linalg.LinAlgError as e:
-            raise PathologicalChannelError("MMSE matrix not positive definite") from e
-        M_chol.append(low.T)
+                         % (channel.n_blocks, field.degree))
+    M = [_mmse_block(hj, channel.snr) for hj in channel.h]
+    try:
+        M_chol = [np.linalg.cholesky(Mj).T for Mj in M]
+    except np.linalg.LinAlgError as e:
+        raise PathologicalChannelError("MMSE matrix not positive definite") from e
+    return HumbertForm(field=field, channel=channel, M=M, M_chol=M_chol,
+                       phi_M=_block_basis(field, M_chol))
+
+
+def _mmse_block(hj, P):
+    """MMSE matrix I - P h h^T / (1 + P |h|^2) of one block with gains hj."""
+    g = P * float(hj @ hj) + 1.0
+    return np.eye(len(hj)) - (P / g) * np.outer(hj, hj)
+
+
+def _block_basis(field, factors):
+    """nL x nL basis diag(F_1, .., F_n) @ (embeddings kron I_L) of the
+    lattice whose squared lengths give the form sum_j |F_j sigma_j(a)|^2."""
+    n, L = len(factors), factors[0].shape[0]
     blocks = np.zeros((n * L, n * L))
-    for j in range(n):
-        blocks[j * L:(j + 1) * L, j * L:(j + 1) * L] = M_chol[j]
-    phi_M = blocks @ np.kron(field.embeddings, np.eye(L))
-    return HumbertForm(field=field, channel=channel, M=M, M_chol=M_chol, phi_M=phi_M)
+    for j, Fj in enumerate(factors):
+        blocks[j * L:(j + 1) * L, j * L:(j + 1) * L] = Fj
+    return blocks @ np.kron(field.embeddings, np.eye(L))
+
+
+def _select_independent(field, basis, k):
+    """First k field-independent coefficient vectors among the successive
+    minima of the block lattice: (ring-element vectors, lengths).
+
+    The minima are scanned in order and a vector is kept when its psi image
+    raises the exact rank over the field.
+    """
+    minima = successive_minima(ZLattice(basis), basis.shape[0])
+    selected, lengths = [], []
+    for vec, length in zip(minima.vectors, minima.lengths):
+        cand = psi_map(field, vec)
+        if rank_over_K(field, selected + [cand]) == len(selected) + 1:
+            selected.append(cand)
+            lengths.append(length)
+            if len(selected) == k:
+                return selected, lengths
+    raise RuntimeError("successive minima did not contain %d independent vectors" % k)
+
+
+def _z_minima(gram, k):
+    """First k successive minima of Z^L under the positive-definite Gram matrix."""
+    return successive_minima(ZLattice(np.linalg.cholesky(gram).T), k)
 
 
 def psi_map(field, int_vec):
@@ -241,23 +270,13 @@ def best_coefficients(field, channel, k=None):
     and greedily keeps vectors whose images stay linearly independent over
     the field (exact rank test). k defaults to the number of users.
     """
-    n, L = field.degree, channel.users
+    L = channel.users
     if k is None:
         k = L
     if not (1 <= k <= L):
         raise ValueError("need 1 <= k <= users")
     hf = build_humbert(field, channel)
-    lat = ZLattice(hf.phi_M)
-    minima = successive_minima(lat, n * L)
-    selected = []
-    for vec in minima.vectors:
-        cand = psi_map(field, vec)
-        if rank_over_K(field, [[a for a in v] for v in selected + [cand]]) == len(selected) + 1:
-            selected.append(cand)
-            if len(selected) == k:
-                break
-    if len(selected) < k:
-        raise RuntimeError("successive minima did not contain %d independent vectors" % k)
+    selected, _ = _select_independent(field, hf.phi_M, k)
     f_values = [hf.value(v) for v in selected]
     rates = [rate_am(field, f) for f in f_values]
     return RateReport(
@@ -283,18 +302,10 @@ def integer_baseline(channel, k=None):
     returns (rates list, coefficient vectors). Rates use the same n-block
     normalization as the ring scheme.
     """
-    n, L = channel.n_blocks, channel.users
+    n = channel.n_blocks
     if k is None:
-        k = L
-    P = channel.snr
-    G = np.zeros((L, L))
-    for j in range(n):
-        hj = channel.h[j]
-        g = P * float(hj @ hj) + 1.0
-        G += np.eye(L) - (P / g) * np.outer(hj, hj)
-    low = np.linalg.cholesky(G)
-    lat = ZLattice(low.T)
-    minima = successive_minima(lat, k)
+        k = channel.users
+    minima = _z_minima(sum(_mmse_block(hj, channel.snr) for hj in channel.h), k)
     f_values = [l * l for l in minima.lengths]
     rates = [(n / 2.0) * log2_plus(n / f) for f in f_values]
     return rates, minima.vectors
@@ -365,22 +376,8 @@ def if_rate(field, h_mats, P):
     if len(h_mats) != n:
         raise ValueError("need one channel matrix per fading block")
     L = np.asarray(h_mats[0]).shape[1]
-    F = _if_whiteners(h_mats, P)
-    blocks = np.zeros((n * L, n * L))
-    for j in range(n):
-        blocks[j * L:(j + 1) * L, j * L:(j + 1) * L] = F[j]
-    lat = ZLattice(blocks @ np.kron(field.embeddings, np.eye(L)))
-    minima = successive_minima(lat, n * L)
-    selected, lengths = [], []
-    for vec, length in zip(minima.vectors, minima.lengths):
-        cand = psi_map(field, vec)
-        if rank_over_K(field, selected + [cand]) == len(selected) + 1:
-            selected.append(cand)
-            lengths.append(length)
-            if len(selected) == L:
-                break
-    if len(selected) < L:
-        raise RuntimeError("no full set of field-independent coefficient vectors")
+    basis = _block_basis(field, _if_whiteners(h_mats, P))
+    selected, lengths = _select_independent(field, basis, L)
     rates = [0.5 * log2_plus(n * P / (l * l)) for l in lengths]
     return IFReport(field_name=field.name, coeffs=selected, rates=rates,
                     rate=min(rates), ml_capacity=ml_capacity(h_mats, P))
@@ -391,10 +388,7 @@ def integer_if_rate(h_mats, P):
     h_mats = [np.asarray(H, dtype=float) for H in h_mats]
     n = len(h_mats)
     L = h_mats[0].shape[1]
-    F = _if_whiteners(h_mats, P)
-    G = sum(f @ f for f in F)
-    low = np.linalg.cholesky(G)
-    minima = successive_minima(ZLattice(low.T), L)
+    minima = _z_minima(sum(f @ f for f in _if_whiteners(h_mats, P)), L)
     rates = [0.5 * log2_plus(n * P / (l * l)) for l in minima.lengths]
     return min(rates)
 

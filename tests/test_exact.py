@@ -1,0 +1,49 @@
+"""Exact integer linear algebra against a Fraction-elimination reference."""
+from fractions import Fraction
+
+import numpy as np
+
+from ringcf.exact import int_rank
+
+
+def fraction_rank(rows):
+    """Reference rank: Gaussian elimination over Q with Fractions."""
+    a = [[Fraction(int(x)) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def test_int_rank_matches_fraction_reference():
+    rng = np.random.default_rng(5)
+    cases = [[], [[0, 0, 0]], [[0], [0]], [[3]], [[1, 2], [2, 4]]]
+    for _ in range(60):
+        rows, cols = rng.integers(1, 8, size=2)  # tall, wide and square
+        bound = int(rng.choice([2, 50, 10 ** 6]))
+        m = rng.integers(-bound, bound + 1, size=(rows, cols))
+        m[rng.random(rows) < 0.2] = 0  # zero rows
+        cases.append(m.tolist())
+    for _ in range(60):
+        # low-rank products A @ B with entries up to 1e6
+        rows, cols, inner = rng.integers(1, 8, size=3)
+        a = rng.integers(-1000, 1001, size=(rows, inner))
+        b = rng.integers(-1000, 1001, size=(inner, cols))
+        cases.append((a @ b).tolist())
+    for rows in cases:
+        assert int_rank(rows) == fraction_rank(rows), rows
+
+
+def test_int_rank_large_entries_stay_exact():
+    # entries past float precision: row 3 = row 1 + row 2 exactly
+    big = 10 ** 20
+    rows = [[big, big + 1, 7], [big + 1, big + 2, 7], [2 * big + 1, 2 * big + 3, 14]]
+    assert int_rank(rows) == fraction_rank(rows) == 2
+    assert int_rank(rows[:2]) == 2

@@ -1,7 +1,6 @@
 """Number field arithmetic: catalog, embeddings, exact invariants."""
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,20 +95,13 @@ def test_norm_and_trace_exact():
         assert (a * b).norm() == a.norm() * b.norm()
 
 
-def test_field_element_inverse():
-    f = catalog_field("quad-12")
-    x = f.field_element([Fraction(2), Fraction(1)])  # 2 + sqrt(3)
-    inv = x.inverse()
-    assert (x * inv).coords == (Fraction(1), Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        f.field_element([0, 0]).inverse()
-
-
 def test_field_mismatch_raises():
     a = catalog_field("quad-5").element([1, 0])
     b = catalog_field("quad-8").element([1, 0])
     with pytest.raises(FieldMismatchError):
         a * b
+    with pytest.raises(FieldMismatchError):
+        rank_over_K(catalog_field("quad-5"), [[a, b]])
 
 
 def test_rank_dependent_rows():
@@ -118,6 +110,20 @@ def test_rank_dependent_rows():
     rows = [[f.element([1, 1]), f.element([2, 1])],
             [f.element([6, 4]), f.element([9, 5])]]
     assert rank_over_K(f, rows) == 1
+    # row 3 = alpha * row 1 + beta * row 2 with ring alpha, beta, in degree
+    # 3-5 fields; quartic-1600 has a half-integral basis
+    rng = np.random.default_rng(4)
+    for name in ("cubic-49", "quartic-725", "quartic-1600", "quintic-14641"):
+        g = catalog_field(name)
+        for _ in range(5):
+            r1, r2 = [[g.element(rng.integers(-3, 4, size=g.degree))
+                       for _ in range(3)] for _ in range(2)]
+            alpha = g.element(rng.integers(1, 4, size=g.degree))
+            beta = g.element(rng.integers(-3, 0, size=g.degree))
+            r3 = [alpha * x + beta * y for x, y in zip(r1, r2)]
+            assert rank_over_K(g, [r1, r2]) == 2
+            assert rank_over_K(g, [r1, r2, r3]) == 2
+            assert rank_over_K(g, [r3, r1]) == 2
 
 
 def test_rank_identity_and_example_matrix():
@@ -131,11 +137,18 @@ def test_rank_identity_and_example_matrix():
 
 
 def test_rank_matches_single_embedding_float_rank():
-    f = catalog_field("quad-5")
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        rows = [[f.element(rng.integers(-3, 4, size=2)) for _ in range(3)]
+    cases = [("quad-5", t) for t in range(50)]
+    cases += [(name, t) for name in ("cubic-49", "quartic-1600", "quintic-14641")
+              for t in range(10)]
+    for name, t in cases:
+        f = catalog_field(name)
+        rows = [[f.element(rng.integers(-3, 4, size=f.degree)) for _ in range(3)]
                 for _ in range(3)]
+        if name != "quad-5" and t % 2:
+            # a K-dependent third row
+            a, b = (f.element(rng.integers(-2, 3, size=f.degree)) for _ in range(2))
+            rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
         exact = rank_over_K(f, rows)
         for j in range(f.degree):
             emb = np.array([[sum(float(c) * f.embeddings[j, i]
