@@ -46,7 +46,10 @@ def _load_channel(path, snr_db=None):
 
 
 def _emit(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write(args, text):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -92,11 +95,7 @@ def _sweep_common(args, runner, default_metrics):
         text = experiments.csv_string(points)
     else:
         text = json.dumps([vars(p) for p in points], indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return 0
 
 

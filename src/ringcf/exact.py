@@ -5,6 +5,7 @@ independence tests and lattice membership checks.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -103,30 +104,35 @@ def int_mat_det(rows):
     return d.numerator
 
 
-def int_rank(rows):
-    """Rank over Q of an integer matrix given as a list of rows.
+class IntEchelon:
+    """Q-span of integer rows in echelon form. Each kept row is zero in the
+    pivot columns of the rows kept before it, so one pass in that order
+    reduces a new row, by fraction-free steps p*r - r[c]*e as in Bareiss
+    (Math. Comp. 1968), dividing out the gcd after each step."""
 
-    Fraction-free Bareiss elimination (Math. Comp. 1968): each step keeps
-    only the rows and columns past the pivot, whose entries are minors of
-    the input, so the division by the previous pivot is exact.
-    """
-    a = [list(map(int, row)) for row in rows]
-    rank, prev = 0, 1
-    while a and a[0]:
-        i = next((i for i, r in enumerate(a) if r[0]), None)
-        if i is None:
-            a = [r[1:] for r in a]
-            continue
-        top = a.pop(i)
-        p, tail = top[0], top[1:]
-        nxt = []
-        for r in a:
-            f = r[0]
-            nxt.append([(p * x - f * y) // prev for x, y in zip(r[1:], tail)])
-        a = nxt
-        prev = p
-        rank += 1
-    return rank
+    def __init__(self):
+        self.rows = []
+
+    def add(self, row):
+        """Keep row if it raises the rank; return whether it did."""
+        r = [int(x) for x in row]
+        for c, e in self.rows:
+            f = r[c]
+            if f:
+                p = e[c]
+                r = [p * x - f * y for x, y in zip(r, e)]
+                g = math.gcd(*r) or 1
+                r = [x // g for x in r]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is not None:
+            self.rows.append((c, r))
+        return c is not None
+
+
+def int_rank(rows):
+    """Rank over Q of an integer matrix given as a list of rows."""
+    echelon = IntEchelon()
+    return sum(echelon.add(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

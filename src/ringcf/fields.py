@@ -108,23 +108,15 @@ class AlgebraicInt:
         return self.field.embeddings @ np.array(self.coords, dtype=float)
 
     def mul_matrix(self):
-        """Integer matrix of multiplication by self on basis coordinates."""
+        """Integer matrix of multiplication by self on basis coordinates
+        (column i holds the coordinates of self * omega_i)."""
         n = self.field.degree
-        table = self.field.mult_table
-        cols = []
-        for j in range(n):
-            col = [0] * n
-            for i, a in enumerate(self.coords):
-                if a == 0:
-                    continue
-                tij = table[i][j]
-                for k in range(n):
-                    col[k] += a * tij[k]
-            cols.append(col)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        cols = [(self * self.field.element([int(i == j) for j in range(n)])).coords
+                for i in range(n)]
+        return [list(row) for row in zip(*cols)]
 
     def trace(self):
-        return sum(self.mul_matrix()[i][i] for i in range(self.field.degree))
+        return sum(row[i] for i, row in enumerate(self.mul_matrix()))
 
     def norm(self):
         return exact.int_mat_det(self.mul_matrix())
@@ -232,24 +224,39 @@ class NumberField:
                                                         self.discriminant)
 
 
-def rank_over_K(field, rows):
-    """Rank over the field of a matrix with entries in the ring of integers.
+class KSpan(exact.IntEchelon):
+    """K-span of rows a with entries in the ring of integers, kept as the
+    Q-span of the coordinates of omega_i * a (entry k*L + l: coordinate k of
+    entry l, as psi_map reads them). A K-subspace holds a row exactly when it
+    holds the row's own coordinates, so a test is one row reduction."""
 
-    `rows` is a sequence of sequences of AlgebraicInt. The K-span of rows
-    a_1..a_k is the Q-span of the products omega_i * a_r over the integral
-    basis omega_1..omega_n, so the rank is rank_Q(X) / n for the integer
-    matrix X with one row per (r, i) holding the coordinates of
-    omega_i * a_r (column i of each entry's multiplication matrix).
-    """
-    n = field.degree
-    x = []
-    for row in rows:
-        if any(a.field is not field and a.field.name != field.name for a in row):
-            raise FieldMismatchError("elements belong to a different field")
-        mats = [a.mul_matrix() for a in row]
-        for i in range(n):
-            x.append([m[k][i] for m in mats for k in range(n)])
-    return exact.int_rank(x) // n
+    def __init__(self, field):
+        super().__init__()
+        self.n = n = field.degree
+        # multiplication by omega_2..omega_n (omega_1 = 1) on coordinates
+        self.times = [field.element([int(i == j) for j in range(n)]).mul_matrix()
+                      for i in range(1, n)]
+
+    def add(self, coords):
+        """Keep the row if it is K-independent of the kept rows; say if it was."""
+        if not super().add(coords):
+            return False
+        L = len(coords) // self.n
+        entries = [coords[l::L] for l in range(L)]
+        for m in self.times:
+            super().add([sum(x * y for x, y in zip(row, a)) for row in m for a in entries])
+        return True
+
+
+def rank_over_K(field, rows):
+    """Rank over the field of a matrix with entries in the ring of integers
+    (`rows` is a sequence of sequences of AlgebraicInt)."""
+    rows = list(rows)
+    if any(a.field is not field and a.field.name != field.name for row in rows for a in row):
+        raise FieldMismatchError("elements belong to a different field")
+    span = KSpan(field)
+    return sum(span.add([a.coords[k] for k in range(field.degree) for a in row])
+               for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,11 @@ def _gso_lists(cols):
 
 
 def _first_unreduced(norms, mu, delta):
-    """Smallest k >= 1 where size reduction or the Lovasz condition fails
-    (len(norms) when the basis is LLL-reduced)."""
+    """Smallest k >= 1 where size reduction (|mu| <= 1/2 up to 1e-9, or a fresh
+    mu of 1/2 + ulp flips sign forever) or the Lovasz condition fails, else m."""
     m = len(norms)
     for k in range(1, m):
-        if (any(abs(x) > 0.5 for x in mu[k][:k])
+        if (any(abs(x) > 0.5 + 1e-9 for x in mu[k][:k])
                 or norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]):
             return k
     return m
@@ -178,14 +178,12 @@ def _enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
             if level == 0:
                 count += 1
                 if count > limit:
-                    raise EnumerationError("enumeration exceeded node limit")
+                    raise EnumerationError("enumeration exceeded node limit: dimension "
+                                           "%d, radius^2 %.6g, limit %d" % (m, radius2, limit))
                 vec = tuple(x)
-                if target is None:
-                    if all(v == 0 for v in vec):
-                        continue
-                    nz = next(v for v in reversed(vec) if v != 0)
-                    if nz < 0:
-                        continue
+                # without a target keep one of +-x: last nonzero entry positive
+                if target is None and next((v for v in reversed(vec) if v), 0) <= 0:
+                    continue
                 out.append((vec, d))
             else:
                 rec(level - 1, d)
@@ -213,13 +211,11 @@ def _reduction(lat):
 
 def _canonical(vec):
     """Pick the lexicographically smaller of a vector and its negation."""
-    neg = tuple(-v for v in vec)
-    return min(vec, neg)
+    return min(vec, tuple(-v for v in vec))
 
 
 def _apply_transform(u, x):
-    m = len(x)
-    return tuple(sum(u[i][j] * x[j] for j in range(m)) for i in range(m))
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in u)
 
 
 @dataclass
@@ -233,49 +229,58 @@ class MinimaResult:
         return [lat.basis @ np.array(v, dtype=float) for v in self.vectors]
 
 
-def successive_minima(lat, k):
-    """First k successive minima of the lattice.
-
-    LLL-reduces, enumerates every nonzero vector inside a radius certified to
-    contain k independent vectors (the largest reduced basis column), sorts
-    by length with a lexicographic tie-break on canonical coefficient
-    vectors, then greedily keeps R-linearly independent representatives.
-    """
-    m = lat.dim
-    if not (1 <= k <= m):
-        raise ValueError("k must satisfy 1 <= k <= dim")
-    red_basis, u, _, r_mat = _reduction(lat)
-    col_norms2 = np.sum(red_basis ** 2, axis=0)
-    radius2 = float(np.max(col_norms2)) * (1 + 1e-9)
-    cands = _enumerate_all(r_mat, radius2)
-    entries = []
-    for x, d in cands:
-        orig = _canonical(_apply_transform(u, x))
-        entries.append((d, orig))
-    entries.sort(key=lambda e: e[0])
-    # lexicographic tie-break within near-equal lengths
+def _length_order(u, cands):
+    """Enumerated (x, dist2) pairs as (original coefficients, dist2) by
+    length, lexicographic on canonical coefficients within a 1e-9 tie group.
+    A group is mapped through U only when iteration reaches it."""
+    cands = sorted(cands, key=lambda e: e[1])
     i = 0
-    ordered = []
-    while i < len(entries):
-        j = i
-        while (j + 1 < len(entries)
-               and entries[j + 1][0] - entries[i][0] <= 1e-9 * (1 + entries[i][0])):
+    while i < len(cands):
+        d0, j = cands[i][1], i + 1
+        while j < len(cands) and cands[j][1] - d0 <= 1e-9 * (1 + d0):
             j += 1
-        group = sorted(entries[i:j + 1], key=lambda e: e[1])
-        ordered.extend(group)
-        i = j + 1
-    # the picks are integer coordinates in a nonsingular basis, so
-    # R-independence of the points is Q-independence of the coordinates
-    chosen, lengths = [], []
-    for d, vec in ordered:
-        if exact.int_rank(chosen + [vec]) > len(chosen):
-            chosen.append(vec)
+        yield from sorted((_canonical(_apply_transform(u, x)), d) for x, d in cands[i:j])
+        i = j
+
+
+def _greedy_minima(lat, k, new_test, what="independent minima"):
+    """First k vectors, in length order, that a fresh test from new_test()
+    accepts (it keeps a coefficient tuple and returns True when that is
+    independent of those kept before): (coefficient tuples, lengths).
+
+    The same greedy over the reduced columns, shortest first, finds k
+    independent ones; their largest norm^2 r^2 bounds the k-th pick, so the
+    ball of r^2 plus the 1e-9 tie tolerance holds the picks and their tie
+    groups. The largest column caps it (the tolerance is absolute below 1).
+    """
+    red_basis, u, _, r_mat = _reduction(lat)
+    norms2 = np.sum(red_basis ** 2, axis=0)
+    test, picks = new_test(), []
+    for i in np.argsort(norms2, kind="stable"):
+        if len(picks) < k and test(tuple(row[i] for row in u)):
+            picks.append(float(norms2[i]))
+    radius2 = min(float(np.max(norms2)) * (1 + 1e-9), picks[-1] + 1e-9 * (1 + picks[-1]))
+    test, vectors, lengths = new_test(), [], []
+    for vec, d in _length_order(u, _enumerate_all(r_mat, radius2)):
+        if test(vec):
+            vectors.append(vec)
             lengths.append(math.sqrt(d))
-            if len(chosen) == k:
-                break
-    if len(chosen) < k:
-        raise EnumerationError("radius did not certify %d independent minima" % k)
-    return MinimaResult(vectors=chosen, lengths=lengths)
+            if len(vectors) == k:
+                return vectors, lengths
+    raise EnumerationError("dimension %d: fewer than %d %s within radius^2 %.6g"
+                           % (lat.dim, k, what, radius2))
+
+
+def successive_minima(lat, k):
+    """First k successive minima of the lattice: the greedy R-independent
+    picks in length order, ties within 1e-9 broken lexicographically on
+    canonical coefficient vectors, from a certified radius (the k-th
+    shortest LLL-reduced column)."""
+    if not (1 <= k <= lat.dim):
+        raise ValueError("k must satisfy 1 <= k <= dim")
+    # integer coordinates in a nonsingular basis: R-independence is Q-independence
+    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon().add)
+    return MinimaResult(vectors=vectors, lengths=lengths)
 
 
 def shortest_vector(lat):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import rank_over_K
-from .lattices import ZLattice, hermite_constant, successive_minima
+from .fields import KSpan
+from .lattices import ZLattice, _greedy_minima, hermite_constant, successive_minima
 
 
 class PathologicalChannelError(ValueError):
@@ -126,22 +126,12 @@ def _block_basis(field, factors):
 
 
 def _select_independent(field, basis, k):
-    """First k field-independent coefficient vectors among the successive
-    minima of the block lattice: (ring-element vectors, lengths).
-
-    The minima are scanned in order and a vector is kept when its psi image
-    raises the exact rank over the field.
-    """
-    minima = successive_minima(ZLattice(basis), basis.shape[0])
-    selected, lengths = [], []
-    for vec, length in zip(minima.vectors, minima.lengths):
-        cand = psi_map(field, vec)
-        if rank_over_K(field, selected + [cand]) == len(selected) + 1:
-            selected.append(cand)
-            lengths.append(length)
-            if len(selected) == k:
-                return selected, lengths
-    raise RuntimeError("successive minima did not contain %d independent vectors" % k)
+    """First k field-independent coefficient vectors of the block lattice in
+    length order: (ring-element vectors, lengths). No R-independence pass is
+    needed: a vector in the Q-span of earlier ones is in their K-span."""
+    vectors, lengths = _greedy_minima(ZLattice(basis), k, lambda: KSpan(field).add,
+                                      "vectors independent over " + field.name)
+    return [psi_map(field, v) for v in vectors], lengths
 
 
 def _z_minima(gram, k):
@@ -158,19 +148,12 @@ def psi_map(field, int_vec):
     if len(int_vec) % n != 0:
         raise ValueError("vector length must be a multiple of the degree")
     L = len(int_vec) // n
-    return [field.element([int(int_vec[k * L + l]) for k in range(n)])
-            for l in range(L)]
+    return [field.element(int_vec[l::L]) for l in range(L)]
 
 
 def psi_inverse(coeffs):
     """Inverse of psi_map: ring-element vector -> flat integer vector."""
-    field = coeffs[0].field
-    n, L = field.degree, len(coeffs)
-    out = [0] * (n * L)
-    for l, a in enumerate(coeffs):
-        for k in range(n):
-            out[k * L + l] = a.coords[k]
-    return out
+    return [a.coords[k] for k in range(coeffs[0].field.degree) for a in coeffs]
 
 
 def rate_am(field, f_value):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ringcf.exact import int_rank
+from ringcf.exact import IntEchelon, int_rank
 
 
 def fraction_rank(rows):
@@ -37,8 +37,16 @@ def test_int_rank_matches_fraction_reference():
         a = rng.integers(-1000, 1001, size=(rows, inner))
         b = rng.integers(-1000, 1001, size=(inner, cols))
         cases.append((a @ b).tolist())
+    # entries past float precision: row 3 = row 1 + row 2 exactly
+    big = 10 ** 20
+    cases.append([[big, big + 1, 7], [big + 1, big + 2, 7], [2 * big + 1, 2 * big + 3, 14]])
     for rows in cases:
         assert int_rank(rows) == fraction_rank(rows), rows
+        # the incremental echelon has the prefix's rank after every row
+        echelon = IntEchelon()
+        for i, row in enumerate(rows, 1):
+            echelon.add(row)
+            assert len(echelon.rows) == fraction_rank(rows[:i]), rows[:i]
 
 
 def test_int_rank_large_entries_stay_exact():

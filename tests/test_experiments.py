@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from ringcf import experiments
 from ringcf.experiments import (IF_METRICS, RATE_METRICS, CurvePoint,
                                 SweepConfig, csv_string, curve, export_csv,
                                 horizontal_gap_db, run_if_sweep, run_sweep)
@@ -37,6 +38,17 @@ def test_worker_count_does_not_change_results():
     serial = csv_string(run_sweep(SMALL, workers=1))
     parallel = csv_string(run_sweep(SMALL, workers=3))
     assert serial == parallel
+
+
+def test_mac_capacity_once_per_snr_point(monkeypatch):
+    calls = []
+    real = experiments.mac_capacity
+    monkeypatch.setattr(experiments, "mac_capacity",
+                        lambda ch: calls.append(ch.snr) or real(ch))
+    cfg = SweepConfig(fields=["quad-5", "quad-8", "quad-12"], snr_db_grid=[0, 10],
+                      trials=1, seed=3)
+    run_sweep(cfg, workers=1)
+    assert len(calls) == 2
 
 
 def test_env_var_worker_override(monkeypatch):

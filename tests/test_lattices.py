@@ -8,10 +8,11 @@ import pytest
 
 from ringcf import lattices
 from ringcf.fields import catalog_field
-from ringcf.lattices import (ZLattice, _gso, closest_vector, hermite_constant,
-                             lll_reduce, shortest_vector, successive_minima,
-                             unimodular_det)
+from ringcf.lattices import (EnumerationError, ZLattice, _gso, closest_vector,
+                             hermite_constant, lll_reduce, shortest_vector,
+                             successive_minima, unimodular_det)
 from ringcf.rates import ChannelRealization, build_humbert
+from test_exact import fraction_rank
 
 
 def random_basis(rng, m, min_det=0.1):
@@ -94,6 +95,13 @@ def test_lll_output_is_reduced_on_random_bases():
             assert_lll_reduced(random_basis(rng, m) * np.exp(rng.normal(size=m) * 2))
 
 
+def test_lll_terminates_when_a_fresh_mu_ties_at_one_half():
+    # scaled by 1e-3, a fresh Gram-Schmidt gives mu = +-(1/2 + ulp) here,
+    # which used to flip sign on each size reduction without end
+    b = np.array([[0, -2, 2, -2], [1, 2, 2, 0], [0, 1, 0, 2], [0, 4, 6, -1]]) * 1e-3
+    assert_lll_reduced(b)
+
+
 @pytest.mark.parametrize("name,users", [("quintic-14641", 2), ("quartic-725", 3)])
 def test_lll_output_is_reduced_on_high_snr_humbert_bases(name, users):
     field = catalog_field(name)
@@ -169,6 +177,57 @@ def test_minima_tie_break_lexicographic():
     # both minima have length 1; canonical lexicographic order
     assert res.vectors[0] == (-1, 0) or res.vectors[0] == (0, 1) or res.vectors[0] == (1, 0)
     assert len({tuple(v) for v in res.vectors}) == 2
+
+
+def full_radius_minima(lat):
+    """All successive minima, from every vector inside the largest
+    LLL-reduced column: by length, ties within 1e-9 in lexicographic order of
+    canonical coefficients, then a greedy with fraction_rank."""
+    red_basis, u, _, r_mat = lattices._reduction(lat)
+    radius2 = float(np.max(np.sum(red_basis ** 2, axis=0))) * (1 + 1e-9)
+    cands = sorted(lattices._enumerate_all(r_mat, radius2), key=lambda e: e[1])
+    u = np.array(u, dtype=object)
+    vectors, lengths, i = [], [], 0
+    while len(vectors) < lat.dim:
+        j, d0 = i, cands[i][1]
+        while j < len(cands) and cands[j][1] - d0 <= 1e-9 * (1 + d0):
+            j += 1
+        group = []
+        for x, d in cands[i:j]:
+            v = tuple(int(c) for c in u @ np.array(x, dtype=object))
+            group.append((min(v, tuple(-c for c in v)), d))
+        for v, d in sorted(group):
+            if len(vectors) < lat.dim and fraction_rank(vectors + [v]) > len(vectors):
+                vectors.append(v)
+                lengths.append(math.sqrt(d))
+        i = j
+    return vectors, lengths
+
+
+def test_adaptive_radius_minima_match_full_radius_oracle():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        m = int(rng.integers(2, 7))
+        b = random_basis(rng, m)
+        if trial % 3 == 0:
+            # small integer bases: many exact ties in the minima ordering
+            b = np.round(2 * b)
+            if abs(np.linalg.det(b)) < 0.5:
+                continue
+        lat = ZLattice(b * rng.choice([1.0, 100.0, 1e-3]))
+        vectors, lengths = full_radius_minima(lat)
+        full = successive_minima(lat, m)
+        assert (full.vectors, full.lengths) == (vectors, lengths)
+        for k in range(1, m):
+            res = successive_minima(lat, k)
+            assert (res.vectors, res.lengths) == (vectors[:k], lengths[:k])
+
+
+def test_enumeration_node_limit_names_dimension_radius_and_limit():
+    _, _, _, r_mat = lattices._reduction(ZLattice(np.eye(3)))
+    with pytest.raises(EnumerationError,
+                       match=r"node limit: dimension 3, radius\^2 4, limit 5"):
+        lattices._enumerate_all(r_mat, 4.0, limit=5)
 
 
 def test_cvp_trivial_cases():

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from ringcf import (ChannelRealization, PathologicalChannelError,
-                    best_coefficients, build_humbert, catalog_field,
-                    dof_estimate, if_rate, integer_baseline, integer_if_rate,
-                    mac_capacity, minkowski_rate_bounds, ml_capacity,
-                    psi_inverse, psi_map, rate_am, rate_gm)
-from ringcf.rates import _embed_vector, mmse_scaling
+from ringcf import (ChannelRealization, EnumerationError,
+                    PathologicalChannelError, ZLattice, best_coefficients,
+                    build_humbert, catalog_field, dof_estimate, if_rate,
+                    integer_baseline, integer_if_rate, mac_capacity,
+                    minkowski_rate_bounds, ml_capacity, psi_inverse, psi_map,
+                    rank_over_K, rate_am, rate_gm, successive_minima)
+from ringcf import lattices
+from ringcf.rates import (_block_basis, _embed_vector, _if_whiteners, log2_plus,
+                          mmse_scaling)
 
 
 def random_channel(rng, n, L, P):
@@ -183,10 +186,48 @@ def test_single_block_matches_direct_objective():
 def test_dependent_minima_are_skipped():
     f = catalog_field("quad-12")
     # (6+4s3, 9+5s3) = (3+s3)(1+s3, 2+s3): greedy must not pair them
-    from ringcf import rank_over_K
     v1 = psi_map(f, [1, 2, 1, 1])
     v2 = psi_map(f, [6, 9, 4, 5])
     assert rank_over_K(f, [v1, v2]) == 1
+
+
+def minima_then_k_greedy(field, basis, k):
+    """The selection as first specified: all nL successive minima of the
+    block lattice, then a greedy keeping vectors that raise rank_over_K."""
+    minima = successive_minima(ZLattice(basis), basis.shape[0])
+    selected, lengths = [], []
+    for vec, length in zip(minima.vectors, minima.lengths):
+        cand = psi_map(field, vec)
+        if len(selected) < k and rank_over_K(field, selected + [cand]) > len(selected):
+            selected.append(cand)
+            lengths.append(length)
+    return selected, lengths
+
+
+@pytest.mark.parametrize("name,users", [("quad-5", 2), ("cubic-49", 3),
+                                        ("quartic-725", 2), ("quintic-14641", 2)])
+def test_selection_matches_minima_then_k_greedy(name, users):
+    f = catalog_field(name)
+    rng = np.random.default_rng(23)
+    for snr_db in (-120.0, 0.0, 60.0):
+        P = 10.0 ** (snr_db / 10.0)
+        ch = random_channel(rng, f.degree, users, P)
+        coeffs, _ = minima_then_k_greedy(f, build_humbert(f, ch).phi_M, users)
+        assert best_coefficients(f, ch).coeffs == coeffs
+        h = rng.normal(size=(f.degree, users, users))
+        coeffs, lengths = minima_then_k_greedy(
+            f, _block_basis(f, _if_whiteners(h, P)), users)
+        rep = if_rate(f, h, P)
+        assert rep.coeffs == coeffs
+        assert rep.rates == [0.5 * log2_plus(f.degree * P / (l * l)) for l in lengths]
+
+
+def test_too_few_independent_vectors_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(lattices, "_enumerate_all", lambda r_mat, radius2: [])
+    ch = ChannelRealization(h=np.ones((2, 2)), snr=10.0)
+    with pytest.raises(EnumerationError, match=r"dimension 4: fewer than 2 vectors "
+                       r"independent over quad-5 within radius\^2 \d"):
+        best_coefficients(catalog_field("quad-5"), ch)
 
 
 def test_report_invariants_and_json():
@@ -197,7 +238,6 @@ def test_report_invariants_and_json():
     assert rep.f_values == sorted(rep.f_values)
     assert all(rep.rates_am[i] >= rep.rates_am[i + 1] - 1e-12
                for i in range(len(rep.rates_am) - 1))
-    from ringcf import rank_over_K
     assert rank_over_K(f, rep.coeffs) == len(rep.coeffs)
     doc = rep.to_json()
     assert doc["field"] == "quad-5" and len(doc["coeffs"]) == 2
