@@ -30,6 +30,17 @@ def _parse_grid(text):
     return [float(x) for x in text.split(",")]
 
 
+def _message_pair(text):
+    """Two comma-separated message symbols; anything else is a usage error."""
+    try:
+        messages = [int(x) for x in text.split(",")]
+    except ValueError:
+        messages = []
+    if len(messages) != 2:
+        raise argparse.ArgumentTypeError("expected two integers, got %r" % text)
+    return messages
+
+
 def _load_field(name_or_path):
     if name_or_path in fields.catalog_names():
         return fields.catalog_field(name_or_path)
@@ -75,7 +86,8 @@ def cmd_rate(args):
     else:
         rng = np.random.default_rng(args.seed)
         h = rng.normal(size=(f.degree, args.users))
-        ch = rates.ChannelRealization(h=h, snr=10.0 ** (args.snr_db / 10.0))
+        snr_db = 20.0 if args.snr_db is None else args.snr_db
+        ch = rates.ChannelRealization(h=h, snr=10.0 ** (snr_db / 10.0))
     rep = rates.best_coefficients(f, ch, k=args.k)
     payload = rep.to_json()
     payload["mac_capacity"] = rates.mac_capacity(ch)
@@ -129,16 +141,14 @@ def _demo_pair():
     f = fields.catalog_field("quad-5")
     ideal = codec.prime_ideal(f, 5, 3)
     pair = codec.build_nested_pair(f, ideal, G_coarse=np.zeros((1, 0), dtype=int),
-                                   G_fine=[[1]], T=1, gamma=1.0)
+                                   G_fine=[[1]], T=1)
     return f, ideal, pair
 
 
 def cmd_codec_demo(args):
     """Two-user, two-relay demonstration over the golden-ratio field mod 5."""
     f, ideal, pair = _demo_pair()
-    messages = [int(x) for x in args.messages.split(",")]
-    if len(messages) != 2:
-        raise SystemExit("expected two message symbols")
+    messages = args.messages
     cw = [codec.encode(pair, [m]) for m in messages]
     relay_coeffs = [
         [f.element([-15, 34]), f.element([12, 2])],
@@ -198,7 +208,9 @@ def build_parser():
     p = sub.add_parser("rate", help="best coefficient vectors for one channel")
     p.add_argument("--field", required=True)
     p.add_argument("--users", type=int, default=2)
-    p.add_argument("--snr-db", type=float, default=20.0)
+    p.add_argument("--snr-db", type=float, default=None,
+                   help="SNR in dB; overrides a channel file's snr_db "
+                        "(default: the file's value, or 20 for a random channel)")
     p.add_argument("--channel", help='JSON file with {h, snr_db}, or "random"')
     p.add_argument("--k", type=int, default=None,
                    help="number of coefficient vectors (default: users)")
@@ -229,7 +241,7 @@ def build_parser():
 
     p = sub.add_parser("codec-demo", help="two-relay nested-lattice demonstration")
     p.add_argument("--relay", choices=["1", "2", "both"], default="both")
-    p.add_argument("--messages", default="2,3")
+    p.add_argument("--messages", type=_message_pair, default="2,3")
     common(p)
     p.set_defaults(fn=cmd_codec_demo)
     return ap

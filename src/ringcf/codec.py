@@ -9,7 +9,6 @@ lattice and forward finite-field equations that a destination solves.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,11 +42,8 @@ class PrimeIdealData:
         """Reduce a ring element to F_p."""
         return sum(int(c) * r for c, r in zip(elem.coords, self.residues)) % self.p
 
-    def contains(self, elem):
-        return self.rho(elem) == 0
-
     def embedded_basis(self):
-        return self.field.embeddings @ np.array(self.basis_coords, dtype=float).T
+        return _embed(self.field, self.basis_coords)
 
 
 def prime_ideal(field, p, root):
@@ -70,8 +66,6 @@ def prime_ideal(field, p, root):
         cols.append(list((gen * basis_j).coords))
     basis_coords = exact.column_basis(cols)
     norm = abs(exact.int_mat_det(basis_coords))
-    # transpose: column_basis returns columns as row-lists already
-    basis_cols = [list(c) for c in basis_coords]
     if norm != p:
         raise CodecError("ideal above %d has norm %d; inertial degree must be one"
                          % (p, norm))
@@ -80,14 +74,14 @@ def prime_ideal(field, p, root):
     for bp in field.basis_polys:
         val = exact.poly_eval(list(bp), Fraction(root))
         residues.append((val.numerator * exact.inv_mod(val.denominator, p)) % p)
-    ideal = PrimeIdealData(field=field, p=p, root=root, basis_coords=basis_cols,
+    ideal = PrimeIdealData(field=field, p=p, root=root, basis_coords=basis_coords,
                            residues=residues, coset_reps=[])
     lat = ZLattice(ideal.embedded_basis())
     reps = []
     for c in range(p):
         target = field.element([c] + [0] * (n - 1))
         coeffs, _, _ = closest_vector(lat, target.embed())
-        shift = _coords_combination(basis_cols, coeffs)
+        shift = _coords_combination(basis_coords, coeffs)
         rep = field.element([a - b for a, b in zip(target.coords, shift)])
         if ideal.rho(rep) != c:
             raise CodecError("coset representative reduction mismatch")
@@ -107,15 +101,24 @@ def _coords_combination(basis_cols, coeffs):
     return out
 
 
+def _embed(field, cols):
+    """Embedded columns of integer coordinate columns, n coordinates per
+    position: each length-n block is mapped by the field's embeddings."""
+    n = field.degree
+    X = np.array(cols, dtype=float).T
+    return np.vstack([field.embeddings @ X[t:t + n] for t in range(0, len(X), n)])
+
+
 @dataclass
 class NestedLatticePair:
     """Fine/coarse lattice pair from nested linear codes over F_p.
 
     Codes are in canonical systematic form: G_fine = [I; A] stacked over the
-    T positions, and G_coarse is its first k_coarse columns. gen_fine and
-    gen_coarse give exact integer coordinate generators (nT x nT): column z
-    of the lattice corresponds to the ring vector with coordinate block t
-    equal to rows [t*n, (t+1)*n).
+    T positions, and G_coarse is its first k_coarse columns. Each lattice is
+    the Construction A preimage of its code under reduction modulo the prime
+    ideal. gen_fine and gen_coarse hold its exact integer coordinate
+    generators (nT columns of length nT): coordinate block t of a column,
+    rows [t*n, (t+1)*n), is the ring element at position t.
     """
 
     field: object
@@ -123,7 +126,6 @@ class NestedLatticePair:
     G_coarse: np.ndarray
     G_fine: np.ndarray
     T: int
-    gamma: float
     gen_fine: list
     gen_coarse: list
     _lattices: dict = dataclasses.field(default_factory=dict, init=False,
@@ -146,14 +148,6 @@ class NestedLatticePair:
         """Columns of G_fine carrying fresh message symbols."""
         return self.G_fine[:, self.k_coarse:]
 
-    def embedded(self, gen):
-        n, T = self.field.degree, self.T
-        emb = np.zeros((n * T, n * T))
-        for t in range(T):
-            emb[t * n:(t + 1) * n, :] = self.field.embeddings @ np.array(
-                [col[t * n:(t + 1) * n] for col in gen], dtype=float).T
-        return emb
-
     def fine_lattice(self):
         return self._lattice("fine", self.gen_fine)
 
@@ -163,7 +157,7 @@ class NestedLatticePair:
     def _lattice(self, name, gen):
         # built once, so the lattice's cached reduction serves every call
         if name not in self._lattices:
-            self._lattices[name] = ZLattice(self.gamma * self.embedded(gen))
+            self._lattices[name] = ZLattice(_embed(self.field, gen))
         return self._lattices[name]
 
     def ring_vector(self, coord_blocks):
@@ -186,8 +180,7 @@ class NestedLatticePair:
     def fine_coords_of(self, ring_vec):
         """Exact generator coordinates of a ring vector lying in the fine lattice."""
         flat = [Fraction(c) for a in ring_vec for c in a.coords]
-        rows = [[Fraction(self.gen_fine[j][i]) for j in range(len(self.gen_fine))]
-                for i in range(len(flat))]
+        rows = [[Fraction(c) for c in row] for row in zip(*self.gen_fine)]
         sol = exact.mat_solve(rows, [flat])[0]
         if any(z.denominator != 1 for z in sol):
             raise CodecError("vector is not a fine lattice point")
@@ -202,7 +195,7 @@ def _validate_canonical(G, name):
         raise CodecError("%s is not in canonical systematic form" % name)
 
 
-def build_nested_pair(field, ideal, G_coarse, G_fine, T, gamma=1.0):
+def build_nested_pair(field, ideal, G_coarse, G_fine, T):
     """Assemble the nested pair and verify volumes and nesting exactly."""
     G_fine = np.array(G_fine, dtype=int).reshape(T, -1) % ideal.p
     G_coarse = np.array(G_coarse, dtype=int).reshape(T, -1) % ideal.p
@@ -210,56 +203,27 @@ def build_nested_pair(field, ideal, G_coarse, G_fine, T, gamma=1.0):
     if kc > kf:
         raise CodecError("coarse code cannot have more generators than fine")
     _validate_canonical(G_fine, "fine generator")
-    if kc and not np.array_equal(G_coarse, G_fine[:, :kc]):
+    if not np.array_equal(G_coarse, G_fine[:, :kc]):
         raise CodecError("coarse generator must be a prefix of the fine generator")
-    if gamma <= 0 or not math.isfinite(gamma):
-        raise CodecError("gamma must be positive and finite")
-    n = field.degree
+    eye_n, eye_T = np.eye(field.degree, dtype=int), np.eye(T, dtype=int)
+    B = np.array(ideal.basis_coords, dtype=int).T
 
     def generators(G):
+        # Construction A from a systematic G: column (s, i) is G[:, s] (x) e_i
+        # for s < k and e_s (x) b_i for s >= k, b_i the ideal's basis columns
         k = G.shape[1]
-        cols = []
-        for s in range(k):
-            for i in range(n):
-                col = [0] * (n * T)
-                for t in range(T):
-                    g = int(G[t, s])
-                    if t == s:
-                        col[t * n + i] = 1
-                    elif t >= k and g:
-                        basis_i = field.element([1 if q == i else 0 for q in range(n)])
-                        lifted = g * basis_i
-                        for q in range(n):
-                            col[t * n + q] = lifted.coords[q]
-                cols.append(col)
-        for s in range(k, T):
-            for i in range(n):
-                col = [0] * (n * T)
-                for q in range(n):
-                    col[s * n + q] = ideal.basis_coords[i][q]
-                cols.append(col)
-        return cols
+        return np.hstack([np.kron(G, eye_n), np.kron(eye_T[:, k:], B)]).T.tolist()
 
-    gen_fine = generators(G_fine)
-    gen_coarse = generators(G_coarse) if kc else [
-        col for s in range(T) for col in
-        [[0] * (s * n) + list(ideal.basis_coords[i]) + [0] * ((T - s - 1) * n)
-         for i in range(n)]]
     pair = NestedLatticePair(field=field, ideal=ideal, G_coarse=G_coarse,
-                             G_fine=G_fine, T=T, gamma=float(gamma),
-                             gen_fine=gen_fine, gen_coarse=gen_coarse)
-
+                             G_fine=G_fine, T=T, gen_fine=generators(G_fine),
+                             gen_coarse=generators(G_coarse))
     # exact volume identities: |det gen| = p^(T - k)
-    det_f = abs(exact.int_mat_det([[gen_fine[j][i] for j in range(n * T)]
-                                   for i in range(n * T)]))
-    det_c = abs(exact.int_mat_det([[gen_coarse[j][i] for j in range(n * T)]
-                                   for i in range(n * T)]))
-    if det_f != ideal.p ** (T - kf) or det_c != ideal.p ** (T - kc):
-        raise CodecError("lattice volume identity failed")
+    for gen, k in ((pair.gen_fine, kf), (pair.gen_coarse, kc)):
+        if abs(exact.int_mat_det(gen)) != ideal.p ** (T - k):
+            raise CodecError("lattice volume identity failed")
     # exact nesting: every coarse generator is an integer combination of fine ones
-    for col in gen_coarse:
-        ring_vec = pair.ring_vector(col)
-        pair.fine_coords_of(ring_vec)
+    for col in pair.gen_coarse:
+        pair.fine_coords_of(pair.ring_vector(col))
     return pair
 
 
@@ -268,15 +232,11 @@ class Codeword:
     """Transmitted signal matrix with its exact ring coordinates."""
 
     X: np.ndarray           # n x T real signal, embedding columns per position
-    ring_coords: list       # T ring elements (exact, unscaled by gamma)
+    ring_coords: list       # T exact ring elements
     message: list
 
     def power(self):
         return float(np.sum(self.X ** 2)) / self.X.size
-
-
-def _embed_ring_vector(field, ring_vec):
-    return np.array([a.embed() for a in ring_vec], dtype=float).T
 
 
 def sample_dither(pair, rng):
@@ -295,22 +255,29 @@ def encode(pair, message, dither=None):
     minimal-lift of the linear-code word, reduced modulo the coarse lattice;
     an optional embedded-space dither is added before the reduction.
     """
-    p, n, T = pair.p, pair.field.degree, pair.T
+    p = pair.p
     message = [int(w) % p for w in message]
     if len(message) != pair.k_fine - pair.k_coarse:
         raise CodecError("message length must be %d" % (pair.k_fine - pair.k_coarse))
     word = exact.mat_vec_mod(pair.G_msg.tolist(), message, p)
-    lift = [pair.ideal.coset_reps[c] for c in word]
-    emb = _embed_ring_vector(pair.field, lift).flatten(order="F") * pair.gamma
+    coords = [c for w in word for c in pair.ideal.coset_reps[w].coords]
+    x = _embed(pair.field, [coords])[:, 0]
     if dither is not None:
-        emb = emb + np.asarray(dither, dtype=float)
-    coarse = pair.coarse_lattice()
-    zc, point, _ = closest_vector(coarse, emb)
-    shift = _coords_combination(pair.gen_coarse, zc)
-    ring = [a - pair.field.element(shift[t * n:(t + 1) * n])
-            for t, a in enumerate(lift)]
-    X = emb.reshape((n, T), order="F") - point.reshape((n, T), order="F")
+        x = x + np.asarray(dither, dtype=float)
+    ring, X = _mod_coarse(pair, x, coords)
     return Codeword(X=X, ring_coords=ring, message=message)
+
+
+def _mod_coarse(pair, x, coords):
+    """Reduce the embedded vector x modulo the coarse lattice.
+
+    coords are the exact coordinates of x's lattice part; returns them minus
+    the closest coarse point's, as a ring vector, and the n x T signal.
+    """
+    zc, point, _ = closest_vector(pair.coarse_lattice(), x)
+    shift = _coords_combination(pair.gen_coarse, zc)
+    ring = pair.ring_vector([c - s for c, s in zip(coords, shift)])
+    return ring, (x - point).reshape((pair.field.degree, pair.T), order="F")
 
 
 def scale_by_ring(pair, a, codeword):
@@ -331,8 +298,8 @@ def scale_by_ring(pair, a, codeword):
 class LatticeEquation:
     """Decoded fine-lattice point reduced modulo the coarse lattice."""
 
-    ring_coords: list       # T exact ring elements (unscaled by gamma)
-    signal: np.ndarray      # n x T embedded representative, scaled by gamma
+    ring_coords: list       # T exact ring elements
+    signal: np.ndarray      # n x T embedded representative
     coeff_residues: list    # finite-field images of the combining coefficients
 
 
@@ -349,14 +316,8 @@ def decode_equation(pair, Y, b, coeff_vector):
     scaled = (np.diag(np.asarray(b, dtype=float)) @ Y).flatten(order="F")
     fine = pair.fine_lattice()
     zf, _, _ = closest_vector(fine, scaled)
-    coords = _coords_combination(pair.gen_fine, zf)
-    coarse = pair.coarse_lattice()
-    point = fine.basis @ np.array(zf, dtype=float)
-    zc, cpoint, _ = closest_vector(coarse, point)
-    shift = _coords_combination(pair.gen_coarse, zc)
-    ring = [pair.field.element([coords[t * n + i] - shift[t * n + i]
-                                for i in range(n)]) for t in range(T)]
-    signal = (point - cpoint).reshape((n, T), order="F")
+    ring, signal = _mod_coarse(pair, fine.basis @ np.array(zf, dtype=float),
+                               _coords_combination(pair.gen_fine, zf))
     return LatticeEquation(ring_coords=ring, signal=signal,
                            coeff_residues=[pair.ideal.rho(a) for a in coeff_vector])
 

@@ -141,11 +141,6 @@ def lll_reduce(lat, delta=0.99):
     return ZLattice(np.column_stack(b)), [list(row) for row in zip(*u)]
 
 
-def unimodular_det(u):
-    """Exact determinant of an integer transform matrix."""
-    return exact.int_mat_det(u)
-
-
 def _enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
     """All integer x with ||R x - t||^2 <= radius2 (R upper triangular).
 

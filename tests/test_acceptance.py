@@ -18,7 +18,7 @@ from ringcf import (ChannelRealization, ZLattice, best_coefficients,
 from ringcf.cli import main as cli_main
 from ringcf.experiments import (SweepConfig, curve, horizontal_gap_db,
                                 run_if_sweep, run_sweep)
-from ringcf.lattices import unimodular_det
+from ringcf.exact import int_mat_det
 
 
 def _report(num, name, detail=""):
@@ -250,7 +250,7 @@ def test_criterion_8_property_suites():
                 break
         lat = ZLattice(b)
         red, u = lll_reduce(lat)
-        assert unimodular_det(u) in (1, -1)
+        assert int_mat_det(u) in (1, -1)
         res = successive_minima(lat, m)
         det = abs(np.linalg.det(b))
         kappa = hermite_constant(m)

@@ -64,6 +64,22 @@ def test_rate_deterministic_with_channel_file(tmp_path, capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+def test_rate_channel_file_sets_snr(tmp_path, capsys):
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps({"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": 25.0}))
+    code, out, _ = run_cli(capsys, "rate", "--field", "quad-5", "--channel", str(path))
+    assert code == 0
+    assert json.loads(out)["channel"]["snr_db"] == pytest.approx(25.0)
+    # the flag overrides the file only when it is given
+    code, out, _ = run_cli(capsys, "rate", "--field", "quad-5", "--channel",
+                           str(path), "--snr-db", "10")
+    assert code == 0
+    assert json.loads(out)["channel"]["snr_db"] == pytest.approx(10.0)
+    # a random channel defaults to 20 dB
+    code, out, _ = run_cli(capsys, "rate", "--field", "quad-5", "--seed", "1")
+    assert json.loads(out)["channel"]["snr_db"] == pytest.approx(20.0)
+
+
 def test_rate_random_channel_seeded(capsys):
     c1, o1, _ = run_cli(capsys, "rate", "--field", "quad-8", "--channel",
                         "random", "--seed", "7")
@@ -100,6 +116,14 @@ def test_codec_demo_arbitrary_messages_round_trip(capsys):
     code, out, _ = run_cli(capsys, "codec-demo", "--messages", "4,1")
     assert code == 0
     assert json.loads(out)["decoded_messages"] == [4, 1]
+
+
+def test_codec_demo_bad_messages_are_usage_errors(capsys):
+    for messages in ("1,2,3", "a,b", "7"):
+        with pytest.raises(SystemExit) as e:
+            main(["codec-demo", "--messages", messages])
+        assert e.value.code == 2
+    assert "expected two integers" in capsys.readouterr().err
 
 
 def test_sweep_csv_and_json_agree(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Nested lattice codec: ideals, encoding, relay equations, destination."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ringcf import (build_nested_pair, catalog_field, closest_vector,
                     extract_ff_equation, lattices, prime_ideal, sample_dither,
                     scale_by_ring)
 from ringcf.codec import CodecError
+from ringcf.exact import int_mat_det
 from ringcf.lattices import ZLattice
 
 
@@ -17,7 +19,7 @@ def golden():
     f = catalog_field("quad-5")
     ideal = prime_ideal(f, 5, 3)
     pair = build_nested_pair(f, ideal, G_coarse=np.zeros((1, 0), dtype=int),
-                             G_fine=[[1]], T=1, gamma=1.0)
+                             G_fine=[[1]], T=1)
     return f, ideal, pair
 
 
@@ -99,6 +101,63 @@ def test_nested_pair_coded_volumes():
     # nesting: each coarse generator solves to integer fine coordinates
     for col in pair.gen_coarse:
         pair.fine_coords_of(pair.ring_vector(col))
+
+
+# (field, p, root, T, systematic G): the benchmark's quad-5 pair and two
+# higher-degree fields at degree-one primes
+CONSTRUCTION_A_CASES = [
+    ("quad-5", 101, 23, 4, [[1, 0], [0, 1], [3, 7], [11, 5]]),
+    ("cubic-49", 13, 7, 3, [[1, 0], [0, 1], [4, 9]]),
+    ("quartic-725", 11, 2, 3, [[1, 0], [0, 1], [3, 8]]),
+]
+
+
+def _residues(field, p, root):
+    # images of the integral basis in F_p, evaluated here from the basis
+    # polynomials rather than taken from the code under test
+    out = []
+    for poly in field.basis_polys:
+        val = sum(Fraction(c) * root ** k for k, c in enumerate(poly))
+        out.append(val.numerator * pow(val.denominator, -1, p) % p)
+    return out
+
+
+@pytest.mark.parametrize("kc", [0, 1])
+@pytest.mark.parametrize("name,p,root,T,G", CONSTRUCTION_A_CASES)
+def test_generators_are_construction_a(name, p, root, T, G, kc):
+    # every generator column reduces into its code and |det| = p^(T - k):
+    # the lattice lies in rho^-1(C) and has its index p^(T - k) in O^T, so
+    # it is exactly rho^-1(C)
+    f = catalog_field(name)
+    n = f.degree
+    res = _residues(f, p, root)
+    G = np.array(G)
+    pair = build_nested_pair(f, prime_ideal(f, p, root), G[:, :kc], G, T=T)
+    for gen, code in ((pair.gen_fine, G), (pair.gen_coarse, G[:, :kc])):
+        k = code.shape[1]
+        assert len(gen) == n * T and all(len(col) == n * T for col in gen)
+        for col in gen:
+            word = [sum(c * r for c, r in zip(col[t * n:(t + 1) * n], res)) % p
+                    for t in range(T)]
+            assert word == [int(x) for x in code @ word[:k] % p]
+        assert abs(int_mat_det(gen)) == p ** (T - k)
+
+
+@pytest.mark.parametrize("kc", [0, 1])
+@pytest.mark.parametrize("name,p,root,T,G", CONSTRUCTION_A_CASES)
+def test_noiseless_relay_equation_beyond_quad5(name, p, root, T, G, kc):
+    f = catalog_field(name)
+    res = _residues(f, p, root)
+    G = np.array(G)
+    pair = build_nested_pair(f, prime_ideal(f, p, root), G[:, :kc], G, T=T)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        w = [[int(x) for x in rng.integers(0, p, size=2 - kc)] for _ in range(2)]
+        a = [f.element(rng.integers(-3, 4, size=f.degree)) for _ in range(2)]
+        Y = sum(scale_by_ring(pair, al, encode(pair, wl))[0] for al, wl in zip(a, w))
+        u = extract_ff_equation(pair, decode_equation(pair, Y, [1.0] * f.degree, a))
+        rho = [sum(c * r for c, r in zip(al.coords, res)) % p for al in a]
+        assert u == [(rho[0] * x + rho[1] * y) % p for x, y in zip(*w)]
 
 
 def test_non_canonical_generator_rejected():

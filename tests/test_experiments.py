@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from ringcf import experiments
+from ringcf import experiments, rates
 from ringcf.experiments import (IF_METRICS, RATE_METRICS, CurvePoint,
                                 SweepConfig, csv_string, curve, export_csv,
                                 horizontal_gap_db, run_if_sweep, run_sweep)
@@ -48,6 +48,20 @@ def test_mac_capacity_once_per_snr_point(monkeypatch):
     cfg = SweepConfig(fields=["quad-5", "quad-8", "quad-12"], snr_db_grid=[0, 10],
                       trials=1, seed=3)
     run_sweep(cfg, workers=1)
+    assert len(calls) == 2
+
+
+def test_ml_capacity_once_per_snr_point(monkeypatch):
+    # the ml metric reuses the value if_rate already reports; a direct call
+    # bound in experiments would be counted too
+    calls = []
+    real = rates.ml_capacity
+    counting = lambda h, P: calls.append(P) or real(h, P)
+    monkeypatch.setattr(rates, "ml_capacity", counting)
+    monkeypatch.setattr(experiments, "ml_capacity", counting, raising=False)
+    cfg = SweepConfig(fields=["quad-5"], snr_db_grid=[0, 10], trials=1, seed=3,
+                      metrics=IF_METRICS)
+    run_if_sweep(cfg, workers=1)
     assert len(calls) == 2
 
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from ringcf import lattices
+from ringcf.exact import int_mat_det
 from ringcf.fields import catalog_field
 from ringcf.lattices import (EnumerationError, ZLattice, _gso, closest_vector,
                              hermite_constant, lll_reduce, shortest_vector,
-                             successive_minima, unimodular_det)
+                             successive_minima)
 from ringcf.rates import ChannelRealization, build_humbert
 from test_exact import fraction_rank
 
@@ -58,14 +59,14 @@ def test_lll_identity_unchanged():
     lat = ZLattice(np.eye(3))
     red, u = lll_reduce(lat)
     assert np.allclose(red.basis, np.eye(3))
-    assert unimodular_det(u) in (1, -1)
+    assert int_mat_det(u) in (1, -1)
 
 
 def test_lll_shears_long_column():
     lat = ZLattice(np.array([[1.0, 100.0], [0.0, 1.0]]))
     red, u = lll_reduce(lat)
     assert max(np.linalg.norm(red.basis, axis=0)) <= 100.0
-    assert unimodular_det(u) in (1, -1)
+    assert int_mat_det(u) in (1, -1)
     # Lovasz condition holds post-hoc
     norms, mu = _gso(red.basis)
     assert norms[1] >= (0.99 - mu[1, 0] ** 2) * norms[0] - 1e-12
@@ -76,7 +77,7 @@ def assert_lll_reduced(basis, delta=0.99):
     fresh Gram-Schmidt decomposition that is size-reduced and Lovasz."""
     red, u = lll_reduce(ZLattice(basis), delta)
     assert all(type(x) is int for row in u for x in row)
-    assert unimodular_det(u) in (1, -1)
+    assert int_mat_det(u) in (1, -1)
     scale = np.max(np.abs(basis)) * max(1.0, np.max(np.abs(np.array(u, float))))
     assert np.allclose(red.basis, basis @ np.array(u, float), rtol=0,
                        atol=1e-9 * scale)
@@ -147,7 +148,7 @@ def test_lll_preserves_determinant():
     rng = np.random.default_rng(3)
     b = random_basis(rng, 8)
     red, u = lll_reduce(ZLattice(b))
-    assert unimodular_det(u) in (1, -1)
+    assert int_mat_det(u) in (1, -1)
     assert abs(abs(np.linalg.det(red.basis)) - abs(np.linalg.det(b))) < 1e-8
 
 
