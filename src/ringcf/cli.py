@@ -16,18 +16,23 @@ from .lattices import EnumerationError
 
 
 def _parse_grid(text):
-    """Parse an SNR grid: either 'start:step:stop' or a comma list of dB."""
-    if ":" in text:
+    """Parse an SNR grid: either 'start:step:stop' or a comma list of dB.
+    Anything else is a usage error."""
+    try:
+        if ":" not in text:
+            return [float(x) for x in text.split(",")]
         start, step, stop = (float(x) for x in text.split(":"))
-        if step <= 0 or stop < start:
-            raise ValueError("bad grid %r" % text)
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(round(v, 9))
-            v += step
-        return out
-    return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected start:step:stop or a comma "
+                                         "list of dB, got %r" % text) from None
+    if step <= 0 or stop < start:
+        raise argparse.ArgumentTypeError("grid %r needs step > 0 and stop >= start" % text)
+    out = []
+    v = start
+    while v <= stop + 1e-9:
+        out.append(round(v, 9))
+        v += step
+    return out
 
 
 def _message_pair(text):
@@ -100,7 +105,7 @@ def _sweep_common(args, runner, default_metrics):
     metrics = tuple(args.metrics.split(",")) if args.metrics else default_metrics
     cfg = experiments.SweepConfig(
         fields=args.fields.split(","), users=args.users,
-        snr_db_grid=_parse_grid(args.snr_grid_db), trials=args.trials,
+        snr_db_grid=args.snr_grid_db, trials=args.trials,
         seed=args.seed, metrics=metrics)
     points = runner(cfg, workers=args.workers)
     if args.format == "csv":
@@ -123,17 +128,18 @@ def cmd_dof(args):
     f = _load_field(args.field)
     if args.channel and args.channel != "random":
         with open(args.channel) as fh:
-            h = np.array(json.load(fh)["h"], dtype=float)
+            h = np.atleast_2d(np.array(json.load(fh)["h"], dtype=float))
     else:
         rng = np.random.default_rng(args.seed)
         h = rng.normal(size=(f.degree, args.users))
+    users = h.shape[1]  # a channel file sets the user count
     top = args.snr_top_db
     grid = [top - 40.0 + 5.0 * i for i in range(9)]
     slope, rs = rates.dof_estimate(f, h, grid, z_baseline=args.z_baseline)
-    _emit(args, {"field": f.name, "users": args.users, "seed": args.seed,
+    _emit(args, {"field": f.name, "users": users, "seed": args.seed,
                  "z_baseline": args.z_baseline, "snr_grid_db": grid,
                  "rates": rs, "slope": slope,
-                 "predicted": (f.degree / args.users if not args.z_baseline else 0.0)})
+                 "predicted": (f.degree / users if not args.z_baseline else 0.0)})
     return 0
 
 
@@ -223,7 +229,7 @@ def build_parser():
         p.add_argument("--fields", required=True, help="comma-separated catalog names")
         p.add_argument("--users", type=int, default=2)
         p.add_argument("--trials", type=int, default=2000)
-        p.add_argument("--snr-grid-db", default="0:5:50")
+        p.add_argument("--snr-grid-db", type=_parse_grid, default="0:5:50")
         p.add_argument("--metrics", default=None)
         p.add_argument("--workers", type=int, default=None)
         common(p, formats=("csv", "json"))
@@ -231,7 +237,8 @@ def build_parser():
 
     p = sub.add_parser("dof", help="degrees-of-freedom slope on a fixed channel")
     p.add_argument("--field", required=True)
-    p.add_argument("--users", type=int, default=2)
+    p.add_argument("--users", type=int, default=2,
+                   help="users of a random channel (a channel file sets its own)")
     p.add_argument("--channel", help='JSON file with {h}, or "random"')
     p.add_argument("--snr-top-db", type=float, default=80.0,
                    help="top of the 40 dB fitting window")

@@ -7,6 +7,7 @@ R^n use the real roots of the minimal polynomial in ascending order.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,6 +193,24 @@ class NumberField:
         det2 = np.linalg.det(emb) ** 2
         if abs(det2 - disc) > 1e-9 * disc:
             raise ValueError("embedding matrix disagrees with exact discriminant")
+        self._psi_embeddings = {}
+
+    @functools.cached_property
+    def _omega_matrices(self):
+        """Multiplication by omega_2..omega_n (omega_1 = 1) on coordinates,
+        built on first use."""
+        n = self.degree
+        return tuple(self.element([int(i == j) for j in range(n)]).mul_matrix()
+                     for i in range(1, n))
+
+    def _psi_embedding(self, L):
+        """embeddings kron I_L (read-only), built once per L: the real
+        embeddings of a length-L vector in psi_map coordinates."""
+        if L not in self._psi_embeddings:
+            kron = np.kron(self.embeddings, np.eye(L))
+            kron.flags.writeable = False
+            self._psi_embeddings[L] = kron
+        return self._psi_embeddings[L]
 
     # -- coordinate conversions -------------------------------------------
 
@@ -232,10 +251,8 @@ class KSpan(exact.IntEchelon):
 
     def __init__(self, field):
         super().__init__()
-        self.n = n = field.degree
-        # multiplication by omega_2..omega_n (omega_1 = 1) on coordinates
-        self.times = [field.element([int(i == j) for j in range(n)]).mul_matrix()
-                      for i in range(1, n)]
+        self.n = field.degree
+        self.times = field._omega_matrices
 
     def add(self, coords):
         """Keep the row if it is K-independent of the kept rows; say if it was."""

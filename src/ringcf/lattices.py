@@ -148,7 +148,11 @@ def _enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
     highest-index nonzero coordinate is positive). Returns (x tuple, dist2).
     """
     m = r_mat.shape[0]
-    t = np.zeros(m) if target is None else np.asarray(target, dtype=float)
+    # Python floats: the same IEEE arithmetic as numpy scalars, without their
+    # overhead. Sums run left to right with +=, never through sum(), which
+    # compensates exact floats on Python >= 3.12 and would round differently.
+    r_mat = r_mat.tolist()
+    t = [0.0] * m if target is None else np.asarray(target, dtype=float).tolist()
     x = [0] * m
     out = []
     count = 0
@@ -156,8 +160,12 @@ def _enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
     def rec(level, dist):
         nonlocal count
         # residual target coordinate at this level given x[level+1:]
-        c = t[level] - sum(r_mat[level, j] * x[j] for j in range(level + 1, m))
-        rr = r_mat[level, level]
+        row = r_mat[level]
+        s = 0
+        for j in range(level + 1, m):
+            s += row[j] * x[j]
+        c = t[level] - s
+        rr = row[level]
         rem = radius2 - dist
         if rem < 0:
             return
@@ -210,7 +218,9 @@ def _canonical(vec):
 
 
 def _apply_transform(u, x):
-    return tuple(sum(a * b for a, b in zip(row, x)) for row in u)
+    """U x for the rows of U, summed over the nonzero entries of x only."""
+    nonzero = [(j, v) for j, v in enumerate(x) if v]
+    return tuple(sum(row[j] * v for j, v in nonzero) for row in u)
 
 
 @dataclass

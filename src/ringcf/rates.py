@@ -9,10 +9,11 @@ field.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -33,17 +34,24 @@ def log2_plus(x):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Real block-fading channel: row j holds the L user gains of block j."""
+    """Real block-fading channel: row j holds the L user gains of block j.
+
+    The gains are copied and made read-only, so the MMSE blocks and factors
+    cached on first use always describe them.
+    """
 
     h: np.ndarray
     snr: float
+    _mmse: tuple = dc_field(default=None, init=False, repr=False, compare=False)
+    _mmse_factors: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.atleast_2d(np.asarray(self.h, dtype=float))
+        h = np.atleast_2d(np.array(self.h, dtype=float))
         if not np.all(np.isfinite(h)):
             raise PathologicalChannelError("channel gains must be finite")
         if not (self.snr > 0 and math.isfinite(self.snr)):
             raise PathologicalChannelError("snr must be positive and finite")
+        h.flags.writeable = False
         object.__setattr__(self, "h", h)
 
     @property
@@ -100,19 +108,42 @@ def build_humbert(field, channel):
     if channel.n_blocks != field.degree:
         raise ValueError("channel has %d blocks but field degree is %d"
                          % (channel.n_blocks, field.degree))
-    M = [_mmse_block(hj, channel.snr) for hj in channel.h]
-    try:
-        M_chol = [np.linalg.cholesky(Mj).T for Mj in M]
-    except np.linalg.LinAlgError as e:
-        raise PathologicalChannelError("MMSE matrix not positive definite") from e
-    return HumbertForm(field=field, channel=channel, M=M, M_chol=M_chol,
-                       phi_M=_block_basis(field, M_chol))
+    M_chol = _mmse_factors(channel)
+    return HumbertForm(field=field, channel=channel, M=list(_mmse_blocks(channel)),
+                       M_chol=list(M_chol), phi_M=_block_basis(field, M_chol))
 
 
 def _mmse_block(hj, P):
     """MMSE matrix I - P h h^T / (1 + P |h|^2) of one block with gains hj."""
     g = P * float(hj @ hj) + 1.0
     return np.eye(len(hj)) - (P / g) * np.outer(hj, hj)
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
+
+
+def _mmse_blocks(channel):
+    """The channel's per-block MMSE matrices, computed on first use and kept
+    (every field of a sweep and the Z baseline read the same ones)."""
+    if channel._mmse is None:
+        object.__setattr__(channel, "_mmse", _read_only(
+            [_mmse_block(hj, channel.snr) for hj in channel.h]))
+    return channel._mmse
+
+
+def _mmse_factors(channel):
+    """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks,
+    computed on first success and kept; a failure leaves the blocks usable."""
+    if channel._mmse_factors is None:
+        try:
+            factors = [np.linalg.cholesky(Mj).T for Mj in _mmse_blocks(channel)]
+        except np.linalg.LinAlgError as e:
+            raise PathologicalChannelError("MMSE matrix not positive definite") from e
+        object.__setattr__(channel, "_mmse_factors", _read_only(factors))
+    return channel._mmse_factors
 
 
 def _block_basis(field, factors):
@@ -122,7 +153,7 @@ def _block_basis(field, factors):
     blocks = np.zeros((n * L, n * L))
     for j, Fj in enumerate(factors):
         blocks[j * L:(j + 1) * L, j * L:(j + 1) * L] = Fj
-    return blocks @ np.kron(field.embeddings, np.eye(L))
+    return blocks @ field._psi_embedding(L)
 
 
 def _select_independent(field, basis, k):
@@ -288,7 +319,7 @@ def integer_baseline(channel, k=None):
     n = channel.n_blocks
     if k is None:
         k = channel.users
-    minima = _z_minima(sum(_mmse_block(hj, channel.snr) for hj in channel.h), k)
+    minima = _z_minima(sum(_mmse_blocks(channel)), k)
     f_values = [l * l for l in minima.lengths]
     rates = [(n / 2.0) * log2_plus(n / f) for f in f_values]
     return rates, minima.vectors
@@ -318,23 +349,42 @@ class IFReport:
         }
 
 
+def _last_channel(fn):
+    """Keep fn(blocks, P) for the last (h_mats, P) only, keyed by P and the
+    blocks' shapes and bytes: an IF sweep asks for the same (h, P) once per
+    field and once more for the Z baseline."""
+    last = [None]
+
+    @functools.wraps(fn)
+    def memo(h_mats, P):
+        blocks = [np.asarray(H, dtype=float) for H in h_mats]
+        key = (P, tuple((H.shape, H.tobytes()) for H in blocks))
+        hit = last[0]
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        value = fn(blocks, P)
+        last[0] = (key, value)
+        return value
+    return memo
+
+
+@_last_channel
 def _if_whiteners(h_mats, P):
-    """Per-block whitening matrices F_j = (P^-1 I + H_j^T H_j)^(-1/2)."""
+    """Per-block whitening matrices F_j = (P^-1 I + H_j^T H_j)^(-1/2), read-only."""
     out = []
     for H in h_mats:
-        H = np.asarray(H, dtype=float)
         if not np.all(np.isfinite(H)):
             raise PathologicalChannelError("channel matrix must be finite")
         A = np.eye(H.shape[1]) / P + H.T @ H
         w, v = np.linalg.eigh(A)
         w = np.clip(w, 1e-300, None)
         out.append(v @ np.diag(w ** -0.5) @ v.T)
-    return out
+    return _read_only(out)
 
 
+@_last_channel
 def ml_capacity(h_mats, P):
     """Joint ML benchmark: worst-case normalized subset sum capacity."""
-    h_mats = [np.asarray(H, dtype=float) for H in h_mats]
     n = len(h_mats)
     L = h_mats[0].shape[1]
     best = math.inf

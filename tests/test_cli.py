@@ -173,6 +173,24 @@ def test_dof_z_baseline_flag(capsys):
     assert json.loads(out)["slope"] < 0.2
 
 
+def test_bad_snr_grids_are_usage_errors(capsys):
+    for grid in ("0:5", "10:5:0", "0,a"):
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "--fields", "quad-5", "--trials", "1", "--snr-grid-db", grid])
+        assert e.value.code == 2
+    assert "expected start:step:stop" in capsys.readouterr().err
+
+
+def test_dof_channel_file_sets_users(tmp_path, capsys):
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({"h": [[0.3, -1.2, 0.5], [0.7, 0.4, -0.9]]}))
+    code, out, _ = run_cli(capsys, "dof", "--field", "quad-5", "--channel", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["users"] == 3
+    assert doc["predicted"] == 2 / 3
+
+
 def test_numeric_failure_exit_code(capsys):
     # unknown catalog field surfaces as a controlled failure, not a traceback
     code, _, err = run_cli(capsys, "sweep", "--fields", "nope", "--trials", "1")

@@ -65,6 +65,26 @@ def test_ml_capacity_once_per_snr_point(monkeypatch):
     assert len(calls) == 2
 
 
+def count_memo_misses(monkeypatch, memoized):
+    """Count the calls that get past the one-entry memo around memoized."""
+    cell = memoized.__closure__[memoized.__code__.co_freevars.index("fn")]
+    misses, fn = [], cell.cell_contents
+    monkeypatch.setattr(cell, "cell_contents", lambda *a: misses.append(1) or fn(*a))
+    return misses
+
+
+def test_if_channel_work_once_per_snr_point(monkeypatch):
+    # three fields and the Z baseline share one whitener build and one ML
+    # computation per (h, P)
+    whiteners = count_memo_misses(monkeypatch, rates._if_whiteners)
+    ml = count_memo_misses(monkeypatch, rates.ml_capacity)
+    cfg = SweepConfig(fields=["quad-5", "quad-8", "quad-12"], snr_db_grid=[0, 10],
+                      trials=1, seed=13, metrics=IF_METRICS)
+    run_if_sweep(cfg, workers=1)
+    assert len(whiteners) == 2
+    assert len(ml) == 2
+
+
 def test_env_var_worker_override(monkeypatch):
     monkeypatch.setenv("RINGCF_THREADS", "2")
     assert csv_string(run_sweep(SMALL)) == csv_string(run_sweep(SMALL, workers=1))

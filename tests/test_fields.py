@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ringcf import (FieldMismatchError, NotTotallyRealError, catalog_field,
                     catalog_names, field_from_json, field_to_json,
                     rank_over_K, real_roots)
-from ringcf.fields import NumberField
+from ringcf.fields import KSpan, NumberField
 
 EXPECTED_DISCRIMINANTS = {
     "rational": 1,
@@ -157,6 +157,16 @@ def test_rank_matches_single_embedding_float_rank():
             sv = np.linalg.svd(emb, compute_uv=False)
             float_rank = int(np.sum(sv > 1e-6 * max(1.0, sv[0])))
             assert float_rank == exact
+
+
+def test_field_matrices_built_once_on_first_use():
+    f = NumberField("quad-5-copy", [-1, -1, 1], [[1], [0, 1]])
+    assert "_omega_matrices" not in vars(f) and not f._psi_embeddings
+    assert KSpan(f).times is KSpan(f).times
+    assert KSpan(f).times == (f.element([0, 1]).mul_matrix(),)
+    kron = f._psi_embedding(3)
+    assert kron is f._psi_embedding(3) and not kron.flags.writeable
+    assert np.array_equal(kron, np.kron(f.embeddings, np.eye(3)))
 
 
 def test_json_round_trip():

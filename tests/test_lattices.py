@@ -301,3 +301,71 @@ def test_cvp_rejects_bad_target():
         closest_vector(lat, np.array([1.0]))
     with pytest.raises(ValueError):
         closest_vector(lat, np.array([np.nan, 0.0]))
+
+
+def numpy_scalar_enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
+    """Reference enumeration indexing R and the target as numpy scalars."""
+    m = r_mat.shape[0]
+    t = np.zeros(m) if target is None else np.asarray(target, dtype=float)
+    x = [0] * m
+    out = []
+
+    def rec(level, dist):
+        c = t[level] - sum(r_mat[level, j] * x[j] for j in range(level + 1, m))
+        rr = r_mat[level, level]
+        rem = radius2 - dist
+        if rem < 0:
+            return
+        half = math.sqrt(rem) / abs(rr)
+        center = c / rr
+        lo = math.ceil(center - half - 1e-12)
+        hi = math.floor(center + half + 1e-12)
+        for xi in range(lo, hi + 1):
+            d = dist + (c - rr * xi) ** 2
+            if d > radius2 + 1e-12:
+                continue
+            x[level] = xi
+            if level == 0:
+                vec = tuple(x)
+                if target is None and next((v for v in reversed(vec) if v), 0) <= 0:
+                    continue
+                out.append((vec, d))
+            else:
+                rec(level - 1, d)
+        x[level] = 0
+
+    rec(m - 1, 0.0)
+    assert len(out) <= limit
+    return out
+
+
+def test_enumeration_equals_numpy_scalar_reference():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for trial in range(80):
+        m = int(rng.integers(2, 7))
+        lat = ZLattice(random_basis(rng, m) * rng.choice([1.0, 100.0, 1e-3])
+                       * rng.choice([1.0, 3.0, 0.1], size=m))
+        red_basis, _, q, r_mat = lattices._reduction(lat)
+        norms2 = np.sort(np.sum(red_basis ** 2, axis=0))
+        radius2 = float(norms2[m // 2]) * (1 + 1e-9)
+        got = lattices._enumerate_all(r_mat, radius2)
+        assert got == numpy_scalar_enumerate_all(r_mat, radius2)
+        target = q.T @ (red_basis @ rng.normal(size=m) * 2)
+        got = lattices._enumerate_all(r_mat, radius2, target=target)
+        assert got == numpy_scalar_enumerate_all(r_mat, radius2, target=target)
+        checked += len(got) > 0
+    assert checked > 20
+
+
+def test_sparse_transform_equals_dense_product():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        m = int(rng.integers(2, 9))
+        _, u = lll_reduce(ZLattice(random_basis(rng, m) * rng.choice([1.0, 50.0],
+                                                                    size=m)))
+        for _ in range(10):
+            x = tuple(int(v) for v in rng.integers(-3, 4, size=m)
+                      * (rng.random(size=m) < 0.4))
+            dense = tuple(sum(a * b for a, b in zip(row, x)) for row in u)
+            assert lattices._apply_transform(u, x) == dense

@@ -321,3 +321,55 @@ def test_ml_capacity_subset_minimum():
     H = [np.array([[1.0, 0.0], [0.0, 0.0]])]
     f1 = ml_capacity(H, 100.0)
     assert f1 == 0.0 or f1 < 0.1
+
+
+def test_if_memo_follows_the_channel():
+    # each call must match a fresh computation: the one-entry memo is keyed
+    # by P and by every block's shape and bytes
+    rng = np.random.default_rng(42)
+    h1, h2 = rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 2, 2))
+    for h, P in ((h1, 10.0), (h2, 10.0), (h1, 10.0), (h1, 20.0), (list(h1), 20.0),
+                 (h1[:, :1], 20.0)):
+        blocks = [np.array(H) for H in h]
+        assert ml_capacity(h, P) == ml_capacity.__wrapped__(blocks, P)
+        whiteners = _if_whiteners(h, P)
+        for F, F_fresh in zip(whiteners, _if_whiteners.__wrapped__(blocks, P)):
+            assert np.array_equal(F, F_fresh) and not F.flags.writeable
+
+
+def test_channel_gains_copied_and_read_only():
+    h = np.array([[0.3, -1.2], [0.7, 0.4]])
+    ch = ChannelRealization(h=h, snr=100.0)
+    h[0, 0] = 5.0
+    assert ch.h[0, 0] == 0.3 and not ch.h.flags.writeable
+    with pytest.raises(ValueError):
+        ch.h[0, 0] = 1.0
+
+
+def test_failed_factor_leaves_z_baseline_intact():
+    # the Cholesky factor of this valid channel fails; the cached MMSE blocks
+    # must still give the Z baseline its exact values
+    ch = ChannelRealization(h=[[1e8, 1], [1, 1]], snr=1e4)
+    with pytest.raises(PathologicalChannelError, match="not positive definite"):
+        best_coefficients(catalog_field("quad-5"), ch)
+    assert integer_baseline(ch) == ([1.9999278706576413, 0.9998557737723149],
+                                    [(-1, 0), (-1, -1)])
+
+
+def test_mmse_blocks_and_factors_built_once_per_channel(monkeypatch):
+    from ringcf import rates
+    built = []
+    real = rates._mmse_block
+    monkeypatch.setattr(rates, "_mmse_block", lambda hj, P: built.append(P) or real(hj, P))
+    ch = random_channel(np.random.default_rng(43), 2, 2, 100.0)
+    reports = [best_coefficients(catalog_field(name), ch)
+               for name in ("quad-5", "quad-8", "quad-12")]
+    integer_baseline(ch, k=1)
+    assert len(built) == 2  # one MMSE matrix per block
+    hf = build_humbert(catalog_field("quad-5"), ch)
+    assert hf.M_chol[0] is build_humbert(catalog_field("quad-8"), ch).M_chol[0]
+    assert not hf.M[0].flags.writeable and not hf.M_chol[0].flags.writeable
+    fresh = ChannelRealization(h=ch.h, snr=ch.snr)
+    assert [r.to_json() for r in reports] == [
+        best_coefficients(catalog_field(name), fresh).to_json()
+        for name in ("quad-5", "quad-8", "quad-12")]
