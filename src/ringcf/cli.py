@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -16,15 +17,20 @@ from .lattices import EnumerationError
 
 
 def _parse_grid(text):
-    """Parse an SNR grid: either 'start:step:stop' or a comma list of dB.
-    Anything else is a usage error."""
+    """Parse an SNR grid: either 'start:step:stop' or a comma list of finite
+    dB values. Anything else is a usage error."""
     try:
         if ":" not in text:
-            return [float(x) for x in text.split(",")]
-        start, step, stop = (float(x) for x in text.split(":"))
+            values = [float(x) for x in text.split(",")]
+        else:
+            values = start, step, stop = [float(x) for x in text.split(":")]
     except ValueError:
         raise argparse.ArgumentTypeError("expected start:step:stop or a comma "
                                          "list of dB, got %r" % text) from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError("grid %r has a non-finite value" % text)
+    if ":" not in text:
+        return values
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("grid %r needs step > 0 and stop >= start" % text)
     out = []
@@ -33,6 +39,17 @@ def _parse_grid(text):
         out.append(round(v, 9))
         v += step
     return out
+
+
+def _positive_int(text):
+    """A count of at least 1 (users, trials, k); anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
 
 
 def _message_pair(text):
@@ -213,12 +230,12 @@ def build_parser():
 
     p = sub.add_parser("rate", help="best coefficient vectors for one channel")
     p.add_argument("--field", required=True)
-    p.add_argument("--users", type=int, default=2)
+    p.add_argument("--users", type=_positive_int, default=2)
     p.add_argument("--snr-db", type=float, default=None,
                    help="SNR in dB; overrides a channel file's snr_db "
                         "(default: the file's value, or 20 for a random channel)")
     p.add_argument("--channel", help='JSON file with {h, snr_db}, or "random"')
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_positive_int, default=None,
                    help="number of coefficient vectors (default: users)")
     common(p)
     p.set_defaults(fn=cmd_rate)
@@ -227,8 +244,8 @@ def build_parser():
         p = sub.add_parser(name, help="Monte Carlo %s over an SNR grid"
                            % ("rate sweep" if name == "sweep" else "integer-forcing sweep"))
         p.add_argument("--fields", required=True, help="comma-separated catalog names")
-        p.add_argument("--users", type=int, default=2)
-        p.add_argument("--trials", type=int, default=2000)
+        p.add_argument("--users", type=_positive_int, default=2)
+        p.add_argument("--trials", type=_positive_int, default=2000)
         p.add_argument("--snr-grid-db", type=_parse_grid, default="0:5:50")
         p.add_argument("--metrics", default=None)
         p.add_argument("--workers", type=int, default=None)
@@ -237,7 +254,7 @@ def build_parser():
 
     p = sub.add_parser("dof", help="degrees-of-freedom slope on a fixed channel")
     p.add_argument("--field", required=True)
-    p.add_argument("--users", type=int, default=2,
+    p.add_argument("--users", type=_positive_int, default=2,
                    help="users of a random channel (a channel file sets its own)")
     p.add_argument("--channel", help='JSON file with {h}, or "random"')
     p.add_argument("--snr-top-db", type=float, default=80.0,

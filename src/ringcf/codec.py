@@ -315,9 +315,8 @@ def decode_equation(pair, Y, b, coeff_vector):
         raise CodecError("observation must be %d x %d" % (n, T))
     scaled = (np.diag(np.asarray(b, dtype=float)) @ Y).flatten(order="F")
     fine = pair.fine_lattice()
-    zf, _, _ = closest_vector(fine, scaled)
-    ring, signal = _mod_coarse(pair, fine.basis @ np.array(zf, dtype=float),
-                               _coords_combination(pair.gen_fine, zf))
+    zf, point, _ = closest_vector(fine, scaled)
+    ring, signal = _mod_coarse(pair, point, _coords_combination(pair.gen_fine, zf))
     return LatticeEquation(ring_coords=ring, signal=signal,
                            coeff_residues=[pair.ideal.rho(a) for a in coeff_vector])
 

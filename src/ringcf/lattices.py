@@ -308,12 +308,16 @@ def closest_vector(lat, target):
     red_basis, u, q, r_mat = _reduction(lat)
     t = q.T @ target
     m = lat.dim
-    # Babai nearest-plane gives a certified initial radius
+    # Babai nearest-plane gives a certified initial radius. It runs on Python
+    # floats with += sums, like _enumerate_all, so it rounds as numpy would.
+    rows, t_list = r_mat.tolist(), t.tolist()
     x_babai = [0] * m
-    resid = t.copy()
     for i in range(m - 1, -1, -1):
-        c = resid[i] - sum(r_mat[i, j] * x_babai[j] for j in range(i + 1, m))
-        x_babai[i] = round(c / r_mat[i, i])
+        row = rows[i]
+        s = 0
+        for j in range(i + 1, m):
+            s += row[j] * x_babai[j]
+        x_babai[i] = round((t_list[i] - s) / row[i])
     babai_pt = red_basis @ np.array(x_babai, dtype=float)
     radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
     cands = _enumerate_all(r_mat, radius2, target=t)
@@ -321,13 +325,11 @@ def closest_vector(lat, target):
         raise EnumerationError("CVP enumeration found no candidates")
     best_d = min(d for _, d in cands)
     ties = [x for x, d in cands if d <= best_d + 1e-9 * (1 + best_d)]
-    best = None
-    for x in ties:
-        pt = red_basis @ np.array(x, dtype=float)
-        key = tuple(np.round(target - pt, 12))
-        if best is None or key < best[0]:
-            best = (key, x)
-    x = best[1]
+    x = ties[0]
+    if len(ties) > 1:
+        # min() keeps the first of equal keys
+        x = min(ties, key=lambda v: tuple(
+            np.round(target - red_basis @ np.array(v, dtype=float), 12)))
     coeffs = _apply_transform(u, x)
     point = lat.basis @ np.array(coeffs, dtype=float)
     return coeffs, point, math.sqrt(max(best_d, 0.0))

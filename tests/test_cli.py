@@ -174,11 +174,29 @@ def test_dof_z_baseline_flag(capsys):
 
 
 def test_bad_snr_grids_are_usage_errors(capsys):
-    for grid in ("0:5", "10:5:0", "0,a"):
+    for grid in ("0:5", "10:5:0", "0,a", "nan", "10,inf", "nan:1:5"):
         with pytest.raises(SystemExit) as e:
             main(["sweep", "--fields", "quad-5", "--trials", "1", "--snr-grid-db", grid])
         assert e.value.code == 2
-    assert "expected start:step:stop" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "expected start:step:stop" in err
+    assert "grid '10,inf' has a non-finite value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dof", "--field", "quad-5", "--users", "0"],
+    ["rate", "--field", "quad-5", "--users", "0"],
+    ["rate", "--field", "quad-5", "--k", "0"],
+    ["rate", "--field", "quad-5", "--k", "two"],
+    ["sweep", "--fields", "quad-5", "--users", "0"],
+    ["sweep", "--fields", "quad-5", "--trials", "0"],
+    ["if-sweep", "--fields", "quad-5", "--trials", "-1"],
+])
+def test_counts_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
 
 
 def test_dof_channel_file_sets_users(tmp_path, capsys):

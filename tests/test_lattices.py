@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ringcf import lattices
+from ringcf import build_nested_pair, lattices, prime_ideal
 from ringcf.exact import int_mat_det
 from ringcf.fields import catalog_field
 from ringcf.lattices import (EnumerationError, ZLattice, _gso, closest_vector,
@@ -238,6 +238,9 @@ def test_cvp_trivial_cases():
     # a lattice point maps to itself
     _, pt, d = closest_vector(lat, np.array([3.0, -2.0]))
     assert np.allclose(pt, [3, -2]) and d < 1e-9
+    # four corners tie; the smallest residual (-1/2, -1/2) wins
+    coeffs, pt, d = closest_vector(lat, [0.5, 0.5])
+    assert coeffs == (1, 1) and pt.tolist() == [1.0, 1.0] and d == math.sqrt(0.5)
 
 
 def test_svp_cvp_match_brute_force_100_instances():
@@ -369,3 +372,106 @@ def test_sparse_transform_equals_dense_product():
                       * (rng.random(size=m) < 0.4))
             dense = tuple(sum(a * b for a, b in zip(row, x)) for row in u)
             assert lattices._apply_transform(u, x) == dense
+
+
+def numpy_scalar_closest_vector(lat, target):
+    """Reference CVP: Babai nearest-plane on numpy scalars and a residual key
+    for every tie. Returns the (coefficients, point, distance) triple and the
+    number of ties."""
+    target = np.asarray(target, dtype=float)
+    red_basis, u, q, r_mat = lattices._reduction(lat)
+    t = q.T @ target
+    m = lat.dim
+    x_babai = [0] * m
+    for i in range(m - 1, -1, -1):
+        c = t[i] - sum(r_mat[i, j] * x_babai[j] for j in range(i + 1, m))
+        x_babai[i] = round(c / r_mat[i, i])
+    babai_pt = red_basis @ np.array(x_babai, dtype=float)
+    radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
+    cands = lattices._enumerate_all(r_mat, radius2, target=t)
+    if not cands:
+        raise EnumerationError("CVP enumeration found no candidates")
+    best_d = min(d for _, d in cands)
+    ties = [x for x, d in cands if d <= best_d + 1e-9 * (1 + best_d)]
+    best = None
+    for x in ties:
+        key = tuple(np.round(target - red_basis @ np.array(x, dtype=float), 12))
+        if best is None or key < best[0]:
+            best = (key, x)
+    coeffs = lattices._apply_transform(u, best[1])
+    point = lat.basis @ np.array(coeffs, dtype=float)
+    return (coeffs, point, math.sqrt(max(best_d, 0.0))), len(ties)
+
+
+def assert_cvp_equals_reference(lat, target):
+    """closest_vector equals the reference exactly, or both raise the same
+    EnumerationError. Returns the reference's tie count (0 if it raised)."""
+    try:
+        (coeffs, point, dist), ties = numpy_scalar_closest_vector(lat, target)
+    except EnumerationError as e:
+        with pytest.raises(EnumerationError) as got:
+            closest_vector(lat, target)
+        assert str(got.value) == str(e)
+        return 0
+    got_coeffs, got_point, got_dist = closest_vector(lat, target)
+    assert got_coeffs == coeffs
+    assert got_point.tobytes() == point.tobytes()
+    assert got_dist == dist
+    return ties
+
+
+def test_cvp_equals_numpy_scalar_reference_on_scaled_bases():
+    rng = np.random.default_rng(33)
+    for _ in range(100):
+        m = int(rng.integers(1, 9))
+        b = random_basis(rng, m) * rng.choice([1.0, 10.0, 0.1], size=m)
+        lat = ZLattice(b)
+        for _ in range(4):
+            assert_cvp_equals_reference(lat, b @ rng.normal(size=m) * 3)
+
+
+def integer_basis(rng, m):
+    while True:
+        b = rng.integers(-2, 3, size=(m, m)).astype(float)
+        if abs(np.linalg.det(b)) > 0.5:
+            return b
+
+
+def test_cvp_equals_reference_on_integer_ties():
+    # integer bases and half-integer targets: many equal-distance minimizers
+    rng = np.random.default_rng(35)
+    multi = 0
+    for _ in range(120):
+        m = int(rng.integers(1, 6))
+        lat = ZLattice(integer_basis(rng, m))
+        for _ in range(4):
+            multi += assert_cvp_equals_reference(lat, rng.integers(-6, 7, size=m) / 2) > 1
+    assert multi > 100
+
+
+def test_cvp_equals_reference_when_the_node_limit_is_hit(monkeypatch):
+    # with a node limit of 1, every target with two or more candidates raises
+    enumerate_all = lattices._enumerate_all
+    monkeypatch.setattr(lattices, "_enumerate_all",
+                        lambda *a, **kw: enumerate_all(*a, **kw, limit=1))
+    rng = np.random.default_rng(34)
+    outcomes = [assert_cvp_equals_reference(ZLattice(integer_basis(rng, m)),
+                                            rng.integers(-6, 7, size=m) / 2)
+                for m in rng.integers(2, 6, size=60)]
+    assert outcomes.count(0) > 10 and len(outcomes) - outcomes.count(0) > 10
+
+
+def test_cvp_equals_reference_on_benchmark_codec_pair():
+    f = catalog_field("quad-5")
+    pair = build_nested_pair(f, prime_ideal(f, 101, 23), [[1], [0], [3], [11]],
+                             [[1, 0], [0, 1], [3, 7], [11, 5]], T=4)
+    rng = np.random.default_rng(36)
+    multi = 0
+    for lat in (pair.fine_lattice(), pair.coarse_lattice()):
+        for _ in range(60):
+            assert_cvp_equals_reference(lat, rng.normal(size=8) * 20)
+        # midpoints between lattice points sit on the tie band
+        for _ in range(20):
+            multi += assert_cvp_equals_reference(
+                lat, lat.basis @ (rng.integers(-4, 5, size=8) / 2)) > 1
+    assert multi > 30
