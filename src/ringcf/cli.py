@@ -42,7 +42,8 @@ def _parse_grid(text):
 
 
 def _positive_int(text):
-    """A count of at least 1 (users, trials, k); anything else is a usage error."""
+    """A count of at least 1 (users, trials, k, workers); anything else is a
+    usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -248,7 +249,7 @@ def build_parser():
         p.add_argument("--trials", type=_positive_int, default=2000)
         p.add_argument("--snr-grid-db", type=_parse_grid, default="0:5:50")
         p.add_argument("--metrics", default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=_positive_int, default=None)
         common(p, formats=("csv", "json"))
         p.set_defaults(fn=fn)
 

@@ -50,25 +50,30 @@ class ZLattice:
 
 
 def _gso(b):
-    """Gram-Schmidt data: squared norms of b* columns and mu coefficients."""
-    m = b.shape[1]
-    bstar = b.astype(float).copy()
-    mu = np.eye(m)
-    norms = np.empty(m)
-    for i in range(m):
-        for j in range(i):
-            mu[i, j] = bstar[:, j] @ b[:, i] / norms[j]
-            bstar[:, i] -= mu[i, j] * bstar[:, j]
-        norms[i] = bstar[:, i] @ bstar[:, i]
-        if norms[i] <= 0:
+    """Gram-Schmidt data of the columns b (lists of Python floats): squared
+    norms of the b* columns, and row i of mu as its i entries below the
+    diagonal. Dot products run left to right with +=, never through sum(),
+    which compensates exact floats on Python >= 3.12 and would round
+    differently."""
+    bstar, norms, mu = [], [], []
+    for bi in b:
+        v, row = bi, []
+        for w, nj in zip(bstar, norms):
+            s = 0.0
+            for x, y in zip(w, bi):
+                s += x * y
+            c = s / nj
+            row.append(c)
+            v = [x - c * y for x, y in zip(v, w)]
+        s = 0.0
+        for x in v:
+            s += x * x
+        if s <= 0:
             raise EnumerationError("Gram-Schmidt collapsed; basis numerically singular")
+        bstar.append(v)
+        norms.append(s)
+        mu.append(row)
     return norms, mu
-
-
-def _gso_lists(cols):
-    """_gso of the basis with these columns, as lists for scalar updates."""
-    norms, mu = _gso(np.column_stack(cols))
-    return norms.tolist(), mu.tolist()
 
 
 def _first_unreduced(norms, mu, delta):
@@ -114,17 +119,17 @@ def lll_reduce(lat, delta=0.99):
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
-    b = list(lat.basis.T.copy())  # columns of the basis
+    b = lat.basis.T.tolist()  # columns of the basis, as Python floats
     m = len(b)
     u = [[int(i == j) for i in range(m)] for j in range(m)]  # columns of U
-    norms, mu = _gso_lists(b)
+    norms, mu = _gso(b)
     k = 1
     while k < m:
         mk = mu[k]
         for j in range(k - 1, -1, -1):
             r = round(mk[j])
             if r != 0:
-                b[k] = b[k] - r * b[j]
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - r * y for x, y in zip(u[k], u[j])]
                 mj = mu[j]
                 for i in range(j):
@@ -136,7 +141,7 @@ def lll_reduce(lat, delta=0.99):
             _swap(b, u, norms, mu, k)
             k = max(k - 1, 1)
         if k == m:
-            norms, mu = _gso_lists(b)
+            norms, mu = _gso(b)
             k = _first_unreduced(norms, mu, delta)
     return ZLattice(np.column_stack(b)), [list(row) for row in zip(*u)]
 

@@ -191,6 +191,8 @@ def test_bad_snr_grids_are_usage_errors(capsys):
     ["sweep", "--fields", "quad-5", "--users", "0"],
     ["sweep", "--fields", "quad-5", "--trials", "0"],
     ["if-sweep", "--fields", "quad-5", "--trials", "-1"],
+    ["sweep", "--fields", "quad-5", "--workers", "0"],
+    ["if-sweep", "--fields", "quad-5", "--workers", "-1"],
 ])
 def test_counts_below_one_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as e:

@@ -9,10 +9,11 @@ import pytest
 from ringcf import build_nested_pair, lattices, prime_ideal
 from ringcf.exact import int_mat_det
 from ringcf.fields import catalog_field
-from ringcf.lattices import (EnumerationError, ZLattice, _gso, closest_vector,
+from ringcf.lattices import (EnumerationError, ZLattice, closest_vector,
                              hermite_constant, lll_reduce, shortest_vector,
                              successive_minima)
-from ringcf.rates import ChannelRealization, build_humbert
+from ringcf.rates import (ChannelRealization, best_coefficients, build_humbert,
+                          if_rate, integer_baseline, integer_if_rate)
 from test_exact import fraction_rank
 
 
@@ -55,6 +56,23 @@ def brute_cvp(basis, target, upper):
     return box_min_dist2(basis, lo, hi, target)
 
 
+def numpy_gso(b):
+    """Classical Gram-Schmidt of the columns of b with numpy (BLAS) dot
+    products: squared norms of the b* columns and the mu matrix."""
+    m = b.shape[1]
+    bstar = b.astype(float).copy()
+    mu = np.eye(m)
+    norms = np.empty(m)
+    for i in range(m):
+        for j in range(i):
+            mu[i, j] = bstar[:, j] @ b[:, i] / norms[j]
+            bstar[:, i] -= mu[i, j] * bstar[:, j]
+        norms[i] = bstar[:, i] @ bstar[:, i]
+        if norms[i] <= 0:
+            raise EnumerationError("Gram-Schmidt collapsed; basis numerically singular")
+    return norms, mu
+
+
 def test_lll_identity_unchanged():
     lat = ZLattice(np.eye(3))
     red, u = lll_reduce(lat)
@@ -68,7 +86,7 @@ def test_lll_shears_long_column():
     assert max(np.linalg.norm(red.basis, axis=0)) <= 100.0
     assert int_mat_det(u) in (1, -1)
     # Lovasz condition holds post-hoc
-    norms, mu = _gso(red.basis)
+    norms, mu = numpy_gso(red.basis)
     assert norms[1] >= (0.99 - mu[1, 0] ** 2) * norms[0] - 1e-12
 
 
@@ -81,7 +99,7 @@ def assert_lll_reduced(basis, delta=0.99):
     scale = np.max(np.abs(basis)) * max(1.0, np.max(np.abs(np.array(u, float))))
     assert np.allclose(red.basis, basis @ np.array(u, float), rtol=0,
                        atol=1e-9 * scale)
-    norms, mu = _gso(red.basis)
+    norms, mu = numpy_gso(red.basis)
     m = len(norms)
     assert np.all(np.abs(mu[np.tril_indices(m, -1)]) <= 0.5 + 1e-9)
     for k in range(1, m):
@@ -103,6 +121,29 @@ def test_lll_terminates_when_a_fresh_mu_ties_at_one_half():
     assert_lll_reduced(b)
 
 
+def test_lll_output_is_reduced_on_scaled_integer_bases():
+    # small integer entries put many mu values exactly on +-1/2
+    rng = np.random.default_rng(14)
+    checked = 0
+    for trial in range(150):
+        m = int(rng.integers(2, 7))
+        b = rng.integers(-4, 5, size=(m, m)).astype(float)
+        if abs(np.linalg.det(b)) < 0.5:
+            continue
+        assert_lll_reduced(b * (1.0, 0.1, 1e-3)[trial % 3])
+        checked += 1
+    assert checked > 100
+
+
+def test_lll_basis_is_c_contiguous():
+    # the codec multiplies by the reduced basis on every call; an F-ordered
+    # one measured 8-10 % slower there
+    rng = np.random.default_rng(15)
+    for m in (2, 4, 8):
+        red, _ = lll_reduce(ZLattice(random_basis(rng, m)))
+        assert red.basis.flags.c_contiguous and not red.basis.flags.f_contiguous
+
+
 @pytest.mark.parametrize("name,users", [("quintic-14641", 2), ("quartic-725", 3)])
 def test_lll_output_is_reduced_on_high_snr_humbert_bases(name, users):
     field = catalog_field(name)
@@ -110,6 +151,123 @@ def test_lll_output_is_reduced_on_high_snr_humbert_bases(name, users):
     for _ in range(3):
         ch = ChannelRealization(h=rng.normal(size=(field.degree, users)), snr=1e6)
         assert_lll_reduced(build_humbert(field, ch).phi_M)
+
+
+def numpy_lll_reduce(lat, delta=0.99):
+    """Reference LLL on numpy columns with the numpy_gso Gram-Schmidt (BLAS
+    dot products), otherwise step for step lll_reduce. Returns (reduced
+    basis, U)."""
+    b = list(lat.basis.T.copy())
+    m = len(b)
+    u = [[int(i == j) for i in range(m)] for j in range(m)]
+
+    def fresh():
+        norms, mu = numpy_gso(np.column_stack(b))
+        return norms.tolist(), mu.tolist()
+
+    norms, mu = fresh()
+    k = 1
+    while k < m:
+        mk = mu[k]
+        for j in range(k - 1, -1, -1):
+            r = round(mk[j])
+            if r != 0:
+                b[k] = b[k] - r * b[j]
+                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                for i in range(j):
+                    mk[i] -= r * mu[j][i]
+                mk[j] -= r
+        if norms[k] >= (delta - mk[k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            mu[k - 1][:k - 1], mu[k][:k - 1] = mu[k][:k - 1], mu[k - 1][:k - 1]
+            t = mu[k][k - 1]
+            big = norms[k] + t * t * norms[k - 1]
+            c = mu[k][k - 1] = t * norms[k - 1] / big
+            norms[k] = norms[k - 1] * norms[k] / big
+            norms[k - 1] = big
+            for row in mu[k + 1:]:
+                s = row[k]
+                row[k] = row[k - 1] - t * s
+                row[k - 1] = s + c * row[k]
+            k = max(k - 1, 1)
+        if k == m:
+            norms, mu = fresh()
+            k = next((k for k in range(1, m)
+                      if any(abs(x) > 0.5 + 1e-9 for x in mu[k][:k])
+                      or norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]), m)
+    return np.column_stack(b), [list(row) for row in zip(*u)]
+
+
+def assert_lll_equals_reference(lat):
+    red, u = lll_reduce(lat)
+    ref_basis, ref_u = numpy_lll_reduce(lat)
+    assert u == ref_u
+    assert red.basis.tobytes() == ref_basis.tobytes()
+
+
+def recorded_reductions(monkeypatch, run):
+    """Every lattice that lll_reduce is asked to reduce while run() runs."""
+    seen = []
+    original = lattices.lll_reduce
+
+    def recording(lat, *args):
+        seen.append(lat)
+        return original(lat, *args)
+
+    monkeypatch.setattr(lattices, "lll_reduce", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_lll_equals_numpy_reference_on_scaled_random_bases():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        m = int(rng.integers(2, 11))
+        b = random_basis(rng, m) * rng.choice([1.0, 100.0, 1e-3], size=m)
+        assert_lll_equals_reference(ZLattice(b))
+
+
+def test_lll_equals_numpy_reference_on_rate_lattices(monkeypatch):
+    # the CF Humbert and Z-baseline lattices of the sweep's fields, and the
+    # IF block and Z-IF lattices, from 0 to 50 dB
+    rng = np.random.default_rng(42)
+    fields = [catalog_field(name) for name in ("quad-5", "quad-8", "quad-12")]
+
+    def run():
+        for snr_db in range(0, 55, 5):
+            snr = 10.0 ** (snr_db / 10.0)
+            for _ in range(3):
+                ch = ChannelRealization(h=rng.normal(size=(2, 2)), snr=snr)
+                for field in fields:
+                    best_coefficients(field, ch)
+                integer_baseline(ch)
+                h_mats = list(rng.normal(size=(2, 2, 2)))
+                if_rate(fields[0], h_mats, snr)
+                integer_if_rate(h_mats, snr)
+
+    seen = recorded_reductions(monkeypatch, run)
+    assert len(seen) == 11 * 3 * 6
+    for lat in seen:
+        assert_lll_equals_reference(lat)
+
+
+def test_lll_equals_numpy_reference_on_benchmark_codec_lattices(monkeypatch):
+    f = catalog_field("quad-5")
+
+    def run():
+        pair = build_nested_pair(f, prime_ideal(f, 101, 23), [[1], [0], [3], [11]],
+                                 [[1, 0], [0, 1], [3, 7], [11, 5]], T=4)
+        for lat in (pair.fine_lattice(), pair.coarse_lattice()):
+            closest_vector(lat, np.zeros(8))
+
+    seen = recorded_reductions(monkeypatch, run)
+    assert len(seen) == 3  # the ideal, fine and coarse lattices
+    for lat in seen:
+        assert_lll_equals_reference(lat)
 
 
 def test_reduction_cached_per_lattice(monkeypatch):
