@@ -53,6 +53,30 @@ def _positive_int(text):
     return value
 
 
+def _finite_float(text):
+    """A finite number (an SNR in dB); nan, inf or text is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
+
+
+def _metric_list(known):
+    """Type of --metrics for a sweep whose valid metrics are `known`: a comma
+    list of them (empty means all); any other name is a usage error."""
+    def parse(text):
+        metrics = tuple(text.split(",")) if text else known
+        bad = sorted(set(metrics) - set(known))
+        if bad:
+            raise argparse.ArgumentTypeError("unknown metrics: %s (valid: %s)"
+                                             % (", ".join(bad), ", ".join(known)))
+        return metrics
+    return parse
+
+
 def _message_pair(text):
     """Two comma-separated message symbols; anything else is a usage error."""
     try:
@@ -111,6 +135,8 @@ def cmd_rate(args):
         h = rng.normal(size=(f.degree, args.users))
         snr_db = 20.0 if args.snr_db is None else args.snr_db
         ch = rates.ChannelRealization(h=h, snr=10.0 ** (snr_db / 10.0))
+    if args.k is not None and args.k > ch.users:
+        args.usage_error("--k %d exceeds the %d users of the channel" % (args.k, ch.users))
     rep = rates.best_coefficients(f, ch, k=args.k)
     payload = rep.to_json()
     payload["mac_capacity"] = rates.mac_capacity(ch)
@@ -119,12 +145,11 @@ def cmd_rate(args):
     return 0
 
 
-def _sweep_common(args, runner, default_metrics):
-    metrics = tuple(args.metrics.split(",")) if args.metrics else default_metrics
+def _sweep_common(args, runner):
     cfg = experiments.SweepConfig(
         fields=args.fields.split(","), users=args.users,
         snr_db_grid=args.snr_grid_db, trials=args.trials,
-        seed=args.seed, metrics=metrics)
+        seed=args.seed, metrics=args.metrics)
     points = runner(cfg, workers=args.workers)
     if args.format == "csv":
         text = experiments.csv_string(points)
@@ -135,11 +160,11 @@ def _sweep_common(args, runner, default_metrics):
 
 
 def cmd_sweep(args):
-    return _sweep_common(args, experiments.run_sweep, experiments.RATE_METRICS)
+    return _sweep_common(args, experiments.run_sweep)
 
 
 def cmd_if_sweep(args):
-    return _sweep_common(args, experiments.run_if_sweep, experiments.IF_METRICS)
+    return _sweep_common(args, experiments.run_if_sweep)
 
 
 def cmd_dof(args):
@@ -232,23 +257,26 @@ def build_parser():
     p = sub.add_parser("rate", help="best coefficient vectors for one channel")
     p.add_argument("--field", required=True)
     p.add_argument("--users", type=_positive_int, default=2)
-    p.add_argument("--snr-db", type=float, default=None,
+    p.add_argument("--snr-db", type=_finite_float, default=None,
                    help="SNR in dB; overrides a channel file's snr_db "
                         "(default: the file's value, or 20 for a random channel)")
     p.add_argument("--channel", help='JSON file with {h, snr_db}, or "random"')
     p.add_argument("--k", type=_positive_int, default=None,
-                   help="number of coefficient vectors (default: users)")
+                   help="number of coefficient vectors, at most the users "
+                        "(default: users)")
     common(p)
-    p.set_defaults(fn=cmd_rate)
+    p.set_defaults(fn=cmd_rate, usage_error=p.error)
 
-    for name, fn in (("sweep", cmd_sweep), ("if-sweep", cmd_if_sweep)):
+    for name, fn, known in (("sweep", cmd_sweep, experiments.RATE_METRICS),
+                            ("if-sweep", cmd_if_sweep, experiments.IF_METRICS)):
         p = sub.add_parser(name, help="Monte Carlo %s over an SNR grid"
                            % ("rate sweep" if name == "sweep" else "integer-forcing sweep"))
         p.add_argument("--fields", required=True, help="comma-separated catalog names")
         p.add_argument("--users", type=_positive_int, default=2)
         p.add_argument("--trials", type=_positive_int, default=2000)
         p.add_argument("--snr-grid-db", type=_parse_grid, default="0:5:50")
-        p.add_argument("--metrics", default=None)
+        p.add_argument("--metrics", type=_metric_list(known), default=known,
+                       help="comma-separated subset of: " + ", ".join(known))
         p.add_argument("--workers", type=_positive_int, default=None)
         common(p, formats=("csv", "json"))
         p.set_defaults(fn=fn)
@@ -258,7 +286,7 @@ def build_parser():
     p.add_argument("--users", type=_positive_int, default=2,
                    help="users of a random channel (a channel file sets its own)")
     p.add_argument("--channel", help='JSON file with {h}, or "random"')
-    p.add_argument("--snr-top-db", type=float, default=80.0,
+    p.add_argument("--snr-top-db", type=_finite_float, default=80.0,
                    help="top of the 40 dB fitting window")
     p.add_argument("--z-baseline", action="store_true")
     common(p)

@@ -23,12 +23,13 @@ class ZLattice:
     """Full-rank lattice given by a square basis matrix (columns generate).
 
     The basis is copied and made read-only, so the reduction that
-    `closest_vector` and `successive_minima` cache on first use always
-    describes it.
+    `closest_vector` and `successive_minima` cache on first use, and the Q
+    factor that `closest_vector` adds to it, always describe it.
     """
 
     basis: np.ndarray
     _reduction: tuple = field(default=None, init=False, repr=False, compare=False)
+    _q: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
@@ -146,17 +147,17 @@ def lll_reduce(lat, delta=0.99):
     return ZLattice(np.column_stack(b)), [list(row) for row in zip(*u)]
 
 
-def _enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
-    """All integer x with ||R x - t||^2 <= radius2 (R upper triangular).
+def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
+    """All integer x with ||R x - t||^2 <= radius2 (R upper triangular, given
+    as rows of Python floats).
 
     With target=None only canonical-sign nonzero vectors are returned (the
     highest-index nonzero coordinate is positive). Returns (x tuple, dist2).
     """
-    m = r_mat.shape[0]
+    m = len(r_rows)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their
     # overhead. Sums run left to right with +=, never through sum(), which
     # compensates exact floats on Python >= 3.12 and would round differently.
-    r_mat = r_mat.tolist()
     t = [0.0] * m if target is None else np.asarray(target, dtype=float).tolist()
     x = [0] * m
     out = []
@@ -165,7 +166,7 @@ def _enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
     def rec(level, dist):
         nonlocal count
         # residual target coordinate at this level given x[level+1:]
-        row = r_mat[level]
+        row = r_rows[level]
         s = 0
         for j in range(level + 1, m):
             s += row[j] * x[j]
@@ -209,12 +210,28 @@ def _qr_positive(b):
 
 
 def _reduction(lat):
-    """(reduced basis, U, Q, R) of a lattice, computed on first use and kept."""
+    """(reduced basis, U, R rows) of a lattice, computed on first use and kept.
+
+    R is the triangular factor of `_qr_positive` without its Q: numpy's
+    mode "r" runs the same factorization, and negating a row is exact, so
+    the rows hold the same floats. Q waits for `_cvp_q`.
+    """
     if lat._reduction is None:
         red, u = lll_reduce(lat)
-        q, r_mat = _qr_positive(red.basis)
-        object.__setattr__(lat, "_reduction", (red.basis, u, q, r_mat))
+        r_rows = np.linalg.qr(red.basis, mode="r").tolist()
+        for i, row in enumerate(r_rows):
+            if row[i] < 0:
+                r_rows[i] = [-x for x in row]
+        object.__setattr__(lat, "_reduction", (red.basis, u, r_rows))
     return lat._reduction
+
+
+def _cvp_q(lat):
+    """Q factor of the reduced basis, made on the first closest-vector call
+    and kept (minima never read it)."""
+    if lat._q is None:
+        object.__setattr__(lat, "_q", _qr_positive(_reduction(lat)[0])[0])
+    return lat._q
 
 
 def _canonical(vec):
@@ -263,15 +280,22 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
     ball of r^2 plus the 1e-9 tie tolerance holds the picks and their tie
     groups. The largest column caps it (the tolerance is absolute below 1).
     """
-    red_basis, u, _, r_mat = _reduction(lat)
-    norms2 = np.sum(red_basis ** 2, axis=0)
+    red_basis, u, r_rows = _reduction(lat)
+    # squared column norms, each summed top to bottom with +=: the order of
+    # np.sum(axis=0) on the C-ordered basis
+    norms2 = []
+    for col in red_basis.T.tolist():
+        s = 0.0
+        for x in col:
+            s += x * x
+        norms2.append(s)
     test, picks = new_test(), []
-    for i in np.argsort(norms2, kind="stable"):
+    for i in sorted(range(lat.dim), key=norms2.__getitem__):
         if len(picks) < k and test(tuple(row[i] for row in u)):
-            picks.append(float(norms2[i]))
-    radius2 = min(float(np.max(norms2)) * (1 + 1e-9), picks[-1] + 1e-9 * (1 + picks[-1]))
+            picks.append(norms2[i])
+    radius2 = min(max(norms2) * (1 + 1e-9), picks[-1] + 1e-9 * (1 + picks[-1]))
     test, vectors, lengths = new_test(), [], []
-    for vec, d in _length_order(u, _enumerate_all(r_mat, radius2)):
+    for vec, d in _length_order(u, _enumerate_all(r_rows, radius2)):
         if test(vec):
             vectors.append(vec)
             lengths.append(math.sqrt(d))
@@ -310,22 +334,22 @@ def closest_vector(lat, target):
         raise ValueError("target dimension mismatch")
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
-    red_basis, u, q, r_mat = _reduction(lat)
-    t = q.T @ target
+    red_basis, u, r_rows = _reduction(lat)
+    t = _cvp_q(lat).T @ target
     m = lat.dim
     # Babai nearest-plane gives a certified initial radius. It runs on Python
     # floats with += sums, like _enumerate_all, so it rounds as numpy would.
-    rows, t_list = r_mat.tolist(), t.tolist()
+    t_list = t.tolist()
     x_babai = [0] * m
     for i in range(m - 1, -1, -1):
-        row = rows[i]
+        row = r_rows[i]
         s = 0
         for j in range(i + 1, m):
             s += row[j] * x_babai[j]
         x_babai[i] = round((t_list[i] - s) / row[i])
     babai_pt = red_basis @ np.array(x_babai, dtype=float)
     radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
-    cands = _enumerate_all(r_mat, radius2, target=t)
+    cands = _enumerate_all(r_rows, radius2, target=t)
     if not cands:
         raise EnumerationError("CVP enumeration found no candidates")
     best_d = min(d for _, d in cands)

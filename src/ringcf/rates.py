@@ -90,8 +90,7 @@ class HumbertForm:
 
     def value(self, coeffs):
         """Quadratic form of a coefficient vector (length-L AlgebraicInts)."""
-        sigma = _embed_vector(self.field, coeffs)
-        return float(sum(sigma[j] @ self.M[j] @ sigma[j] for j in range(len(self.M))))
+        return _form_value(_embedded_terms(self, coeffs)[1])
 
     def chol_det(self):
         return float(np.prod([np.prod(np.diag(c)) for c in self.M_chol]))
@@ -101,6 +100,33 @@ def _embed_vector(field, coeffs):
     """Matrix with row j = (sigma_j applied entrywise to the vector)."""
     coord_mat = np.array([a.coords for a in coeffs], dtype=float).T
     return field.embeddings @ coord_mat
+
+
+def _embedded_terms(humbert, coeffs):
+    """(sigma, per-block terms sigma_j^T M_j sigma_j) of a coefficient
+    vector: the one embedding that the form value, the geometric-mean rate
+    and the MMSE scaling all read."""
+    sigma = _embed_vector(humbert.field, coeffs)
+    return sigma, [sigma[j] @ Mj @ sigma[j] for j, Mj in enumerate(humbert.M)]
+
+
+def _form_value(terms):
+    return float(sum(terms))
+
+
+def _rate_gm(terms):
+    prod = 1.0
+    for term in terms:
+        prod *= float(term)
+    if prod <= 0:
+        raise ValueError("degenerate per-block form")
+    return 0.5 * log2_plus(1.0 / prod)
+
+
+def _mmse_scaling(channel, sigma):
+    P = channel.snr
+    return [P * float(sigma[j] @ hj) / (P * float(hj @ hj) + 1.0)
+            for j, hj in enumerate(channel.h)]
 
 
 def build_humbert(field, channel):
@@ -197,24 +223,12 @@ def rate_am(field, f_value):
 
 def rate_gm(humbert, coeffs):
     """Geometric-mean variant: product of per-block quadratic forms."""
-    sigma = _embed_vector(humbert.field, coeffs)
-    prod = 1.0
-    for j, Mj in enumerate(humbert.M):
-        prod *= float(sigma[j] @ Mj @ sigma[j])
-    if prod <= 0:
-        raise ValueError("degenerate per-block form")
-    return 0.5 * log2_plus(1.0 / prod)
+    return _rate_gm(_embedded_terms(humbert, coeffs)[1])
 
 
 def mmse_scaling(humbert, coeffs):
     """Optimal per-block receiver scaling for a coefficient vector."""
-    P = humbert.channel.snr
-    sigma = _embed_vector(humbert.field, coeffs)
-    out = []
-    for j in range(humbert.channel.n_blocks):
-        hj = humbert.channel.h[j]
-        out.append(P * float(sigma[j] @ hj) / (P * float(hj @ hj) + 1.0))
-    return out
+    return _mmse_scaling(humbert.channel, _embed_vector(humbert.field, coeffs))
 
 
 def minkowski_rate_bounds(field, channel):
@@ -291,16 +305,18 @@ def best_coefficients(field, channel, k=None):
         raise ValueError("need 1 <= k <= users")
     hf = build_humbert(field, channel)
     selected, _ = _select_independent(field, hf.phi_M, k)
-    f_values = [hf.value(v) for v in selected]
+    embedded = [_embedded_terms(hf, v) for v in selected]
+    f_values = [_form_value(terms) for _, terms in embedded]
     rates = [rate_am(field, f) for f in f_values]
+    sigma, terms = embedded[0]
     return RateReport(
         field_name=field.name,
         channel=channel,
         coeffs=selected,
         f_values=f_values,
         rates_am=rates,
-        rate_gm=rate_gm(hf, selected[0]),
-        b_opt=mmse_scaling(hf, selected[0]),
+        rate_gm=_rate_gm(terms),
+        b_opt=_mmse_scaling(channel, sigma),
         lower_bounds=minkowski_rate_bounds(field, channel),
     )
 

@@ -201,6 +201,56 @@ def test_counts_below_one_are_usage_errors(argv, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--field", "quad-5", "--snr-db", "nan"],
+    ["rate", "--field", "quad-5", "--snr-db", "inf"],
+    ["rate", "--field", "quad-5", "--snr-db=-inf"],
+    ["rate", "--field", "quad-5", "--snr-db", "loud"],
+    ["dof", "--field", "quad-5", "--snr-top-db", "nan"],
+    ["dof", "--field", "quad-5", "--snr-top-db", "inf"],
+])
+def test_non_finite_snr_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,valid", [
+    (["sweep", "--fields", "quad-5", "--metrics", "bogus"],
+     "rate1, sumrate, mac, z_baseline"),
+    (["sweep", "--fields", "quad-5", "--metrics", "rate1,if_rate"],
+     "rate1, sumrate, mac, z_baseline"),
+    (["if-sweep", "--fields", "quad-5", "--metrics", "rate1"], "if_rate, z_if, ml"),
+])
+def test_unknown_metrics_are_usage_errors(argv, valid, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--trials", "1"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown metrics: " + argv[-1].split(",")[-1] in err
+    assert "(valid: %s)" % valid in err
+
+
+def test_k_above_users_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["rate", "--field", "quad-5", "--users", "2", "--k", "3"])
+    assert e.value.code == 2
+    assert "--k 3 exceeds the 2 users of the channel" in capsys.readouterr().err
+    # a channel file sets the user count, whatever --users says
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({"h": [[0.3, -1.2, 0.5], [0.7, 0.4, -0.9]],
+                                "snr_db": 20.0}))
+    code, out, _ = run_cli(capsys, "rate", "--field", "quad-5", "--users", "2",
+                           "--k", "3", "--channel", str(path))
+    assert code == 0 and len(json.loads(out)["coeffs"]) == 3
+    with pytest.raises(SystemExit) as e:
+        main(["rate", "--field", "quad-5", "--users", "5", "--k", "4",
+              "--channel", str(path)])
+    assert e.value.code == 2
+    assert "--k 4 exceeds the 3 users of the channel" in capsys.readouterr().err
+
+
 def test_dof_channel_file_sets_users(tmp_path, capsys):
     path = tmp_path / "h3.json"
     path.write_text(json.dumps({"h": [[0.3, -1.2, 0.5], [0.7, 0.4, -0.9]]}))

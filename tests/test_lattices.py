@@ -223,17 +223,17 @@ def recorded_reductions(monkeypatch, run):
     return seen
 
 
-def test_lll_equals_numpy_reference_on_scaled_random_bases():
+def scaled_random_lattices():
     rng = np.random.default_rng(41)
     for _ in range(200):
         m = int(rng.integers(2, 11))
-        b = random_basis(rng, m) * rng.choice([1.0, 100.0, 1e-3], size=m)
-        assert_lll_equals_reference(ZLattice(b))
+        yield ZLattice(random_basis(rng, m) * rng.choice([1.0, 100.0, 1e-3], size=m))
 
 
-def test_lll_equals_numpy_reference_on_rate_lattices(monkeypatch):
-    # the CF Humbert and Z-baseline lattices of the sweep's fields, and the
-    # IF block and Z-IF lattices, from 0 to 50 dB
+def rate_lattices(monkeypatch):
+    """The CF Humbert and Z-baseline lattices of the sweep's fields, and the
+    IF block and Z-IF lattices, from 0 to 50 dB, as reduced by the rate
+    functions."""
     rng = np.random.default_rng(42)
     fields = [catalog_field(name) for name in ("quad-5", "quad-8", "quad-12")]
 
@@ -251,11 +251,12 @@ def test_lll_equals_numpy_reference_on_rate_lattices(monkeypatch):
 
     seen = recorded_reductions(monkeypatch, run)
     assert len(seen) == 11 * 3 * 6
-    for lat in seen:
-        assert_lll_equals_reference(lat)
+    return seen
 
 
-def test_lll_equals_numpy_reference_on_benchmark_codec_lattices(monkeypatch):
+def codec_lattices(monkeypatch):
+    """The ideal, fine and coarse lattices of the benchmark's codec pair, as
+    reduced by the codec."""
     f = catalog_field("quad-5")
 
     def run():
@@ -265,9 +266,78 @@ def test_lll_equals_numpy_reference_on_benchmark_codec_lattices(monkeypatch):
             closest_vector(lat, np.zeros(8))
 
     seen = recorded_reductions(monkeypatch, run)
-    assert len(seen) == 3  # the ideal, fine and coarse lattices
-    for lat in seen:
+    assert len(seen) == 3
+    return seen
+
+
+def test_lll_equals_numpy_reference_on_scaled_random_bases():
+    for lat in scaled_random_lattices():
         assert_lll_equals_reference(lat)
+
+
+def test_lll_equals_numpy_reference_on_rate_lattices(monkeypatch):
+    for lat in rate_lattices(monkeypatch):
+        assert_lll_equals_reference(lat)
+
+
+def test_lll_equals_numpy_reference_on_benchmark_codec_lattices(monkeypatch):
+    for lat in codec_lattices(monkeypatch):
+        assert_lll_equals_reference(lat)
+
+
+def assert_r_rows_equal_qr_positive(lat):
+    red_basis, _, r_rows = lattices._reduction(lat)
+    r_mat = lattices._qr_positive(red_basis)[1]
+    assert r_rows == r_mat.tolist()
+    # == on floats equates -0.0 and 0.0; the bytes do not
+    assert np.array(r_rows).tobytes() == r_mat.tobytes()
+
+
+def test_r_rows_equal_qr_positive_on_scaled_random_bases():
+    for lat in scaled_random_lattices():
+        assert_r_rows_equal_qr_positive(lat)
+
+
+def test_r_rows_equal_qr_positive_on_rate_lattices(monkeypatch):
+    for lat in rate_lattices(monkeypatch):
+        assert_r_rows_equal_qr_positive(lat)
+
+
+def test_r_rows_equal_qr_positive_on_benchmark_codec_lattices(monkeypatch):
+    for lat in codec_lattices(monkeypatch):
+        assert_r_rows_equal_qr_positive(lat)
+
+
+def recorded_qr_modes(monkeypatch):
+    """The mode of every np.linalg.qr call, appended as it is made."""
+    modes = []
+    original = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        modes.append(mode)
+        return original(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    return modes
+
+
+def test_only_closest_vector_builds_q(monkeypatch):
+    modes = recorded_qr_modes(monkeypatch)
+    rng = np.random.default_rng(16)
+    lat = ZLattice(random_basis(rng, 4))
+    successive_minima(lat, 4)
+    f = catalog_field("quad-5")
+    best_coefficients(f, ChannelRealization(h=rng.normal(size=(2, 2)), snr=100.0))
+    if_rate(f, list(rng.normal(size=(2, 2, 2))), 100.0)
+    assert modes and set(modes) == {"r"}
+    del modes[:]
+    target = rng.normal(size=4)
+    closest_vector(lat, target)
+    closest_vector(lat, 2 * target)
+    successive_minima(lat, 2)
+    assert modes == ["reduced"]  # R is kept from the minima call
+    closest_vector(ZLattice(lat.basis), target)
+    assert modes == ["reduced", "r", "reduced"]
 
 
 def test_reduction_cached_per_lattice(monkeypatch):
@@ -342,9 +412,9 @@ def full_radius_minima(lat):
     """All successive minima, from every vector inside the largest
     LLL-reduced column: by length, ties within 1e-9 in lexicographic order of
     canonical coefficients, then a greedy with fraction_rank."""
-    red_basis, u, _, r_mat = lattices._reduction(lat)
+    red_basis, u, r_rows = lattices._reduction(lat)
     radius2 = float(np.max(np.sum(red_basis ** 2, axis=0))) * (1 + 1e-9)
-    cands = sorted(lattices._enumerate_all(r_mat, radius2), key=lambda e: e[1])
+    cands = sorted(lattices._enumerate_all(r_rows, radius2), key=lambda e: e[1])
     u = np.array(u, dtype=object)
     vectors, lengths, i = [], [], 0
     while len(vectors) < lat.dim:
@@ -383,10 +453,10 @@ def test_adaptive_radius_minima_match_full_radius_oracle():
 
 
 def test_enumeration_node_limit_names_dimension_radius_and_limit():
-    _, _, _, r_mat = lattices._reduction(ZLattice(np.eye(3)))
+    r_rows = lattices._reduction(ZLattice(np.eye(3)))[2]
     with pytest.raises(EnumerationError,
                        match=r"node limit: dimension 3, radius\^2 4, limit 5"):
-        lattices._enumerate_all(r_mat, 4.0, limit=5)
+        lattices._enumerate_all(r_rows, 4.0, limit=5)
 
 
 def test_cvp_trivial_cases():
@@ -464,6 +534,14 @@ def test_cvp_rejects_bad_target():
         closest_vector(lat, np.array([np.nan, 0.0]))
 
 
+def reference_qr(basis):
+    """Q and R of a basis with numpy, signs chosen so that R's diagonal is
+    positive."""
+    q, r_mat = np.linalg.qr(basis)
+    sign = np.where(np.diag(r_mat) < 0, -1.0, 1.0)
+    return q * sign, r_mat * sign[:, None]
+
+
 def numpy_scalar_enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
     """Reference enumeration indexing R and the target as numpy scalars."""
     m = r_mat.shape[0]
@@ -507,13 +585,14 @@ def test_enumeration_equals_numpy_scalar_reference():
         m = int(rng.integers(2, 7))
         lat = ZLattice(random_basis(rng, m) * rng.choice([1.0, 100.0, 1e-3])
                        * rng.choice([1.0, 3.0, 0.1], size=m))
-        red_basis, _, q, r_mat = lattices._reduction(lat)
+        red_basis = lattices._reduction(lat)[0]
+        q, r_mat = reference_qr(red_basis)
         norms2 = np.sort(np.sum(red_basis ** 2, axis=0))
         radius2 = float(norms2[m // 2]) * (1 + 1e-9)
-        got = lattices._enumerate_all(r_mat, radius2)
+        got = lattices._enumerate_all(r_mat.tolist(), radius2)
         assert got == numpy_scalar_enumerate_all(r_mat, radius2)
         target = q.T @ (red_basis @ rng.normal(size=m) * 2)
-        got = lattices._enumerate_all(r_mat, radius2, target=target)
+        got = lattices._enumerate_all(r_mat.tolist(), radius2, target=target)
         assert got == numpy_scalar_enumerate_all(r_mat, radius2, target=target)
         checked += len(got) > 0
     assert checked > 20
@@ -533,11 +612,12 @@ def test_sparse_transform_equals_dense_product():
 
 
 def numpy_scalar_closest_vector(lat, target):
-    """Reference CVP: Babai nearest-plane on numpy scalars and a residual key
-    for every tie. Returns the (coefficients, point, distance) triple and the
-    number of ties."""
+    """Reference CVP: numpy QR of the reduced basis, Babai nearest-plane on
+    numpy scalars and a residual key for every tie. Returns the
+    (coefficients, point, distance) triple and the number of ties."""
     target = np.asarray(target, dtype=float)
-    red_basis, u, q, r_mat = lattices._reduction(lat)
+    red_basis, u, _ = lattices._reduction(lat)
+    q, r_mat = reference_qr(red_basis)
     t = q.T @ target
     m = lat.dim
     x_babai = [0] * m
@@ -546,7 +626,7 @@ def numpy_scalar_closest_vector(lat, target):
         x_babai[i] = round(c / r_mat[i, i])
     babai_pt = red_basis @ np.array(x_babai, dtype=float)
     radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
-    cands = lattices._enumerate_all(r_mat, radius2, target=t)
+    cands = lattices._enumerate_all(r_mat.tolist(), radius2, target=t)
     if not cands:
         raise EnumerationError("CVP enumeration found no candidates")
     best_d = min(d for _, d in cands)

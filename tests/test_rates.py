@@ -245,6 +245,50 @@ def test_report_invariants_and_json():
     assert np.allclose(rep.b_opt, mmse_scaling(hf, rep.coeffs[0]))
 
 
+def reference_sigma(hf, coeffs):
+    coord_mat = np.array([a.coords for a in coeffs], dtype=float).T
+    return hf.field.embeddings @ coord_mat
+
+
+def reference_value(hf, coeffs):
+    sigma = reference_sigma(hf, coeffs)
+    return float(sum(sigma[j] @ hf.M[j] @ sigma[j] for j in range(len(hf.M))))
+
+
+def reference_rate_gm(hf, coeffs):
+    sigma = reference_sigma(hf, coeffs)
+    prod = 1.0
+    for j, Mj in enumerate(hf.M):
+        prod *= float(sigma[j] @ Mj @ sigma[j])
+    return 0.5 * log2_plus(1.0 / prod)
+
+
+def reference_mmse_scaling(hf, coeffs):
+    P = hf.channel.snr
+    sigma = reference_sigma(hf, coeffs)
+    return [P * float(sigma[j] @ hj) / (P * float(hj @ hj) + 1.0)
+            for j, hj in enumerate(hf.channel.h)]
+
+
+@pytest.mark.parametrize("name", ["quad-5", "quad-8", "quad-12", "cubic-49"])
+def test_report_forms_equal_one_embedding_per_call_reference(name):
+    # the references embed the vector afresh for every value they compute
+    f = catalog_field(name)
+    rng = np.random.default_rng(17)
+    for snr_db in range(0, 55, 5):
+        for users in (2, 3):
+            ch = random_channel(rng, f.degree, users, 10.0 ** (snr_db / 10.0))
+            rep = best_coefficients(f, ch)
+            hf = build_humbert(f, ch)
+            assert rep.f_values == [reference_value(hf, v) for v in rep.coeffs]
+            assert rep.rate_gm == reference_rate_gm(hf, rep.coeffs[0])
+            assert rep.b_opt == reference_mmse_scaling(hf, rep.coeffs[0])
+            for v in rep.coeffs:
+                assert hf.value(v) == reference_value(hf, v)
+                assert rate_gm(hf, v) == reference_rate_gm(hf, v)
+                assert mmse_scaling(hf, v) == reference_mmse_scaling(hf, v)
+
+
 def test_lower_bounds_and_mac():
     f = catalog_field("quad-5")
     rng = np.random.default_rng(9)
