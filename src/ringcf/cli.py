@@ -29,16 +29,19 @@ def _parse_grid(text):
                                          "list of dB, got %r" % text) from None
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError("grid %r has a non-finite value" % text)
-    if ":" not in text:
-        return values
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError("grid %r needs step > 0 and stop >= start" % text)
-    out = []
-    v = start
-    while v <= stop + 1e-9:
-        out.append(round(v, 9))
-        v += step
-    return out
+    if ":" in text:
+        if step <= 0 or stop < start:
+            raise argparse.ArgumentTypeError("grid %r needs step > 0 and stop >= start"
+                                             % text)
+        values = []
+        v = start
+        while v <= stop + 1e-9:
+            values.append(round(v, 9))
+            v += step
+    if any(map(_power_overflows, values)):
+        raise argparse.ArgumentTypeError("grid %r has an SNR whose power 10^(dB/10) "
+                                         "is too large for a float" % text)
+    return values
 
 
 def _positive_int(text):
@@ -53,14 +56,28 @@ def _positive_int(text):
     return value
 
 
-def _finite_float(text):
-    """A finite number (an SNR in dB); nan, inf or text is a usage error."""
+def _power_overflows(db):
+    """Whether the power 10^(db/10) of an SNR in dB is too large for a float
+    (db above about 3082)."""
+    try:
+        10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        return True
+    return False
+
+
+def _snr_db(text):
+    """An SNR in dB: a finite number whose power is a float. nan, inf, text
+    or an overflowing power is a usage error."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    if _power_overflows(value):
+        raise argparse.ArgumentTypeError("SNR %s dB overflows: 10^(dB/10) is too large "
+                                         "for a float" % text)
     return value
 
 
@@ -95,11 +112,16 @@ def _load_field(name_or_path):
         return fields.field_from_json(json.load(fh))
 
 
-def _load_channel(path, snr_db=None):
+def _load_channel(path, snr_db, usage_error):
+    """Channel of a JSON file {h, snr_db}; snr_db overrides the file's when
+    given. A file SNR whose power overflows a float is a usage error."""
     with open(path) as fh:
         doc = json.load(fh)
     if snr_db is not None:
         doc = dict(doc, snr_db=snr_db)
+    if "snr_db" in doc and _power_overflows(doc["snr_db"]):
+        usage_error("snr_db %s of %s overflows: 10^(snr_db/10) is too large for a float"
+                    % (doc["snr_db"], path))
     return rates.ChannelRealization.from_json(doc)
 
 
@@ -129,7 +151,7 @@ def cmd_fields(args):
 def cmd_rate(args):
     f = _load_field(args.field)
     if args.channel and args.channel != "random":
-        ch = _load_channel(args.channel, args.snr_db)
+        ch = _load_channel(args.channel, args.snr_db, args.usage_error)
     else:
         rng = np.random.default_rng(args.seed)
         h = rng.normal(size=(f.degree, args.users))
@@ -257,7 +279,7 @@ def build_parser():
     p = sub.add_parser("rate", help="best coefficient vectors for one channel")
     p.add_argument("--field", required=True)
     p.add_argument("--users", type=_positive_int, default=2)
-    p.add_argument("--snr-db", type=_finite_float, default=None,
+    p.add_argument("--snr-db", type=_snr_db, default=None,
                    help="SNR in dB; overrides a channel file's snr_db "
                         "(default: the file's value, or 20 for a random channel)")
     p.add_argument("--channel", help='JSON file with {h, snr_db}, or "random"')
@@ -286,7 +308,7 @@ def build_parser():
     p.add_argument("--users", type=_positive_int, default=2,
                    help="users of a random channel (a channel file sets its own)")
     p.add_argument("--channel", help='JSON file with {h}, or "random"')
-    p.add_argument("--snr-top-db", type=_finite_float, default=80.0,
+    p.add_argument("--snr-top-db", type=_snr_db, default=80.0,
                    help="top of the 40 dB fitting window")
     p.add_argument("--z-baseline", action="store_true")
     common(p)

@@ -108,7 +108,7 @@ class IntEchelon:
     """Q-span of integer rows in echelon form. Each kept row is zero in the
     pivot columns of the rows kept before it, so one pass in that order
     reduces a new row, by fraction-free steps p*r - r[c]*e as in Bareiss
-    (Math. Comp. 1968), dividing out the gcd after each step."""
+    (Math. Comp. 1968), dividing out the gcd (when above 1) after each step."""
 
     def __init__(self):
         self.rows = []
@@ -121,8 +121,9 @@ class IntEchelon:
             if f:
                 p = e[c]
                 r = [p * x - f * y for x, y in zip(r, e)]
-                g = math.gcd(*r) or 1
-                r = [x // g for x in r]
+                g = math.gcd(*r)
+                if g > 1:
+                    r = [x // g for x in r]
         c = next((c for c, x in enumerate(r) if x), None)
         if c is not None:
             self.rows.append((c, r))

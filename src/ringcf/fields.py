@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -247,21 +248,29 @@ class KSpan(exact.IntEchelon):
     """K-span of rows a with entries in the ring of integers, kept as the
     Q-span of the coordinates of omega_i * a (entry k*L + l: coordinate k of
     entry l, as psi_map reads them). A K-subspace holds a row exactly when it
-    holds the row's own coordinates, so a test is one row reduction."""
+    holds the row's own coordinates, so a test is one row reduction.
+
+    The omega_i * a rows of an accepted row are added at the start of the
+    next `add`, which is the first to read them: the rows and their order are
+    those of an eager extension, and a last accepted row is never extended."""
 
     def __init__(self, field):
         super().__init__()
         self.n = field.degree
         self.times = field._omega_matrices
+        self._pending = None
 
     def add(self, coords):
         """Keep the row if it is K-independent of the kept rows; say if it was."""
+        if self._pending is not None:
+            L = len(self._pending) // self.n
+            entries = [self._pending[l::L] for l in range(L)]
+            self._pending = None
+            for m in self.times:
+                super().add([sum(map(operator.mul, row, a)) for row in m for a in entries])
         if not super().add(coords):
             return False
-        L = len(coords) // self.n
-        entries = [coords[l::L] for l in range(L)]
-        for m in self.times:
-            super().add([sum(x * y for x, y in zip(row, a)) for row in m for a in entries])
+        self._pending = coords
         return True
 
 

@@ -50,6 +50,15 @@ class ZLattice:
         return abs(np.linalg.det(self.basis))
 
 
+def _norm_error(s):
+    """The error for a squared Gram-Schmidt norm s that is not finite and
+    positive: the basis is numerically singular, or its norms overflow."""
+    if s <= 0:
+        return EnumerationError("Gram-Schmidt collapsed; basis numerically singular")
+    return EnumerationError("Gram-Schmidt norm^2 overflowed to %r; basis entries "
+                            "too large for floats" % s)
+
+
 def _gso(b):
     """Gram-Schmidt data of the columns b (lists of Python floats): squared
     norms of the b* columns, and row i of mu as its i entries below the
@@ -69,8 +78,8 @@ def _gso(b):
         s = 0.0
         for x in v:
             s += x * x
-        if s <= 0:
-            raise EnumerationError("Gram-Schmidt collapsed; basis numerically singular")
+        if not 0 < s < math.inf:
+            raise _norm_error(s)
         bstar.append(v)
         norms.append(s)
         mu.append(row)
@@ -98,8 +107,8 @@ def _swap(b, u, norms, mu, k):
     c = mu[k][k - 1] = t * norms[k - 1] / big
     norms[k] = norms[k - 1] * norms[k] / big
     norms[k - 1] = big
-    if not norms[k] > 0:
-        raise EnumerationError("Gram-Schmidt collapsed; basis numerically singular")
+    if not (big < math.inf and 0 < norms[k] < math.inf):
+        raise _norm_error(norms[k] if big < math.inf else big)
     for row in mu[k + 1:]:
         s = row[k]
         row[k] = row[k - 1] - t * s
@@ -128,14 +137,15 @@ def lll_reduce(lat, delta=0.99):
     while k < m:
         mk = mu[k]
         for j in range(k - 1, -1, -1):
+            if -0.5 <= mk[j] <= 0.5:
+                continue  # round() is 0 there
             r = round(mk[j])
-            if r != 0:
-                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
-                mj = mu[j]
-                for i in range(j):
-                    mk[i] -= r * mj[i]
-                mk[j] -= r
+            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+            mj = mu[j]
+            for i in range(j):
+                mk[i] -= r * mj[i]
+            mk[j] -= r
         if norms[k] >= (delta - mk[k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
@@ -152,18 +162,23 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
     as rows of Python floats).
 
     With target=None only canonical-sign nonzero vectors are returned (the
-    highest-index nonzero coordinate is positive). Returns (x tuple, dist2).
+    highest-index nonzero coordinate is positive): while every higher
+    coordinate is 0 a level walks only xi >= 0, so -x is never visited and
+    the zero vector is skipped. Such a leaf counts 2 against the limit (the
+    zero leaf 1), as if both signs were walked. Returns (x tuple, dist2).
     """
     m = len(r_rows)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their
     # overhead. Sums run left to right with +=, never through sum(), which
     # compensates exact floats on Python >= 3.12 and would round differently.
     t = [0.0] * m if target is None else np.asarray(target, dtype=float).tolist()
+    weight = 1 if target is not None else 2
     x = [0] * m
     out = []
     count = 0
 
-    def rec(level, dist):
+    def rec(level, dist, free):
+        # free: no sign chosen yet (target None and x[level+1:] all 0)
         nonlocal count
         # residual target coordinate at this level given x[level+1:]
         row = r_rows[level]
@@ -179,26 +194,26 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
         center = c / rr
         lo = math.ceil(center - half - 1e-12)
         hi = math.floor(center + half + 1e-12)
+        if free and lo < 0:
+            lo = 0
         for xi in range(lo, hi + 1):
             d = dist + (c - rr * xi) ** 2
             if d > radius2 + 1e-12:
                 continue
             x[level] = xi
             if level == 0:
-                count += 1
+                zero = free and not xi
+                count += 1 if zero else weight
                 if count > limit:
                     raise EnumerationError("enumeration exceeded node limit: dimension "
                                            "%d, radius^2 %.6g, limit %d" % (m, radius2, limit))
-                vec = tuple(x)
-                # without a target keep one of +-x: last nonzero entry positive
-                if target is None and next((v for v in reversed(vec) if v), 0) <= 0:
-                    continue
-                out.append((vec, d))
+                if not zero:
+                    out.append((tuple(x), d))
             else:
-                rec(level - 1, d)
+                rec(level - 1, d, free and not xi)
         x[level] = 0
 
-    rec(m - 1, 0.0)
+    rec(m - 1, 0.0, target is None)
     return out
 
 

@@ -216,6 +216,40 @@ def test_non_finite_snr_is_usage_error(argv, capsys):
     assert "expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--field", "quad-5", "--snr-db", "4000"],
+    ["dof", "--field", "quad-5", "--snr-top-db", "4000"],
+])
+def test_overflowing_snr_is_usage_error(argv, capsys):
+    # 10^(4000/10) is too large for a float
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "SNR 4000 dB overflows" in capsys.readouterr().err
+
+
+def test_overflowing_channel_file_snr_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps({"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": 4000}))
+    with pytest.raises(SystemExit) as e:
+        main(["rate", "--field", "quad-5", "--channel", str(path)])
+    assert e.value.code == 2
+    assert "snr_db 4000 of %s overflows" % path in capsys.readouterr().err
+    # --snr-db replaces the file's value
+    code, out, _ = run_cli(capsys, "rate", "--field", "quad-5", "--channel", str(path),
+                           "--snr-db", "20")
+    assert code == 0 and json.loads(out)["coeffs"]
+
+
+@pytest.mark.parametrize("grid", ["4000", "0,4000", "0:1000:4000"])
+def test_overflowing_snr_grid_is_usage_error(grid, capsys):
+    for command in ("sweep", "if-sweep"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--fields", "quad-5", "--trials", "1", "--snr-grid-db", grid])
+        assert e.value.code == 2
+        assert "power 10^(dB/10) is too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,valid", [
     (["sweep", "--fields", "quad-5", "--metrics", "bogus"],
      "rate1, sumrate, mac, z_baseline"),

@@ -1,4 +1,5 @@
 """Exact integer linear algebra against a Fraction-elimination reference."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -55,3 +56,30 @@ def test_int_rank_large_entries_stay_exact():
     rows = [[big, big + 1, 7], [big + 1, big + 2, 7], [2 * big + 1, 2 * big + 3, 14]]
     assert int_rank(rows) == fraction_rank(rows) == 2
     assert int_rank(rows[:2]) == 2
+
+
+def reference_echelon_rows(rows):
+    """Echelon rows of IntEchelon, dividing by the gcd after every step."""
+    kept = []
+    for row in rows:
+        r = [int(x) for x in row]
+        for c, e in kept:
+            if r[c]:
+                r = [e[c] * x - r[c] * y for x, y in zip(r, e)]
+                g = math.gcd(*r) or 1
+                r = [x // g for x in r]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is not None:
+            kept.append((c, r))
+    return kept
+
+
+def test_echelon_rows_equal_gcd_every_step_reference():
+    rng = np.random.default_rng(6)
+    for _ in range(80):
+        rows, cols = rng.integers(1, 9, size=2)
+        m = rng.integers(-4, 5, size=(rows, cols)) * rng.choice([1, 2, 6], size=(rows, 1))
+        echelon = IntEchelon()
+        for row in m.tolist():
+            echelon.add(row)
+        assert echelon.rows == reference_echelon_rows(m.tolist())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ringcf import (FieldMismatchError, NotTotallyRealError, catalog_field,
                     catalog_names, field_from_json, field_to_json,
                     rank_over_K, real_roots)
+from ringcf.exact import IntEchelon
 from ringcf.fields import KSpan, NumberField
 
 EXPECTED_DISCRIMINANTS = {
@@ -104,12 +105,44 @@ def test_field_mismatch_raises():
         rank_over_K(catalog_field("quad-5"), [[a, b]])
 
 
+class EagerKSpan(IntEchelon):
+    """Reference K-span that adds the omega_i * a rows of a row as soon as
+    the row is accepted."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.n = field.degree
+        self.times = field._omega_matrices
+
+    def add(self, coords):
+        if not super().add(coords):
+            return False
+        L = len(coords) // self.n
+        entries = [coords[l::L] for l in range(L)]
+        for m in self.times:
+            super().add([sum(x * y for x, y in zip(row, a)) for row in m for a in entries])
+        return True
+
+
+def span_coords(field, row):
+    """Coordinates of a row of ring elements as KSpan reads them."""
+    return [a.coords[k] for k in range(field.degree) for a in row]
+
+
+def checked_rank(field, rows):
+    """rank_over_K, asserted equal to the rank an eager K-span gives."""
+    rank = rank_over_K(field, rows)
+    eager = EagerKSpan(field)
+    assert rank == sum(eager.add(span_coords(field, row)) for row in rows)
+    return rank
+
+
 def test_rank_dependent_rows():
     # (3 + sqrt 3) * (1 + sqrt 3, 2 + sqrt 3) = (6 + 4 sqrt 3, 9 + 5 sqrt 3)
     f = catalog_field("quad-12")
     rows = [[f.element([1, 1]), f.element([2, 1])],
             [f.element([6, 4]), f.element([9, 5])]]
-    assert rank_over_K(f, rows) == 1
+    assert checked_rank(f, rows) == 1
     # row 3 = alpha * row 1 + beta * row 2 with ring alpha, beta, in degree
     # 3-5 fields; quartic-1600 has a half-integral basis
     rng = np.random.default_rng(4)
@@ -121,19 +154,19 @@ def test_rank_dependent_rows():
             alpha = g.element(rng.integers(1, 4, size=g.degree))
             beta = g.element(rng.integers(-3, 0, size=g.degree))
             r3 = [alpha * x + beta * y for x, y in zip(r1, r2)]
-            assert rank_over_K(g, [r1, r2]) == 2
-            assert rank_over_K(g, [r1, r2, r3]) == 2
-            assert rank_over_K(g, [r3, r1]) == 2
+            assert checked_rank(g, [r1, r2]) == 2
+            assert checked_rank(g, [r1, r2, r3]) == 2
+            assert checked_rank(g, [r3, r1]) == 2
 
 
 def test_rank_identity_and_example_matrix():
     f = catalog_field("quad-5")
     eye = [[f.one(), f.zero()], [f.zero(), f.one()]]
-    assert rank_over_K(f, eye) == rank_over_K(f, iter(eye)) == 2
+    assert checked_rank(f, eye) == rank_over_K(f, iter(eye)) == 2
     # relay coefficient matrix of the worked two-relay example
     rows = [[f.element([-15, 34]), f.element([12, 2])],
             [f.element([3, 9]), f.element([-15, 34])]]
-    assert rank_over_K(f, rows) == 2
+    assert checked_rank(f, rows) == 2
 
 
 def test_rank_matches_single_embedding_float_rank():
@@ -149,7 +182,7 @@ def test_rank_matches_single_embedding_float_rank():
             # a K-dependent third row
             a, b = (f.element(rng.integers(-2, 3, size=f.degree)) for _ in range(2))
             rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
-        exact = rank_over_K(f, rows)
+        exact = checked_rank(f, rows)
         for j in range(f.degree):
             emb = np.array([[sum(float(c) * f.embeddings[j, i]
                                  for i, c in enumerate(x.coords))
@@ -157,6 +190,35 @@ def test_rank_matches_single_embedding_float_rank():
             sv = np.linalg.svd(emb, compute_uv=False)
             float_rank = int(np.sum(sv > 1e-6 * max(1.0, sv[0])))
             assert float_rank == exact
+
+
+@pytest.mark.parametrize("name", ["quad-5", "cubic-49", "quartic-725", "quintic-14641"])
+def test_lazy_kspan_equals_eager_extension(name):
+    # 2L + 2 candidates, a third of them K-multiples of earlier ones: the span
+    # fills up, so later adds test against a full span with a row pending
+    f = catalog_field(name)
+    rng = np.random.default_rng(len(name))
+    after_last_accept = 0
+    for L in (2, 3, 4):
+        for _ in range(6):
+            rows = []
+            for _ in range(2 * L + 2):
+                if rows and rng.random() < 1 / 3:
+                    alpha = f.element(rng.integers(-2, 3, size=f.degree))
+                    rows.append([alpha * a for a in rows[rng.integers(len(rows))]])
+                else:
+                    rows.append([f.element(rng.integers(-2, 3, size=f.degree))
+                                 for _ in range(L)])
+            lazy, eager = KSpan(f), EagerKSpan(f)
+            accepted = []
+            for row in rows:
+                accepted.append(lazy.add(span_coords(f, row)))
+                assert accepted[-1] == eager.add(span_coords(f, row))
+                # the eager echelon, less the extension of the last accepted row
+                assert lazy.rows == eager.rows[:len(lazy.rows)]
+            assert sum(accepted) <= L
+            after_last_accept += not accepted[-1]
+    assert after_last_accept >= 12
 
 
 def test_field_matrices_built_once_on_first_use():

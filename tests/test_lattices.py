@@ -598,6 +598,94 @@ def test_enumeration_equals_numpy_scalar_reference():
     assert checked > 20
 
 
+def leaf_filter_enumerate_all(r_rows, radius2, limit):
+    """Reference minima enumeration that walks both signs of every vector and
+    keeps the canonical one at the leaf, counting every leaf against the
+    limit."""
+    m = len(r_rows)
+    x = [0] * m
+    out = []
+    count = 0
+
+    def rec(level, dist):
+        nonlocal count
+        row = r_rows[level]
+        s = 0
+        for j in range(level + 1, m):
+            s += row[j] * x[j]
+        c = 0.0 - s
+        rr = row[level]
+        rem = radius2 - dist
+        if rem < 0:
+            return
+        half = math.sqrt(rem) / abs(rr)
+        center = c / rr
+        lo = math.ceil(center - half - 1e-12)
+        hi = math.floor(center + half + 1e-12)
+        for xi in range(lo, hi + 1):
+            d = dist + (c - rr * xi) ** 2
+            if d > radius2 + 1e-12:
+                continue
+            x[level] = xi
+            if level == 0:
+                count += 1
+                if count > limit:
+                    raise EnumerationError("node limit")
+                vec = tuple(x)
+                if next((v for v in reversed(vec) if v), 0) <= 0:
+                    continue
+                out.append((vec, d))
+            else:
+                rec(level - 1, d)
+        x[level] = 0
+
+    rec(m - 1, 0.0)
+    return out
+
+
+def outcome(enumerate_all, *args):
+    try:
+        return enumerate_all(*args)
+    except EnumerationError:
+        return "raised"
+
+
+def test_minima_enumeration_equals_leaf_filter_reference_at_every_limit():
+    # the ball holds 2c + 1 points (c canonical ones, their negations and 0):
+    # a limit of 2c raises and 2c + 1 does not, on both sides
+    rng = np.random.default_rng(36)
+    sizes = []
+    for trial in range(40):
+        m = int(rng.integers(2, 7))
+        lat = ZLattice(random_basis(rng, m) * rng.choice([1.0, 100.0, 1e-3])
+                       * rng.choice([1.0, 3.0, 0.1], size=m))
+        r_rows = lattices._reduction(lat)[2]
+        norms2 = sorted(np.sum(lattices._reduction(lat)[0] ** 2, axis=0).tolist())
+        radius2 = norms2[min(trial % m, m // 2)] * (1 + 1e-9) * rng.choice([1.0, 1.5])
+        ref = leaf_filter_enumerate_all(r_rows, radius2, math.inf)
+        assert lattices._enumerate_all(r_rows, radius2) == ref
+        c = len(ref)
+        assert c > 0
+        sizes.append(c)
+        for limit in sorted({0, 1, c, 2 * c - 1, 2 * c, 2 * c + 1, 2 * c + 2}):
+            got = outcome(lattices._enumerate_all, r_rows, radius2, None, limit)
+            assert got == outcome(leaf_filter_enumerate_all, r_rows, radius2, limit)
+            assert (got == "raised") == (limit < 2 * c + 1)
+    assert sum(c > 10 for c in sizes) > 10
+
+
+def test_overflowing_gram_schmidt_raises_enumeration_error():
+    lat = ZLattice(np.array([[1, .3], [.2, 1]]) * 1e200)
+    with pytest.raises(EnumerationError, match="overflowed to inf"):
+        successive_minima(lat, 2)
+    # a swap whose new norm^2 overflows: 1e300 * 1e300 / 1.25e300
+    norms, mu = [1e300, 1e300], [[], [0.5]]
+    with pytest.raises(EnumerationError, match="overflowed to inf"):
+        lattices._swap([[1.0, 0.0], [0.5, 1.0]], [[1, 0], [0, 1]], norms, mu, 1)
+    with pytest.raises(EnumerationError, match="collapsed"):
+        lattices._gso([[1.0, 2.0], [2.0, 4.0]])
+
+
 def test_sparse_transform_equals_dense_product():
     rng = np.random.default_rng(32)
     for _ in range(40):
