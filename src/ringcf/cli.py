@@ -114,15 +114,19 @@ def _load_field(name_or_path):
 
 def _load_channel(path, snr_db, usage_error):
     """Channel of a JSON file {h, snr_db}; snr_db overrides the file's when
-    given. A file SNR whose power overflows a float is a usage error."""
+    given. A file that is not an object, an h or snr_db that is missing or
+    not numeric, and an SNR whose power overflows a float are usage errors."""
     with open(path) as fh:
         doc = json.load(fh)
-    if snr_db is not None:
+    if snr_db is not None and isinstance(doc, dict):
         doc = dict(doc, snr_db=snr_db)
-    if "snr_db" in doc and _power_overflows(doc["snr_db"]):
+    try:
+        return rates.ChannelRealization.from_json(doc)
+    except rates.ChannelFormatError as e:
+        usage_error("channel file %s: %s" % (path, e))
+    except OverflowError:
         usage_error("snr_db %s of %s overflows: 10^(snr_db/10) is too large for a float"
                     % (doc["snr_db"], path))
-    return rates.ChannelRealization.from_json(doc)
 
 
 def _emit(args, payload):
@@ -192,8 +196,8 @@ def cmd_if_sweep(args):
 def cmd_dof(args):
     f = _load_field(args.field)
     if args.channel and args.channel != "random":
-        with open(args.channel) as fh:
-            h = np.atleast_2d(np.array(json.load(fh)["h"], dtype=float))
+        # the fit sweeps its own SNR grid, so the file's snr_db is not read
+        h = _load_channel(args.channel, 0.0, args.usage_error).h
     else:
         rng = np.random.default_rng(args.seed)
         h = rng.normal(size=(f.degree, args.users))
@@ -312,7 +316,7 @@ def build_parser():
                    help="top of the 40 dB fitting window")
     p.add_argument("--z-baseline", action="store_true")
     common(p)
-    p.set_defaults(fn=cmd_dof)
+    p.set_defaults(fn=cmd_dof, usage_error=p.error)
 
     p = sub.add_parser("codec-demo", help="two-relay nested-lattice demonstration")
     p.add_argument("--relay", choices=["1", "2", "both"], default="both")

@@ -148,16 +148,17 @@ def _run(cfg, known, block_shape, point, workers):
             results = list(pool.map(trial_fn, range(cfg.trials),
                                     chunksize=max(1, cfg.trials // (8 * workers))))
     keys = list(results[0].keys())
-    points = []
-    for key in keys:
-        vals = np.array([r[key] for r in results])
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        snr_db, fname, metric = key
-        points.append(CurvePoint(snr_db=snr_db, field=fname, metric=metric,
-                                 mean=mean, stderr=stderr, trials=cfg.trials,
-                                 seed=cfg.seed))
-    return points
+    # one keys x trials array reduced along its contiguous rows: each row sums
+    # as the 1-D array of that key alone would
+    vals = np.array([[r[key] for r in results] for key in keys])
+    means = np.mean(vals, axis=1).tolist()
+    if cfg.trials > 1:
+        stderrs = (np.std(vals, axis=1, ddof=1) / math.sqrt(cfg.trials)).tolist()
+    else:
+        stderrs = [0.0] * len(keys)
+    return [CurvePoint(snr_db=snr_db, field=fname, metric=metric, mean=mean,
+                       stderr=stderr, trials=cfg.trials, seed=cfg.seed)
+            for (snr_db, fname, metric), mean, stderr in zip(keys, means, stderrs)]
 
 
 def run_sweep(cfg, workers=None):

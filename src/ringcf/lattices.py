@@ -42,6 +42,19 @@ class ZLattice:
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
+    @classmethod
+    def _checked(cls, basis):
+        """Lattice on a basis known to be valid, without `__post_init__`'s
+        copy and checks: LLL output, a unimodular image of a checked basis
+        whose Gram-Schmidt norms `_gso` has just found finite and positive.
+        The basis is a fresh float array that no one else holds."""
+        lat = object.__new__(cls)
+        basis.flags.writeable = False
+        object.__setattr__(lat, "basis", basis)
+        object.__setattr__(lat, "_reduction", None)
+        object.__setattr__(lat, "_q", None)
+        return lat
+
     @property
     def dim(self):
         return self.basis.shape[0]
@@ -154,7 +167,7 @@ def lll_reduce(lat, delta=0.99):
         if k == m:
             norms, mu = _gso(b)
             k = _first_unreduced(norms, mu, delta)
-    return ZLattice(np.column_stack(b)), [list(row) for row in zip(*u)]
+    return ZLattice._checked(np.column_stack(b)), [list(row) for row in zip(*u)]
 
 
 def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
@@ -281,11 +294,15 @@ def _length_order(u, cands):
         d0, j = cands[i][1], i + 1
         while j < len(cands) and cands[j][1] - d0 <= 1e-9 * (1 + d0):
             j += 1
-        yield from sorted((_canonical(_apply_transform(u, x)), d) for x, d in cands[i:j])
+        if j == i + 1:
+            x, d = cands[i]
+            yield _canonical(_apply_transform(u, x)), d
+        else:
+            yield from sorted((_canonical(_apply_transform(u, x)), d) for x, d in cands[i:j])
         i = j
 
 
-def _greedy_minima(lat, k, new_test, what="independent minima"):
+def _greedy_minima(lat, k, new_test, what="independent minima", test_columns=True):
     """First k vectors, in length order, that a fresh test from new_test()
     accepts (it keeps a coefficient tuple and returns True when that is
     independent of those kept before): (coefficient tuples, lengths).
@@ -294,6 +311,8 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
     independent ones; their largest norm^2 r^2 bounds the k-th pick, so the
     ball of r^2 plus the 1e-9 tie tolerance holds the picks and their tie
     groups. The largest column caps it (the tolerance is absolute below 1).
+    With test_columns=False the test accepts any set of columns (a basis's
+    columns are Q-independent), so r^2 is the k-th smallest norm^2.
     """
     red_basis, u, r_rows = _reduction(lat)
     # squared column norms, each summed top to bottom with +=: the order of
@@ -304,11 +323,15 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
         for x in col:
             s += x * x
         norms2.append(s)
-    test, picks = new_test(), []
-    for i in sorted(range(lat.dim), key=norms2.__getitem__):
-        if len(picks) < k and test(tuple(row[i] for row in u)):
-            picks.append(norms2[i])
-    radius2 = min(max(norms2) * (1 + 1e-9), picks[-1] + 1e-9 * (1 + picks[-1]))
+    if test_columns:
+        test, picks = new_test(), []
+        for i in sorted(range(lat.dim), key=norms2.__getitem__):
+            if len(picks) < k and test(tuple(row[i] for row in u)):
+                picks.append(norms2[i])
+        r2 = picks[-1]
+    else:
+        r2 = sorted(norms2)[k - 1]
+    radius2 = min(max(norms2) * (1 + 1e-9), r2 + 1e-9 * (1 + r2))
     test, vectors, lengths = new_test(), [], []
     for vec, d in _length_order(u, _enumerate_all(r_rows, radius2)):
         if test(vec):
@@ -328,7 +351,8 @@ def successive_minima(lat, k):
     if not (1 <= k <= lat.dim):
         raise ValueError("k must satisfy 1 <= k <= dim")
     # integer coordinates in a nonsingular basis: R-independence is Q-independence
-    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon().add)
+    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon().add,
+                                      test_columns=False)
     return MinimaResult(vectors=vectors, lengths=lengths)
 
 

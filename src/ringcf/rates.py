@@ -25,6 +25,11 @@ class PathologicalChannelError(ValueError):
     """Raised for non-finite or degenerate channel inputs."""
 
 
+class ChannelFormatError(ValueError):
+    """Raised by `ChannelRealization.from_json` for a document that is not an
+    object, or whose h or snr_db is missing or not numeric."""
+
+
 def log2_plus(x):
     """max(0, log2(x)), with nonpositive arguments clamped to 0."""
     if x <= 1.0:
@@ -37,13 +42,14 @@ class ChannelRealization:
     """Real block-fading channel: row j holds the L user gains of block j.
 
     The gains are copied and made read-only, so the MMSE blocks and factors
-    cached on first use always describe them.
+    and the capacity terms cached on first use always describe them.
     """
 
     h: np.ndarray
     snr: float
     _mmse: tuple = dc_field(default=None, init=False, repr=False, compare=False)
     _mmse_factors: tuple = dc_field(default=None, init=False, repr=False, compare=False)
+    _capacity: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.atleast_2d(np.array(self.h, dtype=float))
@@ -64,13 +70,31 @@ class ChannelRealization:
 
     @classmethod
     def from_json(cls, doc):
+        """Channel of a document {h, snr_db}. A document that is not an
+        object, or whose h or snr_db is missing or not numeric, raises
+        ChannelFormatError naming the key; an snr_db whose power
+        10^(snr_db/10) is too large for a float raises OverflowError."""
         if isinstance(doc, str):
             doc = json.loads(doc)
-        snr = 10.0 ** (float(doc["snr_db"]) / 10.0)
-        return cls(h=np.array(doc["h"], dtype=float), snr=snr)
+        if not isinstance(doc, dict):
+            raise ChannelFormatError("channel document must be an object {h, snr_db}")
+        snr = 10.0 ** (_json_number(doc, "snr_db", float) / 10.0)
+        return cls(h=_json_number(doc, "h", lambda v: np.array(v, dtype=float)), snr=snr)
 
     def to_json(self):
         return {"h": self.h.tolist(), "snr_db": 10.0 * math.log10(self.snr)}
+
+
+def _json_number(doc, key, convert):
+    """convert(doc[key]); a missing key or a value that convert rejects
+    raises ChannelFormatError naming the key."""
+    if key not in doc:
+        raise ChannelFormatError("channel document has no %r" % key)
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ChannelFormatError("channel %r must be numeric, got %r"
+                                 % (key, doc[key])) from None
 
 
 @dataclass
@@ -238,22 +262,33 @@ def minkowski_rate_bounds(field, channel):
     the lattice module. Returns (best_rate_lb, sum_rate_lb) in bits.
     """
     n, L = field.degree, channel.users
-    P = channel.snr
     disc = float(field.discriminant)
     kappa = hermite_constant(n * L)
-    cap_terms = [log2_plus(1.0 + P * float(channel.h[j] @ channel.h[j]))
-                 for j in range(n)]
-    best = (sum(cap_terms) / (2.0 * L)
+    terms = _capacity_terms(channel)
+    if len(terms) < n:
+        raise ValueError("channel has %d blocks but field degree is %d" % (len(terms), n))
+    cap = sum(terms[:n])
+    best = (cap / (2.0 * L)
             - (n / 2.0) * log2_plus((kappa / n) * disc ** (1.0 / n)))
-    sum_lb = (0.5 * sum(cap_terms)
+    sum_lb = (0.5 * cap
               - 0.5 * log2_plus((kappa / n) ** (n * L) * disc ** L))
     return best, sum_lb
 
 
+def _capacity_terms(channel):
+    """The channel's per-block terms log2(1 + P |h_j|^2), computed on first
+    use and kept (the MAC capacity and every field's Minkowski bounds read
+    them)."""
+    if channel._capacity is None:
+        P = channel.snr
+        object.__setattr__(channel, "_capacity", tuple(
+            log2_plus(1.0 + P * float(hj @ hj)) for hj in channel.h))
+    return channel._capacity
+
+
 def mac_capacity(channel):
     """Sum capacity of the multiple-access channel across the fading blocks."""
-    P = channel.snr
-    return 0.5 * sum(log2_plus(1.0 + P * float(hj @ hj)) for hj in channel.h)
+    return 0.5 * sum(_capacity_terms(channel))
 
 
 @dataclass

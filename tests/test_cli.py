@@ -241,6 +241,35 @@ def test_overflowing_channel_file_snr_is_usage_error(tmp_path, capsys):
     assert code == 0 and json.loads(out)["coeffs"]
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": [20]}, "'snr_db' must be numeric"),
+    ({"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": "loud"}, "'snr_db' must be numeric"),
+    ({"h": [[0.3, -1.2], [0.7, 0.4]]}, "has no 'snr_db'"),
+    ({"snr_db": 20.0}, "has no 'h'"),
+    ({"h": [[0.3, "x"], [0.7, 0.4]], "snr_db": 20.0}, "'h' must be numeric"),
+    ([[0.3, -1.2], [0.7, 0.4]], "must be an object"),
+], ids=["snr_db-list", "snr_db-text", "no-snr_db", "no-h", "h-text", "not-object"])
+def test_bad_channel_files_are_usage_errors(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as e:
+        main(["rate", "--field", "quad-5", "--channel", str(path)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "channel file %s: " % path in err and message in err
+    if "snr_db" in message:
+        # --snr-db replaces the file's value, present or not
+        code, out, _ = run_cli(capsys, "rate", "--field", "quad-5", "--channel", str(path),
+                               "--snr-db", "20")
+        assert code == 0 and json.loads(out)["coeffs"]
+    if "'h'" in message or "object" in message:
+        # dof reads h from the same loader
+        with pytest.raises(SystemExit) as e:
+            main(["dof", "--field", "quad-5", "--channel", str(path)])
+        assert e.value.code == 2
+        assert "channel file %s: " % path in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["4000", "0,4000", "0:1000:4000"])
 def test_overflowing_snr_grid_is_usage_error(grid, capsys):
     for command in ("sweep", "if-sweep"):

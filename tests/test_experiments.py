@@ -1,6 +1,7 @@
 """Sweep harness: determinism, CSV contract, worker independence."""
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +84,31 @@ def test_if_channel_work_once_per_snr_point(monkeypatch):
     run_if_sweep(cfg, workers=1)
     assert len(whiteners) == 2
     assert len(ml) == 2
+
+
+def mixed_scale_point(cfg, fields, h, snr_db, trial, out):
+    """One value per metric from the trial's channel draw, with scales from
+    1e-6 to 1e8 across metrics and a factor 1, 10 or 100 across trials."""
+    for i, metric in enumerate(cfg.metrics):
+        out[(snr_db, "-", metric)] = float(h.flat[i]) * 10.0 ** (4 * i - 6 + trial % 3) + snr_db
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 16, 17, 128, 129, 2000])
+def test_aggregation_equals_per_key_reference(trials):
+    # the keys x trials reduction must round as a 1-D np.mean / np.std per key
+    metrics = ("tiny", "small", "large", "huge")
+    cfg = SweepConfig(fields=["quad-5"], snr_db_grid=[0, 30], trials=trials, seed=21,
+                      metrics=metrics)
+    points = experiments._run(cfg, metrics, (2,), mixed_scale_point, 1)
+    results = [experiments._trial(cfg, (2,), mixed_scale_point, t) for t in range(trials)]
+    keys = list(results[0])
+    assert [(p.snr_db, p.field, p.metric) for p in points] == keys
+    for point, key in zip(points, keys):
+        vals = np.array([r[key] for r in results])
+        mean = float(np.mean(vals))
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        assert repr((point.mean, point.stderr)) == repr((mean, stderr))
+        assert (point.trials, point.seed) == (trials, 21)
 
 
 def test_env_var_worker_override(monkeypatch):

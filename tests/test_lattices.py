@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ringcf import build_nested_pair, lattices, prime_ideal
-from ringcf.exact import int_mat_det
+from ringcf.exact import IntEchelon, int_mat_det
 from ringcf.fields import catalog_field
 from ringcf.lattices import (EnumerationError, ZLattice, closest_vector,
                              hermite_constant, lll_reduce, shortest_vector,
@@ -283,6 +283,73 @@ def test_lll_equals_numpy_reference_on_rate_lattices(monkeypatch):
 def test_lll_equals_numpy_reference_on_benchmark_codec_lattices(monkeypatch):
     for lat in codec_lattices(monkeypatch):
         assert_lll_equals_reference(lat)
+
+
+def assert_lll_output_is_a_checked_lattice(lat):
+    # lll_reduce skips ZLattice's copy and checks; the lattice must be the
+    # one the public constructor would build on the same basis
+    red, _ = lll_reduce(lat)
+    checked = ZLattice(red.basis)
+    assert red.basis.dtype == checked.basis.dtype and red.basis.shape == checked.basis.shape
+    assert red.basis.tobytes() == checked.basis.tobytes()
+    assert not red.basis.flags.writeable and red.basis.flags.c_contiguous
+    assert red._reduction is None and red._q is None
+
+
+def test_lll_output_is_a_checked_lattice_on_scaled_random_bases():
+    for lat in scaled_random_lattices():
+        assert_lll_output_is_a_checked_lattice(lat)
+
+
+def test_lll_output_is_a_checked_lattice_on_rate_lattices(monkeypatch):
+    for lat in rate_lattices(monkeypatch):
+        assert_lll_output_is_a_checked_lattice(lat)
+
+
+def test_lll_output_is_a_checked_lattice_on_benchmark_codec_lattices(monkeypatch):
+    for lat in codec_lattices(monkeypatch):
+        assert_lll_output_is_a_checked_lattice(lat)
+
+
+class RadiusSeen(Exception):
+    pass
+
+
+def minima_radius2(monkeypatch, lat, k):
+    """The radius^2 that successive_minima(lat, k) enumerates to."""
+    def stop(r_rows, radius2, *args, **kwargs):
+        raise RadiusSeen(radius2)
+
+    monkeypatch.setattr(lattices, "_enumerate_all", stop)
+    with pytest.raises(RadiusSeen) as seen:
+        successive_minima(lat, k)
+    monkeypatch.undo()
+    return seen.value.args[0]
+
+
+def echelon_column_radius2(lat, k):
+    """The radius^2 of a greedy IntEchelon pass over the reduced columns,
+    shortest first: the k-th pick's norm^2 plus the tie tolerance, capped by
+    the largest column."""
+    red_basis, u, _ = lattices._reduction(lat)
+    norms2 = []
+    for col in red_basis.T.tolist():
+        s = 0.0
+        for x in col:
+            s += x * x
+        norms2.append(s)
+    test, picks = IntEchelon().add, []
+    for i in sorted(range(lat.dim), key=norms2.__getitem__):
+        if len(picks) < k and test(tuple(row[i] for row in u)):
+            picks.append(norms2[i])
+    return min(max(norms2) * (1 + 1e-9), picks[-1] + 1e-9 * (1 + picks[-1]))
+
+
+def test_minima_radius_equals_echelon_column_pass(monkeypatch):
+    corpus = list(scaled_random_lattices()) + rate_lattices(monkeypatch)
+    for lat in corpus:
+        for k in range(1, lat.dim + 1):
+            assert minima_radius2(monkeypatch, lat, k) == echelon_column_radius2(lat, k)
 
 
 def assert_r_rows_equal_qr_positive(lat):

@@ -12,8 +12,9 @@ from ringcf import (ChannelRealization, EnumerationError,
                     minkowski_rate_bounds, ml_capacity, psi_inverse, psi_map,
                     rank_over_K, rate_am, rate_gm, successive_minima)
 from ringcf import lattices
-from ringcf.rates import (_block_basis, _embed_vector, _if_whiteners, log2_plus,
-                          mmse_scaling)
+from ringcf.lattices import hermite_constant
+from ringcf.rates import (ChannelFormatError, _block_basis, _embed_vector,
+                          _if_whiteners, log2_plus, mmse_scaling)
 
 
 def random_channel(rng, n, L, P):
@@ -31,6 +32,25 @@ def test_channel_json_round_trip():
     ch = ChannelRealization(h=np.array([[1.0, -2.0], [0.5, 3.0]]), snr=100.0)
     ch2 = ChannelRealization.from_json(ch.to_json())
     assert np.allclose(ch.h, ch2.h) and abs(ch.snr - ch2.snr) < 1e-9
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"h": [[1.0, 2.0]]}, "has no 'snr_db'"),
+    ({"snr_db": 20}, "has no 'h'"),
+    ({"h": [[1.0, 2.0]], "snr_db": [20]}, "'snr_db' must be numeric"),
+    ({"h": [[1.0, 2.0]], "snr_db": None}, "'snr_db' must be numeric"),
+    ({"h": [[1.0, 2.0]], "snr_db": "loud"}, "'snr_db' must be numeric"),
+    ({"h": "abc", "snr_db": 20}, "'h' must be numeric"),
+    ({"h": [[1.0, 2.0], [3.0]], "snr_db": 20}, "'h' must be numeric"),
+    ({"h": {"a": 1}, "snr_db": 20}, "'h' must be numeric"),
+    ("[1, 2]", "must be an object"),
+], ids=["no-snr_db", "no-h", "snr_db-list", "snr_db-null", "snr_db-text", "h-text",
+        "h-ragged", "h-object", "not-object"])
+def test_channel_json_errors_name_the_key(doc, message):
+    # a ValueError subclass, never a KeyError or TypeError
+    with pytest.raises(ChannelFormatError, match=message) as e:
+        ChannelRealization.from_json(doc)
+    assert isinstance(e.value, ValueError)
 
 
 def test_humbert_zero_channel_is_identity():
@@ -305,6 +325,45 @@ def test_lower_bounds_and_mac():
         assert rep.best_rate >= lb - 1e-9
         assert rep.sum_rate >= slb - 1e-9
         assert mac_capacity(ch) >= rep.sum_rate - 1e-9
+
+
+def expression_mac_capacity(channel):
+    P = channel.snr
+    return 0.5 * sum(log2_plus(1.0 + P * float(hj @ hj)) for hj in channel.h)
+
+
+def expression_minkowski_rate_bounds(field, channel):
+    n, L = field.degree, channel.users
+    P = channel.snr
+    disc = float(field.discriminant)
+    kappa = hermite_constant(n * L)
+    cap_terms = [log2_plus(1.0 + P * float(channel.h[j] @ channel.h[j]))
+                 for j in range(n)]
+    best = (sum(cap_terms) / (2.0 * L)
+            - (n / 2.0) * log2_plus((kappa / n) * disc ** (1.0 / n)))
+    sum_lb = (0.5 * sum(cap_terms)
+              - 0.5 * log2_plus((kappa / n) ** (n * L) * disc ** L))
+    return best, sum_lb
+
+
+def test_capacity_terms_equal_per_call_expressions():
+    # the per-channel terms are computed once; every read must equal the
+    # expressions that computed them on each call, blocks beyond the field
+    # degree included
+    rng = np.random.default_rng(44)
+    names = ("quad-5", "cubic-49", "quartic-725", "quintic-14641")
+    for trial in range(120):
+        f = catalog_field(names[trial % 4])
+        n_blocks = f.degree + trial % 3
+        P = float(10.0 ** rng.uniform(-12, 15))
+        ch = random_channel(rng, n_blocks, int(rng.integers(1, 5)), P)
+        fresh = ChannelRealization(h=ch.h, snr=P)
+        if trial % 2:
+            assert mac_capacity(ch) == expression_mac_capacity(fresh)
+        assert minkowski_rate_bounds(f, ch) == expression_minkowski_rate_bounds(f, fresh)
+        assert mac_capacity(ch) == expression_mac_capacity(fresh)
+    with pytest.raises(ValueError, match="2 blocks but field degree is 3"):
+        minkowski_rate_bounds(catalog_field("cubic-49"), random_channel(rng, 2, 2, 10.0))
 
 
 def test_integer_baseline_saturates():
