@@ -108,14 +108,19 @@ class IntEchelon:
     """Q-span of integer rows in echelon form. Each kept row is zero in the
     pivot columns of the rows kept before it, so one pass in that order
     reduces a new row, by fraction-free steps p*r - r[c]*e as in Bareiss
-    (Math. Comp. 1968), dividing out the gcd (when above 1) after each step."""
+    (Math. Comp. 1968), dividing out the gcd (when above 1) after each step.
+
+    `add` takes any integer row; `_add` takes a row of Python ints as it is
+    (a tuple or a list, kept without a copy when no step changes it)."""
 
     def __init__(self):
         self.rows = []
 
     def add(self, row):
         """Keep row if it raises the rank; return whether it did."""
-        r = [int(x) for x in row]
+        return self._add([int(x) for x in row])
+
+    def _add(self, r):
         for c, e in self.rows:
             f = r[c]
             if f:
@@ -124,10 +129,11 @@ class IntEchelon:
                 g = math.gcd(*r)
                 if g > 1:
                     r = [x // g for x in r]
-        c = next((c for c, x in enumerate(r) if x), None)
-        if c is not None:
-            self.rows.append((c, r))
-        return c is not None
+        for c, x in enumerate(r):
+            if x:
+                self.rows.append((c, r))
+                return True
+        return False
 
 
 def int_rank(rows):

@@ -261,14 +261,15 @@ class KSpan(exact.IntEchelon):
         self._pending = None
 
     def add(self, coords):
-        """Keep the row if it is K-independent of the kept rows; say if it was."""
+        """Keep the row (Python ints) if it is K-independent of the kept rows;
+        say if it was."""
         if self._pending is not None:
             L = len(self._pending) // self.n
             entries = [self._pending[l::L] for l in range(L)]
             self._pending = None
             for m in self.times:
-                super().add([sum(map(operator.mul, row, a)) for row in m for a in entries])
-        if not super().add(coords):
+                self._add([sum(map(operator.mul, row, a)) for row in m for a in entries])
+        if not self._add(coords):
             return False
         self._pending = coords
         return True

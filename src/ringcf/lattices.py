@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,7 +168,9 @@ def lll_reduce(lat, delta=0.99):
         if k == m:
             norms, mu = _gso(b)
             k = _first_unreduced(norms, mu, delta)
-    return ZLattice._checked(np.column_stack(b)), [list(row) for row in zip(*u)]
+    # b holds the columns; the transposed copy is the C-ordered basis that
+    # the closest-vector path reads (an F-ordered one made the codec slower)
+    return ZLattice._checked(np.array(b).T.copy()), [list(row) for row in zip(*u)]
 
 
 def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
@@ -238,11 +241,16 @@ def _qr_positive(b):
 
 
 def _reduction(lat):
-    """(reduced basis, U, R rows) of a lattice, computed on first use and kept.
+    """(reduced basis, columns of U, R rows, column norms^2) of a lattice,
+    computed on first use and kept.
 
-    R is the triangular factor of `_qr_positive` without its Q: numpy's
-    mode "r" runs the same factorization, and negating a row is exact, so
-    the rows hold the same floats. Q waits for `_cvp_q`.
+    LLL runs through the module's `lll_reduce`, looked up at call time. U's
+    columns are tuples of Python ints, the images of the unit vectors, which
+    `_apply_transform` scales and adds. Each column norm^2 is summed top to
+    bottom with +=, the order of np.sum(axis=0) on the C-ordered basis. R is
+    the triangular factor of `_qr_positive` without its Q: numpy's mode "r"
+    runs the same factorization, and negating a row is exact, so the rows
+    hold the same floats. Q waits for `_cvp_q`.
     """
     if lat._reduction is None:
         red, u = lll_reduce(lat)
@@ -250,7 +258,13 @@ def _reduction(lat):
         for i, row in enumerate(r_rows):
             if row[i] < 0:
                 r_rows[i] = [-x for x in row]
-        object.__setattr__(lat, "_reduction", (red.basis, u, r_rows))
+        norms2 = []
+        for col in red.basis.T.tolist():
+            s = 0.0
+            for x in col:
+                s += x * x
+            norms2.append(s)
+        object.__setattr__(lat, "_reduction", (red.basis, list(zip(*u)), r_rows, norms2))
     return lat._reduction
 
 
@@ -263,14 +277,25 @@ def _cvp_q(lat):
 
 
 def _canonical(vec):
-    """Pick the lexicographically smaller of a vector and its negation."""
-    return min(vec, tuple(-v for v in vec))
+    """Pick the lexicographically smaller of a vector and its negation: the
+    one whose first nonzero entry is negative."""
+    for v in vec:
+        if v:
+            return vec if v < 0 else tuple([-a for a in vec])
+    return vec
 
 
-def _apply_transform(u, x):
-    """U x for the rows of U, summed over the nonzero entries of x only."""
-    nonzero = [(j, v) for j, v in enumerate(x) if v]
-    return tuple(sum(row[j] * v for j, v in nonzero) for row in u)
+def _apply_transform(u_cols, x):
+    """U x from the columns of U: x_j times column j, summed over the nonzero
+    x_j, so a unit vector is one column. x = 0 gives the zero tuple."""
+    acc = None
+    for v, col in zip(x, u_cols):
+        if v:
+            if acc is None:
+                acc = col if v == 1 else [v * a for a in col]
+            else:
+                acc = [s + v * a for s, a in zip(acc, col)]
+    return (0,) * len(u_cols) if acc is None else tuple(acc)
 
 
 @dataclass
@@ -284,61 +309,54 @@ class MinimaResult:
         return [lat.basis @ np.array(v, dtype=float) for v in self.vectors]
 
 
-def _length_order(u, cands):
-    """Enumerated (x, dist2) pairs as (original coefficients, dist2) by
-    length, lexicographic on canonical coefficients within a 1e-9 tie group.
-    A group is mapped through U only when iteration reaches it."""
-    cands = sorted(cands, key=lambda e: e[1])
-    i = 0
-    while i < len(cands):
-        d0, j = cands[i][1], i + 1
-        while j < len(cands) and cands[j][1] - d0 <= 1e-9 * (1 + d0):
-            j += 1
-        if j == i + 1:
-            x, d = cands[i]
-            yield _canonical(_apply_transform(u, x)), d
-        else:
-            yield from sorted((_canonical(_apply_transform(u, x)), d) for x, d in cands[i:j])
-        i = j
-
-
 def _greedy_minima(lat, k, new_test, what="independent minima", test_columns=True):
     """First k vectors, in length order, that a fresh test from new_test()
-    accepts (it keeps a coefficient tuple and returns True when that is
+    accepts (it keeps a tuple of Python ints and returns True when that is
     independent of those kept before): (coefficient tuples, lengths).
 
     The same greedy over the reduced columns, shortest first, finds k
-    independent ones; their largest norm^2 r^2 bounds the k-th pick, so the
-    ball of r^2 plus the 1e-9 tie tolerance holds the picks and their tie
+    independent ones; the k-th pick's norm^2 r^2 bounds the k-th vector, so
+    the ball of r^2 plus the 1e-9 tie tolerance holds the picks and their tie
     groups. The largest column caps it (the tolerance is absolute below 1).
     With test_columns=False the test accepts any set of columns (a basis's
     columns are Q-independent), so r^2 is the k-th smallest norm^2.
+
+    Candidates are sorted by length once; a group of lengths within 1e-9 of
+    its first is mapped through U only when the loop reaches it, and a group
+    of more than one is ordered lexicographically on canonical coefficients.
     """
-    red_basis, u, r_rows = _reduction(lat)
-    # squared column norms, each summed top to bottom with +=: the order of
-    # np.sum(axis=0) on the C-ordered basis
-    norms2 = []
-    for col in red_basis.T.tolist():
-        s = 0.0
-        for x in col:
-            s += x * x
-        norms2.append(s)
+    _, u_cols, r_rows, norms2 = _reduction(lat)
     if test_columns:
-        test, picks = new_test(), []
+        test, picks = new_test(), 0
         for i in sorted(range(lat.dim), key=norms2.__getitem__):
-            if len(picks) < k and test(tuple(row[i] for row in u)):
-                picks.append(norms2[i])
-        r2 = picks[-1]
+            if test(u_cols[i]):
+                r2 = norms2[i]
+                picks += 1
+                if picks == k:
+                    break
     else:
         r2 = sorted(norms2)[k - 1]
     radius2 = min(max(norms2) * (1 + 1e-9), r2 + 1e-9 * (1 + r2))
+    cands = _enumerate_all(r_rows, radius2)
+    cands.sort(key=itemgetter(1))
     test, vectors, lengths = new_test(), [], []
-    for vec, d in _length_order(u, _enumerate_all(r_rows, radius2)):
-        if test(vec):
-            vectors.append(vec)
-            lengths.append(math.sqrt(d))
-            if len(vectors) == k:
-                return vectors, lengths
+    i, n = 0, len(cands)
+    while i < n:
+        x, d0 = cands[i]
+        j, tol = i + 1, 1e-9 * (1 + d0)
+        while j < n and cands[j][1] - d0 <= tol:
+            j += 1
+        if j == i + 1:
+            group = ((_canonical(_apply_transform(u_cols, x)), d0),)
+        else:
+            group = sorted((_canonical(_apply_transform(u_cols, x)), d) for x, d in cands[i:j])
+        for vec, d in group:
+            if test(vec):
+                vectors.append(vec)
+                lengths.append(math.sqrt(d))
+                if len(vectors) == k:
+                    return vectors, lengths
+        i = j
     raise EnumerationError("dimension %d: fewer than %d %s within radius^2 %.6g"
                            % (lat.dim, k, what, radius2))
 
@@ -351,7 +369,7 @@ def successive_minima(lat, k):
     if not (1 <= k <= lat.dim):
         raise ValueError("k must satisfy 1 <= k <= dim")
     # integer coordinates in a nonsingular basis: R-independence is Q-independence
-    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon().add,
+    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon()._add,
                                       test_columns=False)
     return MinimaResult(vectors=vectors, lengths=lengths)
 
@@ -373,7 +391,7 @@ def closest_vector(lat, target):
         raise ValueError("target dimension mismatch")
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
-    red_basis, u, r_rows = _reduction(lat)
+    red_basis, u_cols, r_rows, _ = _reduction(lat)
     t = _cvp_q(lat).T @ target
     m = lat.dim
     # Babai nearest-plane gives a certified initial radius. It runs on Python
@@ -398,7 +416,7 @@ def closest_vector(lat, target):
         # min() keeps the first of equal keys
         x = min(ties, key=lambda v: tuple(
             np.round(target - red_basis @ np.array(v, dtype=float), 12)))
-    coeffs = _apply_transform(u, x)
+    coeffs = _apply_transform(u_cols, x)
     point = lat.basis @ np.array(coeffs, dtype=float)
     return coeffs, point, math.sqrt(max(best_d, 0.0))
 

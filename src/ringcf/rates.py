@@ -267,12 +267,21 @@ def minkowski_rate_bounds(field, channel):
     terms = _capacity_terms(channel)
     if len(terms) < n:
         raise ValueError("channel has %d blocks but field degree is %d" % (len(terms), n))
-    cap = sum(terms[:n])
+    cap = _left_sum(terms[:n])
     best = (cap / (2.0 * L)
             - (n / 2.0) * log2_plus((kappa / n) * disc ** (1.0 / n)))
     sum_lb = (0.5 * cap
               - 0.5 * log2_plus((kappa / n) ** (n * L) * disc ** L))
     return best, sum_lb
+
+
+def _left_sum(terms):
+    """Sum of Python floats left to right with +=. The builtin sum()
+    compensates exact floats from Python 3.12 on and can round differently."""
+    s = 0.0
+    for t in terms:
+        s += t
+    return s
 
 
 def _capacity_terms(channel):
@@ -288,7 +297,7 @@ def _capacity_terms(channel):
 
 def mac_capacity(channel):
     """Sum capacity of the multiple-access channel across the fading blocks."""
-    return 0.5 * sum(_capacity_terms(channel))
+    return 0.5 * _left_sum(_capacity_terms(channel))
 
 
 @dataclass
@@ -310,7 +319,7 @@ class RateReport:
 
     @property
     def sum_rate(self):
-        return sum(self.rates_am)
+        return _left_sum(self.rates_am)
 
     def to_json(self):
         return {

@@ -83,3 +83,25 @@ def test_echelon_rows_equal_gcd_every_step_reference():
         for row in m.tolist():
             echelon.add(row)
         assert echelon.rows == reference_echelon_rows(m.tolist())
+
+
+def test_private_add_equals_add_on_int_rows():
+    rng = np.random.default_rng(7)
+    big = 10 ** 20
+    for trial in range(80):
+        rows, cols = rng.integers(1, 9, size=2)
+        m = rng.integers(-4, 5, size=(rows, cols)) * rng.choice([1, 2, 6], size=(rows, 1))
+        m[rng.random(rows) < 0.2] = 0
+        int_rows = [[int(x) * (big if trial % 4 == 0 else 1) for x in row] for row in m]
+        public, private = IntEchelon(), IntEchelon()
+        for row in int_rows:
+            # tuples as _greedy_minima passes them, lists as KSpan builds them
+            arg = tuple(row) if trial % 2 else row
+            assert private._add(arg) == public.add(row)
+            assert [(c, list(r)) for c, r in private.rows] == public.rows
+        # add still takes numpy-int rows and keeps Python ints
+        from_numpy = IntEchelon()
+        for row in m:
+            from_numpy.add(row)
+        assert from_numpy.rows == reference_echelon_rows(m.tolist())
+        assert all(type(x) is int for _, r in from_numpy.rows for x in r)

@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from ringcf import build_nested_pair, lattices, prime_ideal
+from ringcf import build_nested_pair, experiments, lattices, prime_ideal, psi_inverse
 from ringcf.exact import IntEchelon, int_mat_det
 from ringcf.fields import catalog_field
 from ringcf.lattices import (EnumerationError, ZLattice, closest_vector,
                              hermite_constant, lll_reduce, shortest_vector,
                              successive_minima)
-from ringcf.rates import (ChannelRealization, best_coefficients, build_humbert,
-                          if_rate, integer_baseline, integer_if_rate)
+from ringcf.rates import (ChannelRealization, _select_independent, best_coefficients,
+                          build_humbert, if_rate, integer_baseline, integer_if_rate)
 from test_exact import fraction_rank
 
 
@@ -331,7 +331,7 @@ def echelon_column_radius2(lat, k):
     """The radius^2 of a greedy IntEchelon pass over the reduced columns,
     shortest first: the k-th pick's norm^2 plus the tie tolerance, capped by
     the largest column."""
-    red_basis, u, _ = lattices._reduction(lat)
+    red_basis, u_cols, _, _ = lattices._reduction(lat)
     norms2 = []
     for col in red_basis.T.tolist():
         s = 0.0
@@ -340,7 +340,7 @@ def echelon_column_radius2(lat, k):
         norms2.append(s)
     test, picks = IntEchelon().add, []
     for i in sorted(range(lat.dim), key=norms2.__getitem__):
-        if len(picks) < k and test(tuple(row[i] for row in u)):
+        if len(picks) < k and test(u_cols[i]):
             picks.append(norms2[i])
     return min(max(norms2) * (1 + 1e-9), picks[-1] + 1e-9 * (1 + picks[-1]))
 
@@ -353,11 +353,17 @@ def test_minima_radius_equals_echelon_column_pass(monkeypatch):
 
 
 def assert_r_rows_equal_qr_positive(lat):
-    red_basis, _, r_rows = lattices._reduction(lat)
+    red_basis, u_cols, r_rows, norms2 = lattices._reduction(lat)
     r_mat = lattices._qr_positive(red_basis)[1]
     assert r_rows == r_mat.tolist()
     # == on floats equates -0.0 and 0.0; the bytes do not
     assert np.array(r_rows).tobytes() == r_mat.tobytes()
+    # the kept U columns and column norms^2 are those of lll_reduce's output
+    red, u = lll_reduce(lat)
+    assert red.basis.tobytes() == red_basis.tobytes()
+    assert u_cols == [tuple(col) for col in zip(*u)]
+    assert all(type(x) is int for col in u_cols for x in col)
+    assert np.array(norms2).tobytes() == np.sum(red_basis ** 2, axis=0).tobytes()
 
 
 def test_r_rows_equal_qr_positive_on_scaled_random_bases():
@@ -479,10 +485,10 @@ def full_radius_minima(lat):
     """All successive minima, from every vector inside the largest
     LLL-reduced column: by length, ties within 1e-9 in lexicographic order of
     canonical coefficients, then a greedy with fraction_rank."""
-    red_basis, u, r_rows = lattices._reduction(lat)
+    red_basis, u_cols, r_rows, _ = lattices._reduction(lat)
     radius2 = float(np.max(np.sum(red_basis ** 2, axis=0))) * (1 + 1e-9)
     cands = sorted(lattices._enumerate_all(r_rows, radius2), key=lambda e: e[1])
-    u = np.array(u, dtype=object)
+    u = np.array(u_cols, dtype=object).T
     vectors, lengths, i = [], [], 0
     while len(vectors) < lat.dim:
         j, d0 = i, cands[i][1]
@@ -536,6 +542,23 @@ def test_cvp_trivial_cases():
     # four corners tie; the smallest residual (-1/2, -1/2) wins
     coeffs, pt, d = closest_vector(lat, [0.5, 0.5])
     assert coeffs == (1, 1) and pt.tolist() == [1.0, 1.0] and d == math.sqrt(0.5)
+
+
+def test_cvp_inside_the_origin_voronoi_cell_is_zero():
+    # a target closer to 0 than half the shortest vector has 0 as its
+    # unique closest point, which U maps to the zero tuple
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        m = int(rng.integers(1, 7))
+        lat = ZLattice(random_basis(rng, m) * rng.choice([1.0, 10.0, 0.1]))
+        v, length = shortest_vector(lat)
+        w = rng.normal(size=m)
+        for target in (np.zeros(m), 0.49 * (lat.basis @ np.array(v, dtype=float)),
+                       w * (0.49 * length / float(np.linalg.norm(w)))):
+            coeffs, point, dist = closest_vector(lat, target)
+            assert coeffs == (0,) * m
+            assert point.tolist() == [0.0] * m
+            assert abs(dist - float(np.linalg.norm(target))) <= 1e-9 * (1 + length)
 
 
 def test_svp_cvp_match_brute_force_100_instances():
@@ -763,7 +786,8 @@ def test_sparse_transform_equals_dense_product():
             x = tuple(int(v) for v in rng.integers(-3, 4, size=m)
                       * (rng.random(size=m) < 0.4))
             dense = tuple(sum(a * b for a, b in zip(row, x)) for row in u)
-            assert lattices._apply_transform(u, x) == dense
+            assert lattices._apply_transform(list(zip(*u)), x) == dense
+        assert lattices._apply_transform(list(zip(*u)), (0,) * m) == (0,) * m
 
 
 def numpy_scalar_closest_vector(lat, target):
@@ -771,7 +795,7 @@ def numpy_scalar_closest_vector(lat, target):
     numpy scalars and a residual key for every tie. Returns the
     (coefficients, point, distance) triple and the number of ties."""
     target = np.asarray(target, dtype=float)
-    red_basis, u, _ = lattices._reduction(lat)
+    red_basis, u_cols, _, _ = lattices._reduction(lat)
     q, r_mat = reference_qr(red_basis)
     t = q.T @ target
     m = lat.dim
@@ -791,7 +815,7 @@ def numpy_scalar_closest_vector(lat, target):
         key = tuple(np.round(target - red_basis @ np.array(x, dtype=float), 12))
         if best is None or key < best[0]:
             best = (key, x)
-    coeffs = lattices._apply_transform(u, best[1])
+    coeffs = tuple(sum(a * b for a, b in zip(row, best[1])) for row in zip(*u_cols))
     point = lat.basis @ np.array(coeffs, dtype=float)
     return (coeffs, point, math.sqrt(max(best_d, 0.0))), len(ties)
 
@@ -868,3 +892,190 @@ def test_cvp_equals_reference_on_benchmark_codec_pair():
             multi += assert_cvp_equals_reference(
                 lat, lat.basis @ (rng.integers(-4, 5, size=8) / 2)) > 1
     assert multi > 30
+
+
+class ReferenceEchelon:
+    """IntEchelon as it was before `_add`: every row through int() first."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, row):
+        r = [int(x) for x in row]
+        for c, e in self.rows:
+            f = r[c]
+            if f:
+                p = e[c]
+                r = [p * x - f * y for x, y in zip(r, e)]
+                g = math.gcd(*r)
+                if g > 1:
+                    r = [x // g for x in r]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is not None:
+            self.rows.append((c, r))
+        return c is not None
+
+
+class ReferenceKSpan(ReferenceEchelon):
+    """The lazy K-span on ReferenceEchelon's `add`."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.n = field.degree
+        self.times = field._omega_matrices
+        self._pending = None
+
+    def add(self, coords):
+        if self._pending is not None:
+            L = len(self._pending) // self.n
+            entries = [self._pending[l::L] for l in range(L)]
+            self._pending = None
+            for m in self.times:
+                super().add([sum(x * y for x, y in zip(row, a)) for row in m for a in entries])
+        if not super().add(coords):
+            return False
+        self._pending = coords
+        return True
+
+
+def reference_apply_transform(u_rows, x):
+    nonzero = [(j, v) for j, v in enumerate(x) if v]
+    return tuple(sum(row[j] * v for j, v in nonzero) for row in u_rows)
+
+
+def reference_canonical(vec):
+    return min(vec, tuple(-v for v in vec))
+
+
+def reference_length_order(u_rows, cands):
+    cands = sorted(cands, key=lambda e: e[1])
+    i = 0
+    while i < len(cands):
+        d0, j = cands[i][1], i + 1
+        while j < len(cands) and cands[j][1] - d0 <= 1e-9 * (1 + d0):
+            j += 1
+        yield from sorted((reference_canonical(reference_apply_transform(u_rows, x)), d)
+                          for x, d in cands[i:j])
+        i = j
+
+
+def reference_greedy_minima(lat, k, new_test, test_columns=True):
+    """The selection greedy with U kept as rows, a column pass that tests
+    every column until it has k picks, a generator over tie groups and the
+    int()-converting echelon tests: (coefficient tuples, lengths)."""
+    red, u_rows = lll_reduce(lat)
+    r_rows = lattices._qr_positive(red.basis)[1].tolist()
+    norms2 = []
+    for col in red.basis.T.tolist():
+        s = 0.0
+        for x in col:
+            s += x * x
+        norms2.append(s)
+    if test_columns:
+        test, picks = new_test(), []
+        for i in sorted(range(lat.dim), key=norms2.__getitem__):
+            if len(picks) < k and test(tuple(row[i] for row in u_rows)):
+                picks.append(norms2[i])
+        r2 = picks[-1]
+    else:
+        r2 = sorted(norms2)[k - 1]
+    radius2 = min(max(norms2) * (1 + 1e-9), r2 + 1e-9 * (1 + r2))
+    test, vectors, lengths = new_test(), [], []
+    for vec, d in reference_length_order(u_rows, lattices._enumerate_all(r_rows, radius2)):
+        if test(vec):
+            vectors.append(vec)
+            lengths.append(math.sqrt(d))
+            if len(vectors) == k:
+                return vectors, lengths
+    raise AssertionError("reference selection ran out of candidates")
+
+
+def recorded_balls(monkeypatch):
+    """(radius^2, candidate count) of every _enumerate_all call, appended as
+    it is made."""
+    balls, enumerate_all = [], lattices._enumerate_all
+
+    def recording(r_rows, radius2, *args, **kwargs):
+        out = enumerate_all(r_rows, radius2, *args, **kwargs)
+        balls.append((radius2, len(out)))
+        return out
+
+    monkeypatch.setattr(lattices, "_enumerate_all", recording)
+    return balls
+
+
+def assert_selection_equals_reference(monkeypatch, lat, field=None):
+    """successive_minima for every k, and with a field the K-selection of
+    every k up to dim / degree, equal the reference greedy with ==, and
+    enumerate the same ball."""
+    balls = recorded_balls(monkeypatch)
+    for k in range(1, lat.dim + 1):
+        res = successive_minima(lat, k)
+        assert (res.vectors, res.lengths) == reference_greedy_minima(
+            lat, k, lambda: ReferenceEchelon().add, test_columns=False)
+        assert balls[-2] == balls[-1]
+    for k in range(1, lat.dim // field.degree + 1) if field else ():
+        vectors, lengths = reference_greedy_minima(lat, k, lambda: ReferenceKSpan(field).add)
+        got, got_lengths = _select_independent(field, lat.basis, k)
+        assert [tuple(psi_inverse(v)) for v in got] == vectors
+        assert got_lengths == lengths
+        assert balls[-2] == balls[-1]
+    monkeypatch.undo()
+
+
+def test_selection_equals_reference_on_scaled_random_bases(monkeypatch):
+    # one scale per basis, as in the full-radius oracle test; a third are
+    # small integer bases with many exact ties in the minima ordering
+    rng = np.random.default_rng(44)
+    fields = [catalog_field(name) for name in ("rational", "quad-5", "cubic-49")]
+    checked = 0
+    for trial in range(120):
+        m = int(rng.integers(2, 7))
+        b = random_basis(rng, m)
+        if trial % 3 == 0:
+            b = np.round(2 * b)
+            if abs(np.linalg.det(b)) < 0.5:
+                continue
+        field = fields[trial % 3 if m % fields[trial % 3].degree == 0 else 0]
+        assert_selection_equals_reference(monkeypatch,
+                                          ZLattice(b * rng.choice([1.0, 100.0, 1e-3])), field)
+        checked += field.degree > 1
+    assert checked > 30
+
+
+def test_selection_equals_reference_on_rate_lattices(monkeypatch):
+    # recorded per channel: CF on quad-5, quad-8, quad-12, the Z baseline,
+    # IF on quad-5, then Z-IF
+    fields = [catalog_field(name) for name in ("quad-5", "quad-8", "quad-12")]
+    for i, lat in enumerate(rate_lattices(monkeypatch)):
+        assert_selection_equals_reference(monkeypatch, lat,
+                                          (fields + [None, fields[0], None])[i % 6])
+
+
+def test_selection_equals_reference_on_search_cells(monkeypatch):
+    rng = np.random.default_rng(43)
+    cells = [("cubic-49", 2), ("cubic-49", 3), ("quartic-725", 2), ("quartic-725", 3),
+             ("quintic-14641", 2), ("quad-5", 4)]
+    for name, L in cells:
+        field = catalog_field(name)
+        for snr_db in (0, 20, 40, 60):
+            ch = ChannelRealization(h=rng.normal(size=(field.degree, L)),
+                                    snr=10.0 ** (snr_db / 10.0))
+            assert_selection_equals_reference(monkeypatch,
+                                              ZLattice(build_humbert(field, ch).phi_M), field)
+
+
+def test_selection_equals_reference_with_many_rejections(monkeypatch):
+    # thousands of candidates, most of them K-dependent on the first pick
+    field = catalog_field("quad-5")
+    h = experiments._trial_rng(3, 75).normal(size=(2, 2))
+    basis = build_humbert(field, ChannelRealization(h=h, snr=1e5)).phi_M
+    balls = recorded_balls(monkeypatch)
+    for k in (1, 2):
+        vectors, lengths = reference_greedy_minima(ZLattice(basis), k,
+                                                   lambda: ReferenceKSpan(field).add)
+        got, got_lengths = _select_independent(field, basis, k)
+        assert [tuple(psi_inverse(v)) for v in got] == vectors
+        assert got_lengths == lengths
+        assert balls[-2] == balls[-1]
+    assert balls[-1][1] > 9000

@@ -1,4 +1,5 @@
 """Rate pipeline: Humbert forms, coefficient search, bounds, IF, DoF."""
+import dataclasses
 import itertools
 import math
 
@@ -476,3 +477,36 @@ def test_mmse_blocks_and_factors_built_once_per_channel(monkeypatch):
     assert [r.to_json() for r in reports] == [
         best_coefficients(catalog_field(name), fresh).to_json()
         for name in ("quad-5", "quad-8", "quad-12")]
+
+
+def left_sum(terms):
+    s = 0.0
+    for t in terms:
+        s += t
+    return s
+
+
+def test_float_sums_run_left_to_right():
+    # sum() compensates exact floats from Python 3.12 on; with three or more
+    # terms its last bit can differ from the left-to-right sum of 3.11
+    rng = np.random.default_rng(46)
+    fields = [catalog_field(name) for name in ("cubic-49", "quartic-725", "quintic-14641")]
+    for trial in range(240):
+        field, L = fields[trial % 3], 3 + trial % 2
+        n = field.degree
+        P = 10.0 ** rng.uniform(0, 6)
+        ch = random_channel(rng, n, L, P)
+        cap = left_sum(log2_plus(1.0 + P * float(hj @ hj)) for hj in ch.h)
+        assert mac_capacity(ch) == 0.5 * cap
+        kappa = hermite_constant(n * L)
+        disc = float(field.discriminant)
+        assert minkowski_rate_bounds(field, ch) == (
+            cap / (2.0 * L) - (n / 2.0) * log2_plus((kappa / n) * disc ** (1.0 / n)),
+            0.5 * cap - 0.5 * log2_plus((kappa / n) ** (n * L) * disc ** L))
+    reports = [best_coefficients(field, random_channel(rng, field.degree, 3, 10.0 ** snr_db))
+               for field in fields[:2] for snr_db in (1, 3, 5)]
+    for report in reports:
+        assert report.sum_rate == left_sum(report.rates_am)
+    for L in (3, 4) * 100:
+        report = dataclasses.replace(reports[0], rates_am=rng.uniform(0, 30, size=L).tolist())
+        assert report.sum_rate == left_sum(report.rates_am)
