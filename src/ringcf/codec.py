@@ -9,13 +9,14 @@ lattice and forward finite-field equations that a destination solves.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import exact
-from .lattices import ZLattice, closest_vector
+from .lattices import ZLattice, _apply_transform, closest_vector
 
 
 class CodecError(ValueError):
@@ -49,11 +50,14 @@ class PrimeIdealData:
 def prime_ideal(field, p, root):
     """Construct the degree-one prime ideal p*O + (theta - root)*O.
 
-    `root` must satisfy min_poly(root) = 0 mod p. Coset representatives are
-    minimal-norm lifts under the canonical embedding; ties resolve to the
-    lexicographically smallest embedded representative.
+    `p` must be a prime and `root` must satisfy min_poly(root) = 0 mod p.
+    Coset representatives are minimal-norm lifts under the canonical
+    embedding; ties resolve to the lexicographically smallest embedded
+    representative.
     """
     n = field.degree
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise CodecError("p = %d is not a prime" % p)
     if exact.poly_eval([int(c) for c in field.min_poly], root) % p != 0:
         raise CodecError("root %d is not a zero of the minimal polynomial mod %d"
                          % (root, p))
@@ -81,24 +85,13 @@ def prime_ideal(field, p, root):
     for c in range(p):
         target = field.element([c] + [0] * (n - 1))
         coeffs, _, _ = closest_vector(lat, target.embed())
-        shift = _coords_combination(basis_coords, coeffs)
+        shift = _apply_transform(basis_coords, coeffs)
         rep = field.element([a - b for a, b in zip(target.coords, shift)])
         if ideal.rho(rep) != c:
             raise CodecError("coset representative reduction mismatch")
         reps.append(rep)
     ideal.coset_reps = reps
     return ideal
-
-
-def _coords_combination(basis_cols, coeffs):
-    n = len(basis_cols[0])
-    out = [0] * n
-    for col, z in zip(basis_cols, coeffs):
-        z = int(z)
-        if z:
-            for i in range(n):
-                out[i] += z * col[i]
-    return out
 
 
 def _embed(field, cols):
@@ -179,9 +172,8 @@ class NestedLatticePair:
 
     def fine_coords_of(self, ring_vec):
         """Exact generator coordinates of a ring vector lying in the fine lattice."""
-        flat = [Fraction(c) for a in ring_vec for c in a.coords]
-        rows = [[Fraction(c) for c in row] for row in zip(*self.gen_fine)]
-        sol = exact.mat_solve(rows, [flat])[0]
+        flat = [c for a in ring_vec for c in a.coords]
+        sol = exact.mat_solve(list(zip(*self.gen_fine)), [flat])[0]
         if any(z.denominator != 1 for z in sol):
             raise CodecError("vector is not a fine lattice point")
         return [int(z) for z in sol]
@@ -275,7 +267,7 @@ def _mod_coarse(pair, x, coords):
     the closest coarse point's, as a ring vector, and the n x T signal.
     """
     zc, point, _ = closest_vector(pair.coarse_lattice(), x)
-    shift = _coords_combination(pair.gen_coarse, zc)
+    shift = _apply_transform(pair.gen_coarse, zc)
     ring = pair.ring_vector([c - s for c, s in zip(coords, shift)])
     return ring, (x - point).reshape((pair.field.degree, pair.T), order="F")
 
@@ -316,7 +308,7 @@ def decode_equation(pair, Y, b, coeff_vector):
     scaled = (np.diag(np.asarray(b, dtype=float)) @ Y).flatten(order="F")
     fine = pair.fine_lattice()
     zf, point, _ = closest_vector(fine, scaled)
-    ring, signal = _mod_coarse(pair, point, _coords_combination(pair.gen_fine, zf))
+    ring, signal = _mod_coarse(pair, point, _apply_transform(pair.gen_fine, zf))
     return LatticeEquation(ring_coords=ring, signal=signal,
                            coeff_residues=[pair.ideal.rho(a) for a in coeff_vector])
 

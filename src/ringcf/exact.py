@@ -6,6 +6,7 @@ independence tests and lattice membership checks.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -55,53 +56,54 @@ def poly_eval(p, x):
 # Rational matrices as lists of rows.
 # ---------------------------------------------------------------------------
 
-def mat_det(rows):
-    """Exact determinant by fraction Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _bareiss(a, n):
+    """Fraction-free elimination (Bareiss, Math. Comp. 1968) of the integer
+    rows a in place, pivoting on their first n columns; a has n rows, any
+    extra columns are carried along. Returns the determinant of the first n
+    columns, 0 when they are singular (a is then left part-way)."""
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
-
-
-def mat_solve(rows, rhs_cols):
-    """Solve A X = B exactly; rhs_cols is a list of column vectors."""
-    n = len(rows)
-    k = len(rhs_cols)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs_cols[j][i]) for j in range(k)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix in exact solve")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [[a[i][n + j] for i in range(n)] for j in range(k)]
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top, p = a[k], a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return sign * prev
 
 
 def int_mat_det(rows):
-    d = mat_det(rows)
-    assert d.denominator == 1
-    return d.numerator
+    """Exact determinant of a square integer matrix."""
+    return _bareiss([[operator.index(x) for x in row] for row in rows], len(rows))
+
+
+def mat_solve(rows, rhs_cols):
+    """Solve A X = B exactly; rhs_cols is a list of column vectors. Returns
+    the solution columns as Fractions; raises ZeroDivisionError if A is
+    singular."""
+    n = len(rows)
+    a = []
+    for i, row in enumerate(rows):
+        row = [Fraction(x) for x in row] + [Fraction(col[i]) for col in rhs_cols]
+        d = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (d // x.denominator) for x in row])
+    det = _bareiss(a, n)
+    if not det:
+        raise ZeroDivisionError("singular matrix in exact solve")
+    # det * X is an integer matrix (Cramer), so each division is exact
+    sols = []
+    for j in range(n, n + len(rhs_cols)):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            y[i] = (det * row[j] - sum(row[c] * y[c] for c in range(i + 1, n))) // row[i]
+        sols.append([Fraction(v, det) for v in y])
+    return sols
 
 
 class IntEchelon:
@@ -150,47 +152,29 @@ def column_basis(cols):
     """Basis of the Z-module spanned by integer column vectors.
 
     Returns a list of n linearly independent integer columns (the module must
-    have full rank n). Plain column-echelon reduction with Euclid steps.
+    have full rank n). Plain column-echelon reduction with Euclid steps:
+    column k is zero above row k and positive in row k.
     """
     n = len(cols[0])
     work = [list(c) for c in cols]
     basis = []
-    row = 0
-    while row < n and work:
-        work = [c for c in work if any(c[row:])]
-        live = [c for c in work if c[row] != 0]
+    for row in range(n):
+        live = [c for c in work if c[row]]
         if not live:
             raise ValueError("columns do not span a full-rank module")
         # gcd out the pivot entry across all live columns
-        while True:
+        while len(live) > 1:
             live.sort(key=lambda c: abs(c[row]))
             piv = live[0]
-            done = True
             for c in live[1:]:
                 q = c[row] // piv[row]
                 if q != 0:
                     for i in range(n):
                         c[i] -= q * piv[i]
-                if c[row] != 0:
-                    done = False
             live = [c for c in live if c[row] != 0]
-            if done or len(live) == 1:
-                break
         piv = live[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        work = [c for c in work if c is not piv and c != piv]
-        for c in work:
-            # clear entry `row` exactly (it is a multiple of the pivot now)
-            assert c[row] % piv[row] == 0
-            q = c[row] // piv[row]
-            if q != 0:
-                for i in range(n):
-                    c[i] -= q * piv[i]
-        row += 1
-    if len(basis) != n:
-        raise ValueError("columns do not span a full-rank module")
+        work.remove(piv)
+        basis.append(piv if piv[row] > 0 else [-x for x in piv])
     return basis
 
 

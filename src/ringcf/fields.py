@@ -158,23 +158,19 @@ class NumberField:
 
         # basis matrix: column j holds power-basis coefficients of basis_j
         self._basis_mat = [[polys[j][i] for j in range(n)] for i in range(n)]
-        if exact.mat_det(self._basis_mat) == 0:
-            raise ValueError("integral basis is linearly dependent")
 
-        # multiplication table, exact
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                prod = exact.poly_mul(list(polys[i]), list(polys[j]))
-                prod = exact.poly_mod(prod, mp)
-                coords = self.from_power_basis(prod)
-                for c in coords:
-                    if c.denominator != 1:
-                        raise ValueError("basis is not multiplicatively closed over Z")
-                row.append(tuple(int(c) for c in coords))
-            table.append(tuple(row))
-        self.mult_table = tuple(table)
+        # multiplication table, exact: one solve for all n^2 products
+        products = [exact.poly_mod(exact.poly_mul(list(pi), list(pj)), mp)
+                    for pi in polys for pj in polys]
+        try:
+            coords = exact.mat_solve(self._basis_mat,
+                                     [q + [0] * (n - len(q)) for q in products])
+        except ZeroDivisionError:
+            raise ValueError("integral basis is linearly dependent") from None
+        if any(c.denominator != 1 for col in coords for c in col):
+            raise ValueError("basis is not multiplicatively closed over Z")
+        self.mult_table = tuple(tuple(tuple(int(c) for c in coords[i * n + j])
+                                      for j in range(n)) for i in range(n))
 
         # exact discriminant via the trace form
         trace_mat = [[self.element(self.mult_table[i][j]).trace() for j in range(n)]
@@ -217,10 +213,8 @@ class NumberField:
 
     def from_power_basis(self, poly):
         """Basis coordinates of a rational polynomial in theta."""
-        n = self.degree
-        rhs = [Fraction(poly[i]) if i < len(poly) else Fraction(0) for i in range(n)]
-        sol = exact.mat_solve(self._basis_mat, [rhs])
-        return list(sol[0])
+        rhs = list(poly) + [0] * (self.degree - len(poly))
+        return exact.mat_solve(self._basis_mat, [rhs])[0]
 
     # -- element constructors ----------------------------------------------
 
@@ -234,8 +228,7 @@ class NumberField:
         return self.element([1] + [0] * (self.degree - 1))
 
     def theta(self):
-        coords = self.from_power_basis([Fraction(0), Fraction(1)] if self.degree > 1
-                                       else [Fraction(0)])
+        coords = self.from_power_basis([0, 1] if self.degree > 1 else [0])
         assert all(c.denominator == 1 for c in coords)
         return self.element([int(c) for c in coords])
 

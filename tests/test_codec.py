@@ -41,6 +41,16 @@ def test_prime_ideal_rejects_non_root():
         prime_ideal(f, 5, 1)
 
 
+def test_prime_ideal_rejects_non_prime_p():
+    # no division by zero for p = 0, and no quotient "field" Z/p for p = 1 or
+    # a composite p
+    for name in ("rational", "quad-5"):
+        f = catalog_field(name)
+        for p in (0, 1, 4, 6, 9, -5):
+            with pytest.raises(CodecError, match="not a prime"):
+                prime_ideal(f, p, 0)
+
+
 def test_prime_ideal_rejects_inert_prime():
     # 2 is inert in Q(sqrt 5): x^2 - x - 1 is irreducible mod 2 (no root)
     f = catalog_field("quad-5")
