@@ -303,7 +303,7 @@ def build_parser():
         p.add_argument("--snr-grid-db", type=_parse_grid, default="0:5:50")
         p.add_argument("--metrics", type=_metric_list(known), default=known,
                        help="comma-separated subset of: " + ", ".join(known))
-        p.add_argument("--workers", type=_positive_int, default=None)
+        p.add_argument("--workers", type=_positive_int, default=1)
         common(p, formats=("csv", "json"))
         p.set_defaults(fn=fn)
 

@@ -8,7 +8,7 @@ lattice and forward finite-field equations that a destination solves.
 """
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,8 +121,6 @@ class NestedLatticePair:
     T: int
     gen_fine: list
     gen_coarse: list
-    _lattices: dict = dataclasses.field(default_factory=dict, init=False,
-                                        repr=False, compare=False)
 
     @property
     def p(self):
@@ -142,16 +140,19 @@ class NestedLatticePair:
         return self.G_fine[:, self.k_coarse:]
 
     def fine_lattice(self):
-        return self._lattice("fine", self.gen_fine)
+        return self._fine_lattice
 
     def coarse_lattice(self):
-        return self._lattice("coarse", self.gen_coarse)
+        return self._coarse_lattice
 
-    def _lattice(self, name, gen):
-        # built once, so the lattice's cached reduction serves every call
-        if name not in self._lattices:
-            self._lattices[name] = ZLattice(_embed(self.field, gen))
-        return self._lattices[name]
+    # built once, so each lattice's cached reduction serves every call
+    @functools.cached_property
+    def _fine_lattice(self):
+        return ZLattice(_embed(self.field, self.gen_fine))
+
+    @functools.cached_property
+    def _coarse_lattice(self):
+        return ZLattice(_embed(self.field, self.gen_coarse))
 
     def ring_vector(self, coord_blocks):
         return [self.field.element(coord_blocks[t * self.field.degree:
@@ -214,8 +215,9 @@ def build_nested_pair(field, ideal, G_coarse, G_fine, T):
         if abs(exact.int_mat_det(gen)) != ideal.p ** (T - k):
             raise CodecError("lattice volume identity failed")
     # exact nesting: every coarse generator is an integer combination of fine ones
-    for col in pair.gen_coarse:
-        pair.fine_coords_of(pair.ring_vector(col))
+    coords = exact.mat_solve(list(zip(*pair.gen_fine)), pair.gen_coarse)
+    if any(z.denominator != 1 for col in coords for z in col):
+        raise CodecError("coarse lattice is not nested in the fine lattice")
     return pair
 
 

@@ -127,19 +127,10 @@ def _if_point(cfg, fields, h, snr_db, trial, out):
         out[(snr_db, "-", "ml")] = rep.ml_capacity
 
 
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get("RINGCF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run(cfg, known, block_shape, point, workers):
     bad = set(cfg.metrics) - set(known)
     if bad:
         raise ValueError("unknown metrics: %s" % ", ".join(sorted(bad)))
-    if workers is None:
-        workers = _default_workers()
     trial_fn = functools.partial(_trial, cfg, block_shape, point)
     if workers <= 1:
         results = [trial_fn(t) for t in range(cfg.trials)]
@@ -161,7 +152,7 @@ def _run(cfg, known, block_shape, point, workers):
             for (snr_db, fname, metric), mean, stderr in zip(keys, means, stderrs)]
 
 
-def run_sweep(cfg, workers=None):
+def run_sweep(cfg, workers=1):
     """Computation-rate sweep; returns CurvePoints in deterministic order.
 
     Each block has one receive antenna: a row of L user gains.
@@ -169,7 +160,7 @@ def run_sweep(cfg, workers=None):
     return _run(cfg, RATE_METRICS, (cfg.users,), _rate_point, workers)
 
 
-def run_if_sweep(cfg, workers=None):
+def run_if_sweep(cfg, workers=1):
     """Integer-forcing sweep; returns CurvePoints in deterministic order.
 
     Each block is an L x L MIMO channel matrix.

@@ -327,21 +327,18 @@ _CATALOG_SPECS = {
                       _power_basis(14)),
 }
 
-_CACHE = {}
-
 
 def catalog_names():
     return list(_CATALOG_SPECS)
 
 
+@functools.cache
 def catalog_field(name):
     """Construct (and cache) a catalog field by name."""
     if name not in _CATALOG_SPECS:
         raise KeyError("unknown field %r; known: %s" % (name, ", ".join(_CATALOG_SPECS)))
-    if name not in _CACHE:
-        min_poly, basis = _CATALOG_SPECS[name]
-        _CACHE[name] = NumberField(name, min_poly, basis)
-    return _CACHE[name]
+    min_poly, basis = _CATALOG_SPECS[name]
+    return NumberField(name, min_poly, basis)
 
 
 def _parse_rational(x):

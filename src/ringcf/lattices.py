@@ -6,8 +6,9 @@ reported in the caller's original basis coordinates.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -29,8 +30,6 @@ class ZLattice:
     """
 
     basis: np.ndarray
-    _reduction: tuple = field(default=None, init=False, repr=False, compare=False)
-    _q: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
@@ -52,8 +51,6 @@ class ZLattice:
         lat = object.__new__(cls)
         basis.flags.writeable = False
         object.__setattr__(lat, "basis", basis)
-        object.__setattr__(lat, "_reduction", None)
-        object.__setattr__(lat, "_q", None)
         return lat
 
     @property
@@ -62,6 +59,38 @@ class ZLattice:
 
     def volume(self):
         return abs(np.linalg.det(self.basis))
+
+    @functools.cached_property
+    def _reduction(self):
+        """(reduced basis, columns of U, R rows, column norms^2), computed on
+        first use and kept.
+
+        LLL runs through the module's `lll_reduce`, looked up at call time.
+        U's columns are tuples of Python ints, the images of the unit
+        vectors, which `_apply_transform` scales and adds. Each column norm^2
+        is summed top to bottom with +=, the order of np.sum(axis=0) on the
+        C-ordered basis. R is the triangular factor of `_qr_positive` without
+        its Q: numpy's mode "r" runs the same factorization, and negating a
+        row is exact, so the rows hold the same floats. Q waits for `_q`.
+        """
+        red, u = lll_reduce(self)
+        r_rows = np.linalg.qr(red.basis, mode="r").tolist()
+        for i, row in enumerate(r_rows):
+            if row[i] < 0:
+                r_rows[i] = [-x for x in row]
+        norms2 = []
+        for col in red.basis.T.tolist():
+            s = 0.0
+            for x in col:
+                s += x * x
+            norms2.append(s)
+        return red.basis, list(zip(*u)), r_rows, norms2
+
+    @functools.cached_property
+    def _q(self):
+        """Q factor of the reduced basis, made on the first closest-vector
+        call and kept (minima never read it)."""
+        return _qr_positive(self._reduction[0])[0]
 
 
 def _norm_error(s):
@@ -240,42 +269,6 @@ def _qr_positive(b):
     return q * sign, (r.T * sign).T
 
 
-def _reduction(lat):
-    """(reduced basis, columns of U, R rows, column norms^2) of a lattice,
-    computed on first use and kept.
-
-    LLL runs through the module's `lll_reduce`, looked up at call time. U's
-    columns are tuples of Python ints, the images of the unit vectors, which
-    `_apply_transform` scales and adds. Each column norm^2 is summed top to
-    bottom with +=, the order of np.sum(axis=0) on the C-ordered basis. R is
-    the triangular factor of `_qr_positive` without its Q: numpy's mode "r"
-    runs the same factorization, and negating a row is exact, so the rows
-    hold the same floats. Q waits for `_cvp_q`.
-    """
-    if lat._reduction is None:
-        red, u = lll_reduce(lat)
-        r_rows = np.linalg.qr(red.basis, mode="r").tolist()
-        for i, row in enumerate(r_rows):
-            if row[i] < 0:
-                r_rows[i] = [-x for x in row]
-        norms2 = []
-        for col in red.basis.T.tolist():
-            s = 0.0
-            for x in col:
-                s += x * x
-            norms2.append(s)
-        object.__setattr__(lat, "_reduction", (red.basis, list(zip(*u)), r_rows, norms2))
-    return lat._reduction
-
-
-def _cvp_q(lat):
-    """Q factor of the reduced basis, made on the first closest-vector call
-    and kept (minima never read it)."""
-    if lat._q is None:
-        object.__setattr__(lat, "_q", _qr_positive(_reduction(lat)[0])[0])
-    return lat._q
-
-
 def _canonical(vec):
     """Pick the lexicographically smaller of a vector and its negation: the
     one whose first nonzero entry is negative."""
@@ -309,7 +302,7 @@ class MinimaResult:
         return [lat.basis @ np.array(v, dtype=float) for v in self.vectors]
 
 
-def _greedy_minima(lat, k, new_test, what="independent minima", test_columns=True):
+def _greedy_minima(lat, k, new_test, what="independent minima"):
     """First k vectors, in length order, that a fresh test from new_test()
     accepts (it keeps a tuple of Python ints and returns True when that is
     independent of those kept before): (coefficient tuples, lengths).
@@ -318,24 +311,19 @@ def _greedy_minima(lat, k, new_test, what="independent minima", test_columns=Tru
     independent ones; the k-th pick's norm^2 r^2 bounds the k-th vector, so
     the ball of r^2 plus the 1e-9 tie tolerance holds the picks and their tie
     groups. The largest column caps it (the tolerance is absolute below 1).
-    With test_columns=False the test accepts any set of columns (a basis's
-    columns are Q-independent), so r^2 is the k-th smallest norm^2.
 
     Candidates are sorted by length once; a group of lengths within 1e-9 of
     its first is mapped through U only when the loop reaches it, and a group
     of more than one is ordered lexicographically on canonical coefficients.
     """
-    _, u_cols, r_rows, norms2 = _reduction(lat)
-    if test_columns:
-        test, picks = new_test(), 0
-        for i in sorted(range(lat.dim), key=norms2.__getitem__):
-            if test(u_cols[i]):
-                r2 = norms2[i]
-                picks += 1
-                if picks == k:
-                    break
-    else:
-        r2 = sorted(norms2)[k - 1]
+    _, u_cols, r_rows, norms2 = lat._reduction
+    test, picks = new_test(), 0
+    for i in sorted(range(lat.dim), key=norms2.__getitem__):
+        if test(u_cols[i]):
+            r2 = norms2[i]
+            picks += 1
+            if picks == k:
+                break
     radius2 = min(max(norms2) * (1 + 1e-9), r2 + 1e-9 * (1 + r2))
     cands = _enumerate_all(r_rows, radius2)
     cands.sort(key=itemgetter(1))
@@ -369,8 +357,7 @@ def successive_minima(lat, k):
     if not (1 <= k <= lat.dim):
         raise ValueError("k must satisfy 1 <= k <= dim")
     # integer coordinates in a nonsingular basis: R-independence is Q-independence
-    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon()._add,
-                                      test_columns=False)
+    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon()._add)
     return MinimaResult(vectors=vectors, lengths=lengths)
 
 
@@ -391,8 +378,8 @@ def closest_vector(lat, target):
         raise ValueError("target dimension mismatch")
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
-    red_basis, u_cols, r_rows, _ = _reduction(lat)
-    t = _cvp_q(lat).T @ target
+    red_basis, u_cols, r_rows, _ = lat._reduction
+    t = lat._q.T @ target
     m = lat.dim
     # Babai nearest-plane gives a certified initial radius. It runs on Python
     # floats with += sums, like _enumerate_all, so it rounds as numpy would.

@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class ChannelRealization:
 
     h: np.ndarray
     snr: float
-    _mmse: tuple = dc_field(default=None, init=False, repr=False, compare=False)
-    _mmse_factors: tuple = dc_field(default=None, init=False, repr=False, compare=False)
-    _capacity: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.atleast_2d(np.array(self.h, dtype=float))
@@ -67,6 +64,30 @@ class ChannelRealization:
     @property
     def users(self):
         return self.h.shape[1]
+
+    @functools.cached_property
+    def _mmse_blocks(self):
+        """Per-block MMSE matrices, computed on first use and kept (every
+        field of a sweep and the Z baseline read the same ones)."""
+        return _read_only([_mmse_block(hj, self.snr) for hj in self.h])
+
+    @functools.cached_property
+    def _mmse_factors(self):
+        """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks,
+        kept on first success; a failure is not kept and leaves the blocks
+        usable."""
+        try:
+            factors = [np.linalg.cholesky(Mj).T for Mj in self._mmse_blocks]
+        except np.linalg.LinAlgError as e:
+            raise PathologicalChannelError("MMSE matrix not positive definite") from e
+        return _read_only(factors)
+
+    @functools.cached_property
+    def _capacity_terms(self):
+        """Per-block terms log2(1 + P |h_j|^2), computed on first use and kept
+        (the MAC capacity and every field's Minkowski bounds read them)."""
+        P = self.snr
+        return tuple(log2_plus(1.0 + P * float(hj @ hj)) for hj in self.h)
 
     @classmethod
     def from_json(cls, doc):
@@ -158,8 +179,8 @@ def build_humbert(field, channel):
     if channel.n_blocks != field.degree:
         raise ValueError("channel has %d blocks but field degree is %d"
                          % (channel.n_blocks, field.degree))
-    M_chol = _mmse_factors(channel)
-    return HumbertForm(field=field, channel=channel, M=list(_mmse_blocks(channel)),
+    M_chol = channel._mmse_factors
+    return HumbertForm(field=field, channel=channel, M=list(channel._mmse_blocks),
                        M_chol=list(M_chol), phi_M=_block_basis(field, M_chol))
 
 
@@ -173,27 +194,6 @@ def _read_only(arrays):
     for a in arrays:
         a.flags.writeable = False
     return tuple(arrays)
-
-
-def _mmse_blocks(channel):
-    """The channel's per-block MMSE matrices, computed on first use and kept
-    (every field of a sweep and the Z baseline read the same ones)."""
-    if channel._mmse is None:
-        object.__setattr__(channel, "_mmse", _read_only(
-            [_mmse_block(hj, channel.snr) for hj in channel.h]))
-    return channel._mmse
-
-
-def _mmse_factors(channel):
-    """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks,
-    computed on first success and kept; a failure leaves the blocks usable."""
-    if channel._mmse_factors is None:
-        try:
-            factors = [np.linalg.cholesky(Mj).T for Mj in _mmse_blocks(channel)]
-        except np.linalg.LinAlgError as e:
-            raise PathologicalChannelError("MMSE matrix not positive definite") from e
-        object.__setattr__(channel, "_mmse_factors", _read_only(factors))
-    return channel._mmse_factors
 
 
 def _block_basis(field, factors):
@@ -264,7 +264,7 @@ def minkowski_rate_bounds(field, channel):
     n, L = field.degree, channel.users
     disc = float(field.discriminant)
     kappa = hermite_constant(n * L)
-    terms = _capacity_terms(channel)
+    terms = channel._capacity_terms
     if len(terms) < n:
         raise ValueError("channel has %d blocks but field degree is %d" % (len(terms), n))
     cap = _left_sum(terms[:n])
@@ -284,20 +284,9 @@ def _left_sum(terms):
     return s
 
 
-def _capacity_terms(channel):
-    """The channel's per-block terms log2(1 + P |h_j|^2), computed on first
-    use and kept (the MAC capacity and every field's Minkowski bounds read
-    them)."""
-    if channel._capacity is None:
-        P = channel.snr
-        object.__setattr__(channel, "_capacity", tuple(
-            log2_plus(1.0 + P * float(hj @ hj)) for hj in channel.h))
-    return channel._capacity
-
-
 def mac_capacity(channel):
     """Sum capacity of the multiple-access channel across the fading blocks."""
-    return 0.5 * _left_sum(_capacity_terms(channel))
+    return 0.5 * _left_sum(channel._capacity_terms)
 
 
 @dataclass
@@ -379,7 +368,7 @@ def integer_baseline(channel, k=None):
     n = channel.n_blocks
     if k is None:
         k = channel.users
-    minima = _z_minima(sum(_mmse_blocks(channel)), k)
+    minima = _z_minima(sum(channel._mmse_blocks), k)
     f_values = [l * l for l in minima.lengths]
     rates = [(n / 2.0) * log2_plus(n / f) for f in f_values]
     return rates, minima.vectors

@@ -1,4 +1,5 @@
 """Public surface: exported names and the benchmark's traced layers."""
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -20,3 +21,14 @@ def test_traced_layers_are_callable():
     for mod_name, fn_name in layertrace.TARGETS:
         mod = importlib.import_module("ringcf." + mod_name)
         assert callable(getattr(mod, fn_name, None)), (mod_name, fn_name)
+
+
+def test_cached_data_is_no_dataclass_field():
+    # kept derived data lives in cached properties, outside the fields that
+    # the constructor, repr and == see
+    for cls, public in ((ringcf.ChannelRealization, ["h", "snr"]),
+                        (ringcf.ZLattice, ["basis"]),
+                        (ringcf.NestedLatticePair,
+                         ["field", "ideal", "G_coarse", "G_fine", "T", "gen_fine",
+                          "gen_coarse"])):
+        assert [f.name for f in dataclasses.fields(cls)] == public

@@ -113,6 +113,23 @@ def test_nested_pair_coded_volumes():
         pair.fine_coords_of(pair.ring_vector(col))
 
 
+def test_nesting_checked_with_one_solve(monkeypatch):
+    from ringcf import exact
+    f = catalog_field("quad-5")
+    ideal = prime_ideal(f, 101, 23)
+    solves, real = [], exact.mat_solve
+    monkeypatch.setattr(exact, "mat_solve",
+                        lambda rows, rhs: solves.append(len(rhs)) or real(rows, rhs))
+    pair = build_nested_pair(f, ideal, [[1], [0], [3], [11]],
+                             [[1, 0], [0, 1], [3, 7], [11, 5]], T=4)
+    assert solves == [8]  # one solve, one right-hand side per coarse generator
+    # the same solve that rejects a coarse lattice outside the fine one
+    monkeypatch.setattr(exact, "mat_solve",
+                        lambda rows, rhs: [[Fraction(1, 2)] * len(rows)] * len(rhs))
+    with pytest.raises(CodecError, match="not nested"):
+        build_nested_pair(f, ideal, pair.G_coarse, pair.G_fine, T=4)
+
+
 # (field, p, root, T, systematic G): the benchmark's quad-5 pair and two
 # higher-degree fields at degree-one primes
 CONSTRUCTION_A_CASES = [

@@ -111,11 +111,6 @@ def test_aggregation_equals_per_key_reference(trials):
         assert (point.trials, point.seed) == (trials, 21)
 
 
-def test_env_var_worker_override(monkeypatch):
-    monkeypatch.setenv("RINGCF_THREADS", "2")
-    assert csv_string(run_sweep(SMALL)) == csv_string(run_sweep(SMALL, workers=1))
-
-
 def test_csv_round_trip(tmp_path):
     points = run_sweep(SMALL)
     path = tmp_path / "sweep.csv"

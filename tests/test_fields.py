@@ -221,6 +221,14 @@ def test_lazy_kspan_equals_eager_extension(name):
     assert after_last_accept >= 12
 
 
+def test_catalog_field_built_once_per_name():
+    # one object per name, so its kept matrices serve every caller
+    assert catalog_field("quad-5") is catalog_field("quad-5")
+    for _ in range(2):
+        with pytest.raises(KeyError, match="unknown field 'quad-6'"):
+            catalog_field("quad-6")
+
+
 def test_field_matrices_built_once_on_first_use():
     f = NumberField("quad-5-copy", [-1, -1, 1], [[1], [0, 1]])
     assert "_omega_matrices" not in vars(f) and not f._psi_embeddings

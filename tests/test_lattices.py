@@ -293,7 +293,7 @@ def assert_lll_output_is_a_checked_lattice(lat):
     assert red.basis.dtype == checked.basis.dtype and red.basis.shape == checked.basis.shape
     assert red.basis.tobytes() == checked.basis.tobytes()
     assert not red.basis.flags.writeable and red.basis.flags.c_contiguous
-    assert red._reduction is None and red._q is None
+    assert "_reduction" not in vars(red) and "_q" not in vars(red)
 
 
 def test_lll_output_is_a_checked_lattice_on_scaled_random_bases():
@@ -331,7 +331,7 @@ def echelon_column_radius2(lat, k):
     """The radius^2 of a greedy IntEchelon pass over the reduced columns,
     shortest first: the k-th pick's norm^2 plus the tie tolerance, capped by
     the largest column."""
-    red_basis, u_cols, _, _ = lattices._reduction(lat)
+    red_basis, u_cols, _, _ = lat._reduction
     norms2 = []
     for col in red_basis.T.tolist():
         s = 0.0
@@ -353,7 +353,7 @@ def test_minima_radius_equals_echelon_column_pass(monkeypatch):
 
 
 def assert_r_rows_equal_qr_positive(lat):
-    red_basis, u_cols, r_rows, norms2 = lattices._reduction(lat)
+    red_basis, u_cols, r_rows, norms2 = lat._reduction
     r_mat = lattices._qr_positive(red_basis)[1]
     assert r_rows == r_mat.tolist()
     # == on floats equates -0.0 and 0.0; the bytes do not
@@ -485,7 +485,7 @@ def full_radius_minima(lat):
     """All successive minima, from every vector inside the largest
     LLL-reduced column: by length, ties within 1e-9 in lexicographic order of
     canonical coefficients, then a greedy with fraction_rank."""
-    red_basis, u_cols, r_rows, _ = lattices._reduction(lat)
+    red_basis, u_cols, r_rows, _ = lat._reduction
     radius2 = float(np.max(np.sum(red_basis ** 2, axis=0))) * (1 + 1e-9)
     cands = sorted(lattices._enumerate_all(r_rows, radius2), key=lambda e: e[1])
     u = np.array(u_cols, dtype=object).T
@@ -526,7 +526,7 @@ def test_adaptive_radius_minima_match_full_radius_oracle():
 
 
 def test_enumeration_node_limit_names_dimension_radius_and_limit():
-    r_rows = lattices._reduction(ZLattice(np.eye(3)))[2]
+    r_rows = ZLattice(np.eye(3))._reduction[2]
     with pytest.raises(EnumerationError,
                        match=r"node limit: dimension 3, radius\^2 4, limit 5"):
         lattices._enumerate_all(r_rows, 4.0, limit=5)
@@ -675,7 +675,7 @@ def test_enumeration_equals_numpy_scalar_reference():
         m = int(rng.integers(2, 7))
         lat = ZLattice(random_basis(rng, m) * rng.choice([1.0, 100.0, 1e-3])
                        * rng.choice([1.0, 3.0, 0.1], size=m))
-        red_basis = lattices._reduction(lat)[0]
+        red_basis = lat._reduction[0]
         q, r_mat = reference_qr(red_basis)
         norms2 = np.sort(np.sum(red_basis ** 2, axis=0))
         radius2 = float(norms2[m // 2]) * (1 + 1e-9)
@@ -749,8 +749,8 @@ def test_minima_enumeration_equals_leaf_filter_reference_at_every_limit():
         m = int(rng.integers(2, 7))
         lat = ZLattice(random_basis(rng, m) * rng.choice([1.0, 100.0, 1e-3])
                        * rng.choice([1.0, 3.0, 0.1], size=m))
-        r_rows = lattices._reduction(lat)[2]
-        norms2 = sorted(np.sum(lattices._reduction(lat)[0] ** 2, axis=0).tolist())
+        r_rows = lat._reduction[2]
+        norms2 = sorted(np.sum(lat._reduction[0] ** 2, axis=0).tolist())
         radius2 = norms2[min(trial % m, m // 2)] * (1 + 1e-9) * rng.choice([1.0, 1.5])
         ref = leaf_filter_enumerate_all(r_rows, radius2, math.inf)
         assert lattices._enumerate_all(r_rows, radius2) == ref
@@ -795,7 +795,7 @@ def numpy_scalar_closest_vector(lat, target):
     numpy scalars and a residual key for every tie. Returns the
     (coefficients, point, distance) triple and the number of ties."""
     target = np.asarray(target, dtype=float)
-    red_basis, u_cols, _, _ = lattices._reduction(lat)
+    red_basis, u_cols, _, _ = lat._reduction
     q, r_mat = reference_qr(red_basis)
     t = q.T @ target
     m = lat.dim

@@ -458,6 +458,9 @@ def test_failed_factor_leaves_z_baseline_intact():
         best_coefficients(catalog_field("quad-5"), ch)
     assert integer_baseline(ch) == ([1.9999278706576413, 0.9998557737723149],
                                     [(-1, 0), (-1, -1)])
+    # the failure is not kept: a second call factors again and raises again
+    with pytest.raises(PathologicalChannelError, match="not positive definite"):
+        best_coefficients(catalog_field("quad-5"), ch)
 
 
 def test_mmse_blocks_and_factors_built_once_per_channel(monkeypatch):
