@@ -115,18 +115,23 @@ def _load_field(name_or_path):
 def _load_channel(path, snr_db, usage_error):
     """Channel of a JSON file {h, snr_db}; snr_db overrides the file's when
     given. A file that is not an object, an h or snr_db that is missing or
-    not numeric, and an SNR whose power overflows a float are usage errors."""
+    not numeric, an h that is not a blocks x users matrix, and an SNR whose
+    power overflows a float are usage errors."""
     with open(path) as fh:
         doc = json.load(fh)
     if snr_db is not None and isinstance(doc, dict):
         doc = dict(doc, snr_db=snr_db)
     try:
-        return rates.ChannelRealization.from_json(doc)
+        ch = rates.ChannelRealization.from_json(doc)
     except rates.ChannelFormatError as e:
         usage_error("channel file %s: %s" % (path, e))
     except OverflowError:
         usage_error("snr_db %s of %s overflows: 10^(snr_db/10) is too large for a float"
                     % (doc["snr_db"], path))
+    if ch.h.ndim != 2:
+        usage_error("channel file %s: 'h' has shape %s; the command line needs one receive "
+                    "antenna per block, a blocks x users matrix" % (path, ch.h.shape))
+    return ch
 
 
 def _emit(args, payload):

@@ -77,19 +77,19 @@ def _trial(cfg, block_shape, point, trial):
     """Metric values of one trial, keyed (snr_db, field, metric) in CSV order.
 
     One channel is drawn per trial, block by block with the given per-block
-    shape, and `point` adds the metrics of each SNR of the grid.
+    shape, and `point` adds the metrics of its channel at each SNR of the grid.
     """
     fields = [catalog_field(name) for name in cfg.fields]
     rng = _trial_rng(cfg.seed, trial)
     h = rng.normal(size=(fields[0].degree,) + block_shape)
     out = {}
     for snr_db in cfg.snr_db_grid:
-        point(cfg, fields, h, snr_db, trial, out)
+        ch = ChannelRealization(h=h, snr=10.0 ** (snr_db / 10.0))
+        point(cfg, fields, ch, snr_db, trial, out)
     return out
 
 
-def _rate_point(cfg, fields, h, snr_db, trial, out):
-    ch = ChannelRealization(h=h, snr=10.0 ** (snr_db / 10.0))
+def _rate_point(cfg, fields, ch, snr_db, trial, out):
     mac = mac_capacity(ch)
     for f in fields:
         rep = best_coefficients(f, ch)
@@ -110,10 +110,9 @@ def _rate_point(cfg, fields, h, snr_db, trial, out):
         out[(snr_db, "Z", "z_baseline")] = rates[0]
 
 
-def _if_point(cfg, fields, h, snr_db, trial, out):
-    P = 10.0 ** (snr_db / 10.0)
+def _if_point(cfg, fields, ch, snr_db, trial, out):
     for f in fields:
-        rep = if_rate(f, h, P)
+        rep = if_rate(f, ch)
         if rep.rate > rep.ml_capacity + 1e-9:
             raise AssertionError(
                 "IF rate exceeded ML benchmark: trial=%d field=%s snr=%g"
@@ -121,9 +120,9 @@ def _if_point(cfg, fields, h, snr_db, trial, out):
         if "if_rate" in cfg.metrics:
             out[(snr_db, f.name, "if_rate")] = rep.rate
     if "z_if" in cfg.metrics:
-        out[(snr_db, "Z", "z_if")] = integer_if_rate(h, P)
+        out[(snr_db, "Z", "z_if")] = integer_if_rate(ch)
     if "ml" in cfg.metrics:
-        # every field's report carries the same ML benchmark of (h, P)
+        # every field's report carries the same ML benchmark of the channel
         out[(snr_db, "-", "ml")] = rep.ml_capacity
 
 

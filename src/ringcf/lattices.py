@@ -298,9 +298,6 @@ class MinimaResult:
     vectors: list
     lengths: list
 
-    def points(self, lat):
-        return [lat.basis @ np.array(v, dtype=float) for v in self.vectors]
-
 
 def _greedy_minima(lat, k, new_test, what="independent minima"):
     """First k vectors, in length order, that a fresh test from new_test()

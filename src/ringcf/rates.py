@@ -39,10 +39,13 @@ def log2_plus(x):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Real block-fading channel: row j holds the L user gains of block j.
+    """Real block-fading channel. A 2-D h, shape (blocks, users), has one
+    receive antenna per block: row j holds the user gains of block j. A 3-D
+    h, shape (blocks, antennas, users), holds one MIMO matrix per block and
+    serves integer forcing only.
 
-    The gains are copied and made read-only, so the MMSE blocks and factors
-    and the capacity terms cached on first use always describe them.
+    The gains are copied and made read-only, so the data cached on first use
+    always describes them.
     """
 
     h: np.ndarray
@@ -50,6 +53,9 @@ class ChannelRealization:
 
     def __post_init__(self):
         h = np.atleast_2d(np.array(self.h, dtype=float))
+        if h.ndim > 3:
+            raise PathologicalChannelError("channel gains must be 2-D or 3-D, got "
+                                           "shape %s" % (h.shape,))
         if not np.all(np.isfinite(h)):
             raise PathologicalChannelError("channel gains must be finite")
         if not (self.snr > 0 and math.isfinite(self.snr)):
@@ -63,13 +69,21 @@ class ChannelRealization:
 
     @property
     def users(self):
-        return self.h.shape[1]
+        return self.h.shape[-1]
+
+    @property
+    def _rows(self):
+        """h as rows of user gains: CF and its bounds need one antenna per block."""
+        if self.h.ndim != 2:
+            raise ValueError("compute-and-forward needs one receive antenna per "
+                             "block, got channel gains of shape %s" % (self.h.shape,))
+        return self.h
 
     @functools.cached_property
     def _mmse_blocks(self):
         """Per-block MMSE matrices, computed on first use and kept (every
         field of a sweep and the Z baseline read the same ones)."""
-        return _read_only([_mmse_block(hj, self.snr) for hj in self.h])
+        return _read_only([_mmse_block(hj, self.snr) for hj in self._rows])
 
     @functools.cached_property
     def _mmse_factors(self):
@@ -87,7 +101,38 @@ class ChannelRealization:
         """Per-block terms log2(1 + P |h_j|^2), computed on first use and kept
         (the MAC capacity and every field's Minkowski bounds read them)."""
         P = self.snr
-        return tuple(log2_plus(1.0 + P * float(hj @ hj)) for hj in self.h)
+        return tuple(log2_plus(1.0 + P * float(hj @ hj)) for hj in self._rows)
+
+    @functools.cached_property
+    def _if_whiteners(self):
+        """Per-block integer-forcing whiteners F_j = (P^-1 I + H_j^T H_j)^(-1/2),
+        read-only; a 2-D h gives 1 x users blocks H_j."""
+        out = []
+        for H in self.h.reshape(self.n_blocks, -1, self.users):
+            A = np.eye(H.shape[1]) / self.snr + H.T @ H
+            w, v = np.linalg.eigh(A)
+            w = np.clip(w, 1e-300, None)
+            out.append(v @ np.diag(w ** -0.5) @ v.T)
+        return _read_only(out)
+
+    @functools.cached_property
+    def _ml_capacity(self):
+        """Joint ML benchmark, kept for every field of an IF sweep point."""
+        P, L = self.snr, self.users
+        best = math.inf
+        for size in range(1, L + 1):
+            for subset in itertools.combinations(range(L), size):
+                tot = 0.0
+                for H in self.h.reshape(self.n_blocks, -1, L):
+                    Hs = H[:, subset]
+                    sign, logdet = np.linalg.slogdet(np.eye(H.shape[0]) + P * Hs @ Hs.T)
+                    if sign <= 0:
+                        raise PathologicalChannelError(
+                            "ML capacity at %g dB: I + P H_S H_S^T is not positive "
+                            "definite in floating point" % (10.0 * math.log10(P)))
+                    tot += logdet / math.log(2.0)
+                best = min(best, tot / (2.0 * self.n_blocks * size))
+        return best
 
     @classmethod
     def from_json(cls, doc):
@@ -176,9 +221,6 @@ def _mmse_scaling(channel, sigma):
 
 def build_humbert(field, channel):
     """MMSE quadratic form for a channel with n_blocks = field degree."""
-    if channel.n_blocks != field.degree:
-        raise ValueError("channel has %d blocks but field degree is %d"
-                         % (channel.n_blocks, field.degree))
     M_chol = channel._mmse_factors
     return HumbertForm(field=field, channel=channel, M=list(channel._mmse_blocks),
                        M_chol=list(M_chol), phi_M=_block_basis(field, M_chol))
@@ -198,8 +240,11 @@ def _read_only(arrays):
 
 def _block_basis(field, factors):
     """nL x nL basis diag(F_1, .., F_n) @ (embeddings kron I_L) of the
-    lattice whose squared lengths give the form sum_j |F_j sigma_j(a)|^2."""
+    lattice whose squared lengths give the form sum_j |F_j sigma_j(a)|^2;
+    the channel must have one block per embedding."""
     n, L = len(factors), factors[0].shape[0]
+    if n != field.degree:
+        raise ValueError("channel has %d blocks but field degree is %d" % (n, field.degree))
     blocks = np.zeros((n * L, n * L))
     for j, Fj in enumerate(factors):
         blocks[j * L:(j + 1) * L, j * L:(j + 1) * L] = Fj
@@ -398,79 +443,29 @@ class IFReport:
         }
 
 
-def _last_channel(fn):
-    """Keep fn(blocks, P) for the last (h_mats, P) only, keyed by P and the
-    blocks' shapes and bytes: an IF sweep asks for the same (h, P) once per
-    field and once more for the Z baseline."""
-    last = [None]
-
-    @functools.wraps(fn)
-    def memo(h_mats, P):
-        blocks = [np.asarray(H, dtype=float) for H in h_mats]
-        key = (P, tuple((H.shape, H.tobytes()) for H in blocks))
-        hit = last[0]
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        value = fn(blocks, P)
-        last[0] = (key, value)
-        return value
-    return memo
-
-
-@_last_channel
-def _if_whiteners(h_mats, P):
-    """Per-block whitening matrices F_j = (P^-1 I + H_j^T H_j)^(-1/2), read-only."""
-    out = []
-    for H in h_mats:
-        if not np.all(np.isfinite(H)):
-            raise PathologicalChannelError("channel matrix must be finite")
-        A = np.eye(H.shape[1]) / P + H.T @ H
-        w, v = np.linalg.eigh(A)
-        w = np.clip(w, 1e-300, None)
-        out.append(v @ np.diag(w ** -0.5) @ v.T)
-    return _read_only(out)
-
-
-@_last_channel
-def ml_capacity(h_mats, P):
+def ml_capacity(channel):
     """Joint ML benchmark: worst-case normalized subset sum capacity."""
-    n = len(h_mats)
-    L = h_mats[0].shape[1]
-    best = math.inf
-    for size in range(1, L + 1):
-        for subset in itertools.combinations(range(L), size):
-            tot = 0.0
-            for H in h_mats:
-                Hs = H[:, subset]
-                sign, logdet = np.linalg.slogdet(np.eye(H.shape[0]) + P * Hs @ Hs.T)
-                tot += logdet / math.log(2.0)
-            best = min(best, tot / (2.0 * n * size))
-    return best
+    return channel._ml_capacity
 
 
-def if_rate(field, h_mats, P):
+def if_rate(field, channel):
     """Ring integer-forcing rate for n = field degree MIMO blocks.
 
-    h_mats lists one receive matrix per block (columns are users). The
-    receiver decodes L ring combinations that are independent over the field.
+    The channel holds one receive matrix per block (columns are users); a
+    2-D channel has one receive antenna per block. The receiver decodes L
+    ring combinations that are independent over the field.
     """
-    n = field.degree
-    if len(h_mats) != n:
-        raise ValueError("need one channel matrix per fading block")
-    L = np.asarray(h_mats[0]).shape[1]
-    basis = _block_basis(field, _if_whiteners(h_mats, P))
-    selected, lengths = _select_independent(field, basis, L)
-    rates = [0.5 * log2_plus(n * P / (l * l)) for l in lengths]
+    basis = _block_basis(field, channel._if_whiteners)
+    selected, lengths = _select_independent(field, basis, channel.users)
+    rates = [0.5 * log2_plus(field.degree * channel.snr / (l * l)) for l in lengths]
     return IFReport(field_name=field.name, coeffs=selected, rates=rates,
-                    rate=min(rates), ml_capacity=ml_capacity(h_mats, P))
+                    rate=min(rates), ml_capacity=ml_capacity(channel))
 
 
-def integer_if_rate(h_mats, P):
+def integer_if_rate(channel):
     """Plain-integer integer-forcing baseline over the same blocks."""
-    h_mats = [np.asarray(H, dtype=float) for H in h_mats]
-    n = len(h_mats)
-    L = h_mats[0].shape[1]
-    minima = _z_minima(sum(f @ f for f in _if_whiteners(h_mats, P)), L)
+    n, P = channel.n_blocks, channel.snr
+    minima = _z_minima(sum(f @ f for f in channel._if_whiteners), channel.users)
     rates = [0.5 * log2_plus(n * P / (l * l)) for l in minima.lengths]
     return min(rates)
 

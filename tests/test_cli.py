@@ -270,6 +270,18 @@ def test_bad_channel_files_are_usage_errors(doc, message, tmp_path, capsys):
         assert "channel file %s: " % path in capsys.readouterr().err
 
 
+def test_mimo_channel_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "mimo.json"
+    path.write_text(json.dumps({"h": np.ones((2, 2, 2)).tolist(), "snr_db": 20.0}))
+    for command in ("rate", "dof"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--field", "quad-5", "--channel", str(path)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "channel file %s: 'h' has shape (2, 2, 2)" % path in err
+        assert "one receive antenna per block" in err
+
+
 @pytest.mark.parametrize("grid", ["4000", "0,4000", "0:1000:4000"])
 def test_overflowing_snr_grid_is_usage_error(grid, capsys):
     for command in ("sweep", "if-sweep"):

@@ -1,5 +1,6 @@
 """Sweep harness: determinism, CSV contract, worker independence."""
 import csv
+import functools
 import io
 import math
 
@@ -57,7 +58,7 @@ def test_ml_capacity_once_per_snr_point(monkeypatch):
     # bound in experiments would be counted too
     calls = []
     real = rates.ml_capacity
-    counting = lambda h, P: calls.append(P) or real(h, P)
+    counting = lambda ch: calls.append(ch.snr) or real(ch)
     monkeypatch.setattr(rates, "ml_capacity", counting)
     monkeypatch.setattr(experiments, "ml_capacity", counting, raising=False)
     cfg = SweepConfig(fields=["quad-5"], snr_db_grid=[0, 10], trials=1, seed=3,
@@ -66,19 +67,20 @@ def test_ml_capacity_once_per_snr_point(monkeypatch):
     assert len(calls) == 2
 
 
-def count_memo_misses(monkeypatch, memoized):
-    """Count the calls that get past the one-entry memo around memoized."""
-    cell = memoized.__closure__[memoized.__code__.co_freevars.index("fn")]
-    misses, fn = [], cell.cell_contents
-    monkeypatch.setattr(cell, "cell_contents", lambda *a: misses.append(1) or fn(*a))
-    return misses
+def count_builds(monkeypatch, name):
+    """Count the first reads of the cached property name of every channel."""
+    real, builds = vars(rates.ChannelRealization)[name], []
+    counted = functools.cached_property(lambda ch: builds.append(1) or real.func(ch))
+    counted.__set_name__(rates.ChannelRealization, name)
+    monkeypatch.setattr(rates.ChannelRealization, name, counted)
+    return builds
 
 
 def test_if_channel_work_once_per_snr_point(monkeypatch):
     # three fields and the Z baseline share one whitener build and one ML
-    # computation per (h, P)
-    whiteners = count_memo_misses(monkeypatch, rates._if_whiteners)
-    ml = count_memo_misses(monkeypatch, rates.ml_capacity)
+    # computation per channel, and a sweep builds one channel per SNR point
+    whiteners = count_builds(monkeypatch, "_if_whiteners")
+    ml = count_builds(monkeypatch, "_ml_capacity")
     cfg = SweepConfig(fields=["quad-5", "quad-8", "quad-12"], snr_db_grid=[0, 10],
                       trials=1, seed=13, metrics=IF_METRICS)
     run_if_sweep(cfg, workers=1)
@@ -86,11 +88,11 @@ def test_if_channel_work_once_per_snr_point(monkeypatch):
     assert len(ml) == 2
 
 
-def mixed_scale_point(cfg, fields, h, snr_db, trial, out):
+def mixed_scale_point(cfg, fields, ch, snr_db, trial, out):
     """One value per metric from the trial's channel draw, with scales from
     1e-6 to 1e8 across metrics and a factor 1, 10 or 100 across trials."""
     for i, metric in enumerate(cfg.metrics):
-        out[(snr_db, "-", metric)] = float(h.flat[i]) * 10.0 ** (4 * i - 6 + trial % 3) + snr_db
+        out[(snr_db, "-", metric)] = float(ch.h.flat[i]) * 10.0 ** (4 * i - 6 + trial % 3) + snr_db
 
 
 @pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 16, 17, 128, 129, 2000])

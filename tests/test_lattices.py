@@ -245,9 +245,9 @@ def rate_lattices(monkeypatch):
                 for field in fields:
                     best_coefficients(field, ch)
                 integer_baseline(ch)
-                h_mats = list(rng.normal(size=(2, 2, 2)))
-                if_rate(fields[0], h_mats, snr)
-                integer_if_rate(h_mats, snr)
+                mimo = ChannelRealization(h=rng.normal(size=(2, 2, 2)), snr=snr)
+                if_rate(fields[0], mimo)
+                integer_if_rate(mimo)
 
     seen = recorded_reductions(monkeypatch, run)
     assert len(seen) == 11 * 3 * 6
@@ -401,7 +401,7 @@ def test_only_closest_vector_builds_q(monkeypatch):
     successive_minima(lat, 4)
     f = catalog_field("quad-5")
     best_coefficients(f, ChannelRealization(h=rng.normal(size=(2, 2)), snr=100.0))
-    if_rate(f, list(rng.normal(size=(2, 2, 2))), 100.0)
+    if_rate(f, ChannelRealization(h=rng.normal(size=(2, 2, 2)), snr=100.0))
     assert modes and set(modes) == {"r"}
     del modes[:]
     target = rng.normal(size=4)

@@ -15,7 +15,7 @@ from ringcf import (ChannelRealization, EnumerationError,
 from ringcf import lattices
 from ringcf.lattices import hermite_constant
 from ringcf.rates import (ChannelFormatError, _block_basis, _embed_vector,
-                          _if_whiteners, log2_plus, mmse_scaling)
+                          log2_plus, mmse_scaling)
 
 
 def random_channel(rng, n, L, P):
@@ -27,6 +27,20 @@ def test_channel_validation():
         ChannelRealization(h=np.array([[np.inf, 1.0]]), snr=1.0)
     with pytest.raises(PathologicalChannelError):
         ChannelRealization(h=np.ones((1, 2)), snr=0.0)
+    with pytest.raises(PathologicalChannelError, match="2-D or 3-D"):
+        ChannelRealization(h=np.ones((2, 1, 2, 2)), snr=1.0)
+
+
+def test_cf_needs_one_antenna_per_block():
+    # a 3-D channel serves integer forcing; CF and its bounds reject it
+    f = catalog_field("quad-5")
+    ch = ChannelRealization(h=np.random.default_rng(5).normal(size=(2, 3, 2)), snr=10.0)
+    assert (ch.n_blocks, ch.users) == (2, 2)
+    for call in (lambda: best_coefficients(f, ch), lambda: integer_baseline(ch),
+                 lambda: mac_capacity(ch), lambda: minkowski_rate_bounds(f, ch)):
+        with pytest.raises(ValueError, match="one receive antenna per block"):
+            call()
+    assert len(if_rate(f, ch).coeffs) == 2
 
 
 def test_channel_json_round_trip():
@@ -235,10 +249,10 @@ def test_selection_matches_minima_then_k_greedy(name, users):
         ch = random_channel(rng, f.degree, users, P)
         coeffs, _ = minima_then_k_greedy(f, build_humbert(f, ch).phi_M, users)
         assert best_coefficients(f, ch).coeffs == coeffs
-        h = rng.normal(size=(f.degree, users, users))
+        mimo = ChannelRealization(h=rng.normal(size=(f.degree, users, users)), snr=P)
         coeffs, lengths = minima_then_k_greedy(
-            f, _block_basis(f, _if_whiteners(h, P)), users)
-        rep = if_rate(f, h, P)
+            f, _block_basis(f, mimo._if_whiteners), users)
+        rep = if_rate(f, mimo)
         assert rep.coeffs == coeffs
         assert rep.rates == [0.5 * log2_plus(f.degree * P / (l * l)) for l in lengths]
 
@@ -365,6 +379,9 @@ def test_capacity_terms_equal_per_call_expressions():
         assert mac_capacity(ch) == expression_mac_capacity(fresh)
     with pytest.raises(ValueError, match="2 blocks but field degree is 3"):
         minkowski_rate_bounds(catalog_field("cubic-49"), random_channel(rng, 2, 2, 10.0))
+    for search in (best_coefficients, if_rate):
+        with pytest.raises(ValueError, match="2 blocks but field degree is 3"):
+            search(catalog_field("cubic-49"), random_channel(rng, 2, 2, 10.0))
 
 
 def test_integer_baseline_saturates():
@@ -381,7 +398,7 @@ def test_integer_baseline_saturates():
 def test_if_scalar_oracle():
     f = catalog_field("rational")
     for P in (0.5, 4.0, 1000.0):
-        rep = if_rate(f, [np.eye(1)], P)
+        rep = if_rate(f, ChannelRealization(h=np.eye(1), snr=P))
         assert abs(rep.rate - 0.5 * math.log2(P + 1)) < 1e-9
         assert abs(rep.ml_capacity - 0.5 * math.log2(P + 1)) < 1e-9
 
@@ -392,11 +409,11 @@ def test_if_rate_below_ml_and_above_integer():
     wins = 0
     for _ in range(100):
         hm = [rng.normal(size=(2, 2)) for _ in range(2)]
-        P = float(10 ** rng.uniform(0, 3))
-        rep = if_rate(f, hm, P)
+        ch = ChannelRealization(h=hm, snr=float(10 ** rng.uniform(0, 3)))
+        rep = if_rate(f, ch)
         assert rep.rate <= rep.ml_capacity + 1e-9
         assert len(rep.coeffs) == 2 and len(rep.rates) == 2
-        if rep.rate >= integer_if_rate(hm, P) - 1e-9:
+        if rep.rate >= integer_if_rate(ch) - 1e-9:
             wins += 1
     assert wins >= 90  # ring IF dominates the integer baseline almost always
 
@@ -405,7 +422,7 @@ def test_if_low_power_rate_zero():
     f = catalog_field("quad-5")
     rng = np.random.default_rng(12)
     hm = [rng.normal(size=(2, 2)) for _ in range(2)]
-    assert if_rate(f, hm, 1e-12).rate < 1e-9
+    assert if_rate(f, ChannelRealization(h=hm, snr=1e-12)).rate < 1e-9
 
 
 def test_dof_point_to_point():
@@ -423,22 +440,79 @@ def test_dof_grid_validation():
 def test_ml_capacity_subset_minimum():
     # a null user drags the subset minimum down
     H = [np.array([[1.0, 0.0], [0.0, 0.0]])]
-    f1 = ml_capacity(H, 100.0)
+    f1 = ml_capacity(ChannelRealization(h=H, snr=100.0))
     assert f1 == 0.0 or f1 < 0.1
 
 
-def test_if_memo_follows_the_channel():
-    # each call must match a fresh computation: the one-entry memo is keyed
-    # by P and by every block's shape and bytes
+def test_if_data_kept_on_the_channel():
+    # the whiteners and the ML benchmark are computed once per channel from
+    # its blocks; a 2-D h is the one-antenna case of a 3-D h, bit for bit
     rng = np.random.default_rng(42)
-    h1, h2 = rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 2, 2))
-    for h, P in ((h1, 10.0), (h2, 10.0), (h1, 10.0), (h1, 20.0), (list(h1), 20.0),
-                 (h1[:, :1], 20.0)):
-        blocks = [np.array(H) for H in h]
-        assert ml_capacity(h, P) == ml_capacity.__wrapped__(blocks, P)
-        whiteners = _if_whiteners(h, P)
-        for F, F_fresh in zip(whiteners, _if_whiteners.__wrapped__(blocks, P)):
-            assert np.array_equal(F, F_fresh) and not F.flags.writeable
+    h1 = rng.normal(size=(2, 2, 2))
+    for h, P in ((h1, 10.0), (list(h1), 20.0), (h1[:, :1], 20.0), (h1[:, 0], 20.0)):
+        ch = ChannelRealization(h=h, snr=P)
+        whiteners, ml = ch._if_whiteners, ml_capacity(ch)
+        assert ch._if_whiteners is whiteners and "_ml_capacity" in vars(ch)
+        blocks = np.array(h).reshape(2, -1, 2)
+        for F, H in zip(whiteners, blocks):
+            assert not F.flags.writeable
+            assert np.allclose(F @ (np.eye(2) / P + H.T @ H) @ F, np.eye(2), atol=1e-12)
+        subset_rates = [
+            sum(math.log2(np.linalg.det(np.eye(H.shape[0]) + P * H[:, s] @ H[:, s].T))
+                for H in blocks) / (2.0 * 2 * len(s))
+            for s in ((0,), (1,), (0, 1))]
+        assert ml == pytest.approx(min(subset_rates), rel=1e-12)
+    one_antenna = ChannelRealization(h=h1[:, :1], snr=20.0)
+    row = ChannelRealization(h=h1[:, 0], snr=20.0)
+    for F, F_row in zip(one_antenna._if_whiteners, row._if_whiteners):
+        assert np.array_equal(F, F_row)
+    assert ml_capacity(one_antenna) == ml_capacity(row)
+
+
+IF_ENTRY_POINTS = {
+    "if_rate": lambda ch: if_rate(catalog_field("quad-5"), ch),
+    "integer_if_rate": integer_if_rate,
+    "ml_capacity": ml_capacity,
+}
+
+
+@pytest.mark.parametrize("snr", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(IF_ENTRY_POINTS))
+def test_if_entry_points_reject_bad_snr(entry, snr):
+    h = np.random.default_rng(8).normal(size=(2, 2, 2))
+    with pytest.raises(PathologicalChannelError, match="snr must be positive and finite"):
+        IF_ENTRY_POINTS[entry](ChannelRealization(h=h, snr=snr))
+
+
+def test_ml_capacity_rejects_a_lost_determinant_sign():
+    # with unit gains I + P H_S H_S^T has determinant 1 + 2|S|P, but at
+    # 160 dB its entries 1 + |S|P round to |S|P and the computed matrix is
+    # singular: no ML benchmark, not -inf
+    with pytest.raises(PathologicalChannelError, match="ML capacity at 160 dB"):
+        ml_capacity(ChannelRealization(h=np.ones((2, 2, 2)), snr=1e16))
+    assert ml_capacity(ChannelRealization(h=np.ones((2, 2, 2)), snr=1e6)) > 0
+    # random channels at 160 dB: the benchmark is finite or refused
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        ch = ChannelRealization(h=rng.normal(size=(2, 2, 2)), snr=1e16)
+        try:
+            assert math.isfinite(ml_capacity(ch))
+        except PathologicalChannelError as e:
+            assert "ML capacity at 160 dB" in str(e)
+
+
+@pytest.mark.parametrize("name", ["quad-5", "cubic-49"])
+def test_cf_is_if_with_one_antenna_per_block(name):
+    # with one antenna per block the IF form is P times the CF form
+    # (l^2 = P f): both pick the same vectors, and an IF rate is 0.5 log2(n / f)
+    f = catalog_field(name)
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        ch = random_channel(rng, f.degree, 2, 10.0 ** rng.uniform(0.0, 4.0))
+        cf, rep = best_coefficients(f, ch), if_rate(f, ch)
+        assert rep.coeffs == cf.coeffs
+        for rate, f_value in zip(rep.rates, cf.f_values):
+            assert rate == pytest.approx(0.5 * log2_plus(f.degree / f_value), rel=1e-9)
 
 
 def test_channel_gains_copied_and_read_only():
