@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import catalog_field
-from .rates import (ChannelRealization, best_coefficients, if_rate,
-                    integer_baseline, integer_if_rate, mac_capacity)
+from .rates import (ChannelRealization, PathologicalChannelError,
+                    best_coefficients, if_rate, integer_baseline,
+                    integer_if_rate, mac_capacity)
 
 RATE_METRICS = ("rate1", "sumrate", "mac", "z_baseline")
 IF_METRICS = ("if_rate", "z_if", "ml")
@@ -85,7 +86,11 @@ def _trial(cfg, block_shape, point, trial):
     out = {}
     for snr_db in cfg.snr_db_grid:
         ch = ChannelRealization(h=h, snr=10.0 ** (snr_db / 10.0))
-        point(cfg, fields, ch, snr_db, trial, out)
+        try:
+            point(cfg, fields, ch, snr_db, trial, out)
+        except PathologicalChannelError as e:
+            raise PathologicalChannelError("%s (trial=%d, seed=%d, snr_db=%g)"
+                                           % (e, trial, cfg.seed, snr_db)) from e
     return out
 
 

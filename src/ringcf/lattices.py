@@ -46,8 +46,9 @@ class ZLattice:
     def _checked(cls, basis):
         """Lattice on a basis known to be valid, without `__post_init__`'s
         copy and checks: LLL output, a unimodular image of a checked basis
-        whose Gram-Schmidt norms `_gso` has just found finite and positive.
-        The basis is a fresh float array that no one else holds."""
+        whose Gram-Schmidt norms `_gso` has just found finite and positive, or
+        a block basis built from checked channel factors (`_gso` still raises
+        on a collapsed norm). The basis is a fresh float array no one else holds."""
         lat = object.__new__(cls)
         basis.flags.writeable = False
         object.__setattr__(lat, "basis", basis)
@@ -70,12 +71,14 @@ class ZLattice:
         vectors, which `_apply_transform` scales and adds. Each column norm^2
         is summed top to bottom with +=, the order of np.sum(axis=0) on the
         C-ordered basis. R is the triangular factor of `_qr_positive` without
-        its Q: numpy's mode "r" runs the same factorization, and negating a
-        row is exact, so the rows hold the same floats. Q waits for `_q`.
+        its Q: numpy's mode "raw" runs the same factorization and returns its
+        transpose, whose lower triangle holds R, and negating a row is exact,
+        so the rows hold the same floats. Q waits for `_q`.
         """
         red, u = lll_reduce(self)
-        r_rows = np.linalg.qr(red.basis, mode="r").tolist()
+        r_rows = np.linalg.qr(red.basis, mode="raw")[0].T.tolist()
         for i, row in enumerate(r_rows):
+            row[:i] = [0.0] * i
             if row[i] < 0:
                 r_rows[i] = [-x for x in row]
         norms2 = []

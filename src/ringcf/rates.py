@@ -81,20 +81,22 @@ class ChannelRealization:
 
     @functools.cached_property
     def _mmse_blocks(self):
-        """Per-block MMSE matrices, computed on first use and kept (every
-        field of a sweep and the Z baseline read the same ones)."""
-        return _read_only([_mmse_block(hj, self.snr) for hj in self._rows])
+        """Per-block MMSE matrices I - (P/g_j) h_j h_j^T, g_j = 1 + P |h_j|^2,
+        views of one stack kept on first use (all fields and the Z baseline)."""
+        h, P = self._rows, self.snr
+        scale = np.array([P / (P * float(hj @ hj) + 1.0) for hj in h])[:, None, None]
+        return _read_only(np.eye(h.shape[1]) - scale * (h[:, :, None] * h[:, None, :]))
 
     @functools.cached_property
     def _mmse_factors(self):
         """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks,
-        kept on first success; a failure is not kept and leaves the blocks
-        usable."""
+        from one stacked call, kept on first success; a failure is not kept
+        and leaves the blocks usable."""
         try:
-            factors = [np.linalg.cholesky(Mj).T for Mj in self._mmse_blocks]
+            lower = np.linalg.cholesky(np.array(self._mmse_blocks))
         except np.linalg.LinAlgError as e:
             raise PathologicalChannelError("MMSE matrix not positive definite") from e
-        return _read_only(factors)
+        return _read_only(lower.swapaxes(1, 2))
 
     @functools.cached_property
     def _capacity_terms(self):
@@ -105,33 +107,38 @@ class ChannelRealization:
 
     @functools.cached_property
     def _if_whiteners(self):
-        """Per-block integer-forcing whiteners F_j = (P^-1 I + H_j^T H_j)^(-1/2),
-        read-only; a 2-D h gives 1 x users blocks H_j."""
-        out = []
-        for H in self.h.reshape(self.n_blocks, -1, self.users):
-            A = np.eye(H.shape[1]) / self.snr + H.T @ H
-            w, v = np.linalg.eigh(A)
-            w = np.clip(w, 1e-300, None)
-            out.append(v @ np.diag(w ** -0.5) @ v.T)
-        return _read_only(out)
+        """Per-block integer-forcing whiteners F_j = (P^-1 I + H_j^T H_j)^(-1/2)
+        from one stacked eigh, read-only; a 2-D h gives 1 x users blocks H_j."""
+        H = self.h.reshape(self.n_blocks, -1, self.users)
+        w, v = np.linalg.eigh(np.eye(self.users) / self.snr + H.swapaxes(1, 2) @ H)
+        d = np.maximum(w, 1e-300) ** -0.5
+        return _read_only(v @ (d[:, :, None] * np.eye(self.users)) @ v.swapaxes(1, 2))
 
     @functools.cached_property
     def _ml_capacity(self):
-        """Joint ML benchmark, kept for every field of an IF sweep point."""
-        P, L = self.snr, self.users
-        best = math.inf
+        """Joint ML benchmark, kept for every field of an IF sweep point: one
+        slogdet over the (subsets, blocks) stack, summed in that order. Each
+        H_S is C-ordered, as a per-subset copy was, so BLAS reads the same
+        layout and returns the same bits."""
+        P, L, n = self.snr, self.users, self.n_blocks
+        H = self.h.reshape(n, -1, L)
+        grams, sizes = [], []
         for size in range(1, L + 1):
-            for subset in itertools.combinations(range(L), size):
-                tot = 0.0
-                for H in self.h.reshape(self.n_blocks, -1, L):
-                    Hs = H[:, subset]
-                    sign, logdet = np.linalg.slogdet(np.eye(H.shape[0]) + P * Hs @ Hs.T)
-                    if sign <= 0:
-                        raise PathologicalChannelError(
-                            "ML capacity at %g dB: I + P H_S H_S^T is not positive "
-                            "definite in floating point" % (10.0 * math.log10(P)))
-                    tot += logdet / math.log(2.0)
-                best = min(best, tot / (2.0 * self.n_blocks * size))
+            subsets = list(itertools.combinations(range(L), size))
+            Hs = np.ascontiguousarray(H[:, :, subsets].transpose(2, 0, 1, 3))
+            grams.append((P * Hs) @ Hs.swapaxes(2, 3))
+            sizes += [size] * len(subsets)
+        sign, logdet = np.linalg.slogdet(np.eye(H.shape[1]) + np.concatenate(grams))
+        if any(s <= 0 for s in sign.ravel().tolist()):
+            raise PathologicalChannelError(
+                "ML capacity at %g dB: I + P H_S H_S^T is not positive "
+                "definite in floating point" % (10.0 * math.log10(P)))
+        best = math.inf
+        for size, row in zip(sizes, logdet.tolist()):
+            tot = 0.0
+            for x in row:
+                tot += x / math.log(2.0)
+            best = min(best, tot / (2.0 * n * size))
         return best
 
     @classmethod
@@ -226,16 +233,10 @@ def build_humbert(field, channel):
                        M_chol=list(M_chol), phi_M=_block_basis(field, M_chol))
 
 
-def _mmse_block(hj, P):
-    """MMSE matrix I - P h h^T / (1 + P |h|^2) of one block with gains hj."""
-    g = P * float(hj @ hj) + 1.0
-    return np.eye(len(hj)) - (P / g) * np.outer(hj, hj)
-
-
-def _read_only(arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return tuple(arrays)
+def _read_only(stack):
+    """A stack of matrices as a tuple of read-only views."""
+    stack.flags.writeable = False
+    return tuple(stack)
 
 
 def _block_basis(field, factors):
@@ -255,14 +256,14 @@ def _select_independent(field, basis, k):
     """First k field-independent coefficient vectors of the block lattice in
     length order: (ring-element vectors, lengths). No R-independence pass is
     needed: a vector in the Q-span of earlier ones is in their K-span."""
-    vectors, lengths = _greedy_minima(ZLattice(basis), k, lambda: KSpan(field).add,
+    vectors, lengths = _greedy_minima(ZLattice._checked(basis), k, lambda: KSpan(field).add,
                                       "vectors independent over " + field.name)
     return [psi_map(field, v) for v in vectors], lengths
 
 
 def _z_minima(gram, k):
     """First k successive minima of Z^L under the positive-definite Gram matrix."""
-    return successive_minima(ZLattice(np.linalg.cholesky(gram).T), k)
+    return successive_minima(ZLattice._checked(np.linalg.cholesky(gram).T), k)
 
 
 def psi_map(field, int_vec):

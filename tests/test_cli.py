@@ -336,6 +336,16 @@ def test_dof_channel_file_sets_users(tmp_path, capsys):
     assert doc["predicted"] == 2 / 3
 
 
+def test_pathological_trial_names_its_trial_and_seed(capsys):
+    # trial 1 of seed 0 loses the sign of the ML determinant at 160 dB; the
+    # error names the trial so that it can be replayed alone
+    code, out, err = run_cli(capsys, "if-sweep", "--fields", "quad-5", "--trials", "2",
+                             "--snr-grid-db", "160")
+    assert code == 3 and out == ""
+    assert err == ("error: ML capacity at 160 dB: I + P H_S H_S^T is not positive definite "
+                   "in floating point (trial=1, seed=0, snr_db=160)\n")
+
+
 def test_numeric_failure_exit_code(capsys):
     # unknown catalog field surfaces as a controlled failure, not a traceback
     code, _, err = run_cli(capsys, "sweep", "--fields", "nope", "--trials", "1")

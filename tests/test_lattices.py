@@ -402,7 +402,7 @@ def test_only_closest_vector_builds_q(monkeypatch):
     f = catalog_field("quad-5")
     best_coefficients(f, ChannelRealization(h=rng.normal(size=(2, 2)), snr=100.0))
     if_rate(f, ChannelRealization(h=rng.normal(size=(2, 2, 2)), snr=100.0))
-    assert modes and set(modes) == {"r"}
+    assert modes and set(modes) == {"raw"}
     del modes[:]
     target = rng.normal(size=4)
     closest_vector(lat, target)
@@ -410,7 +410,7 @@ def test_only_closest_vector_builds_q(monkeypatch):
     successive_minima(lat, 2)
     assert modes == ["reduced"]  # R is kept from the minima call
     closest_vector(ZLattice(lat.basis), target)
-    assert modes == ["reduced", "r", "reduced"]
+    assert modes == ["reduced", "raw", "reduced"]
 
 
 def test_reduction_cached_per_lattice(monkeypatch):

@@ -1,5 +1,6 @@
 """Rate pipeline: Humbert forms, coefficient search, bounds, IF, DoF."""
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -537,16 +538,27 @@ def test_failed_factor_leaves_z_baseline_intact():
         best_coefficients(catalog_field("quad-5"), ch)
 
 
-def test_mmse_blocks_and_factors_built_once_per_channel(monkeypatch):
-    from ringcf import rates
+def counted_builds(monkeypatch, names):
+    """Names of the ChannelRealization cached properties among names, one
+    entry each time one is computed."""
     built = []
-    real = rates._mmse_block
-    monkeypatch.setattr(rates, "_mmse_block", lambda hj, P: built.append(P) or real(hj, P))
+    for name in names:
+        func = vars(ChannelRealization)[name].func
+        prop = functools.cached_property(
+            lambda self, func=func, name=name: built.append(name) or func(self))
+        prop.__set_name__(ChannelRealization, name)
+        monkeypatch.setattr(ChannelRealization, name, prop)
+    return built
+
+
+def test_mmse_blocks_and_factors_built_once_per_channel(monkeypatch):
+    built = counted_builds(monkeypatch, ("_mmse_blocks", "_mmse_factors"))
     ch = random_channel(np.random.default_rng(43), 2, 2, 100.0)
     reports = [best_coefficients(catalog_field(name), ch)
                for name in ("quad-5", "quad-8", "quad-12")]
     integer_baseline(ch, k=1)
-    assert len(built) == 2  # one MMSE matrix per block
+    # one stack of MMSE matrices and one of factors per channel
+    assert sorted(built) == ["_mmse_blocks", "_mmse_factors"]
     hf = build_humbert(catalog_field("quad-5"), ch)
     assert hf.M_chol[0] is build_humbert(catalog_field("quad-8"), ch).M_chol[0]
     assert not hf.M[0].flags.writeable and not hf.M_chol[0].flags.writeable
@@ -554,6 +566,118 @@ def test_mmse_blocks_and_factors_built_once_per_channel(monkeypatch):
     assert [r.to_json() for r in reports] == [
         best_coefficients(catalog_field(name), fresh).to_json()
         for name in ("quad-5", "quad-8", "quad-12")]
+
+
+def test_rate_entry_points_run_no_lattice_input_checks(monkeypatch):
+    # the block bases come from a checked channel's factors, so the rate
+    # entry points skip ZLattice's copy, isfinite and slogdet
+    def refuse(self):
+        raise AssertionError("ZLattice.__post_init__ ran")
+
+    monkeypatch.setattr(ZLattice, "__post_init__", refuse)
+    rng = np.random.default_rng(48)
+    for name in ("quad-5", "cubic-49"):
+        f = catalog_field(name)
+        for snr in (1.0, 1e3, 1e6):
+            ch = random_channel(rng, f.degree, 3, snr)
+            best_coefficients(f, ch)
+            integer_baseline(ch)
+            mimo = ChannelRealization(h=rng.normal(size=(f.degree, 3, 3)), snr=snr)
+            for channel in (ch, mimo):
+                if_rate(f, channel)
+                integer_if_rate(channel)
+    with pytest.raises(PathologicalChannelError, match="not positive definite"):
+        best_coefficients(catalog_field("quad-5"),
+                          ChannelRealization(h=[[1e8, 1], [1, 1]], snr=1e4))
+
+
+def per_block_mmse(channel):
+    """MMSE matrices and upper Cholesky factors one block at a time (the
+    factors are None when one fails)."""
+    P, blocks = channel.snr, []
+    for hj in channel.h:
+        g = P * float(hj @ hj) + 1.0
+        blocks.append(np.eye(len(hj)) - (P / g) * np.outer(hj, hj))
+    try:
+        return blocks, [np.linalg.cholesky(Mj).T for Mj in blocks]
+    except np.linalg.LinAlgError:
+        return blocks, None
+
+
+def per_block_whiteners(channel):
+    out = []
+    for H in channel.h.reshape(channel.n_blocks, -1, channel.users):
+        A = np.eye(H.shape[1]) / channel.snr + H.T @ H
+        w, v = np.linalg.eigh(A)
+        w = np.clip(w, 1e-300, None)
+        out.append(v @ np.diag(w ** -0.5) @ v.T)
+    return out
+
+
+def per_subset_ml_capacity(channel):
+    """The ML benchmark with one slogdet per (subset, block), as repr, or
+    the message of the error that refuses it."""
+    P, L, n = channel.snr, channel.users, channel.n_blocks
+    best = math.inf
+    for size in range(1, L + 1):
+        for subset in itertools.combinations(range(L), size):
+            tot = 0.0
+            for H in channel.h.reshape(n, -1, L):
+                Hs = H[:, subset]
+                sign, logdet = np.linalg.slogdet(np.eye(H.shape[0]) + P * Hs @ Hs.T)
+                if sign <= 0:
+                    return ("ML capacity at %g dB: I + P H_S H_S^T is not positive "
+                            "definite in floating point" % (10.0 * math.log10(P)))
+                tot += logdet / math.log(2.0)
+            best = min(best, tot / (2.0 * n * size))
+    return repr(float(best))
+
+
+def assert_same_stack(stacked, per_block):
+    assert len(stacked) == len(per_block)
+    for a, b in zip(stacked, per_block):
+        assert (a.strides, a.tobytes()) == (b.strides, b.tobytes())
+        assert not a.flags.writeable
+
+
+def stacked_ml_capacity(channel):
+    try:
+        return repr(float(ml_capacity(channel)))
+    except PathologicalChannelError as e:
+        return str(e)
+
+
+def test_stacked_channel_algebra_equals_per_block_calls():
+    # the stacked gufunc calls run the same LAPACK/BLAS routine on each block
+    # as the per-block calls did, so every bit and every stride stays
+    rng = np.random.default_rng(47)
+    # the 1e8 channel, whose factor fails, and two 160 dB channels whose ML
+    # determinant loses its sign: unit gains, and trial 1 of an if-sweep, seed 0
+    corpus = [ChannelRealization(h=[[1e8, 1], [1, 1]], snr=1e4),
+              ChannelRealization(h=np.ones((2, 2, 2)), snr=1e16),
+              ChannelRealization(h=np.random.default_rng(
+                  np.random.SeedSequence(0, spawn_key=(1,))).normal(size=(2, 2, 2)), snr=1e16)]
+    for trial in range(300):
+        n, L = 1 + trial % 5, 2 + trial % 3
+        shape = (n, L) if trial % 2 else (n, 1 + (trial // 2) % L, L)
+        h = rng.normal(size=shape) * 10.0 ** rng.uniform(-1, 1)
+        corpus.append(ChannelRealization(h=h, snr=10.0 ** rng.uniform(-3, 12)))
+    factor_failures, sign_losses = 0, 0
+    for ch in corpus:
+        if ch.h.ndim == 2:
+            blocks, factors = per_block_mmse(ch)
+            assert_same_stack(ch._mmse_blocks, blocks)
+            if factors is None:
+                factor_failures += 1
+                with pytest.raises(PathologicalChannelError, match="not positive definite"):
+                    ch._mmse_factors
+            else:
+                assert_same_stack(ch._mmse_factors, factors)
+        assert_same_stack(ch._if_whiteners, per_block_whiteners(ch))
+        ml = per_subset_ml_capacity(ch)
+        sign_losses += ml.startswith("ML capacity at 160 dB")
+        assert stacked_ml_capacity(ch) == ml
+    assert factor_failures >= 1 and sign_losses >= 2
 
 
 def left_sum(terms):
