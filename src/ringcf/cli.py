@@ -38,9 +38,12 @@ def _parse_grid(text):
         while v <= stop + 1e-9:
             values.append(round(v, 9))
             v += step
-    if any(map(_power_overflows, values)):
+    try:
+        for v in values:
+            rates._snr_power(v)
+    except ValueError:
         raise argparse.ArgumentTypeError("grid %r has an SNR whose power 10^(dB/10) "
-                                         "is too large for a float" % text)
+                                         "is too large for a float" % text) from None
     return values
 
 
@@ -56,16 +59,6 @@ def _positive_int(text):
     return value
 
 
-def _power_overflows(db):
-    """Whether the power 10^(db/10) of an SNR in dB is too large for a float
-    (db above about 3082)."""
-    try:
-        10.0 ** (float(db) / 10.0)
-    except OverflowError:
-        return True
-    return False
-
-
 def _snr_db(text):
     """An SNR in dB: a finite number whose power is a float. nan, inf, text
     or an overflowing power is a usage error."""
@@ -75,9 +68,11 @@ def _snr_db(text):
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
-    if _power_overflows(value):
+    try:
+        rates._snr_power(value)
+    except ValueError:
         raise argparse.ArgumentTypeError("SNR %s dB overflows: 10^(dB/10) is too large "
-                                         "for a float" % text)
+                                         "for a float" % text) from None
     return value
 
 
@@ -165,7 +160,7 @@ def cmd_rate(args):
         rng = np.random.default_rng(args.seed)
         h = rng.normal(size=(f.degree, args.users))
         snr_db = 20.0 if args.snr_db is None else args.snr_db
-        ch = rates.ChannelRealization(h=h, snr=10.0 ** (snr_db / 10.0))
+        ch = rates.ChannelRealization(h=h, snr=rates._snr_power(snr_db))
     if args.k is not None and args.k > ch.users:
         args.usage_error("--k %d exceeds the %d users of the channel" % (args.k, ch.users))
     rep = rates.best_coefficients(f, ch, k=args.k)

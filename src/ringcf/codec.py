@@ -61,23 +61,18 @@ def prime_ideal(field, p, root):
     if exact.poly_eval([int(c) for c in field.min_poly], root) % p != 0:
         raise CodecError("root %d is not a zero of the minimal polynomial mod %d"
                          % (root, p))
-    theta = field.theta()
-    gen = theta - root * field.one()
+    gen = field.theta() - root * field.one()
     cols = []
-    for j in range(n):
-        basis_j = field.element([1 if i == j else 0 for i in range(n)])
-        cols.append([p * c for c in basis_j.coords])
-        cols.append(list((gen * basis_j).coords))
+    for j, gen_j in enumerate(zip(*gen.mul_matrix())):
+        cols += [[p if i == j else 0 for i in range(n)], list(gen_j)]
     basis_coords = exact.column_basis(cols)
     norm = abs(exact.int_mat_det(basis_coords))
     if norm != p:
         raise CodecError("ideal above %d has norm %d; inertial degree must be one"
                          % (p, norm))
     # residue map: basis element -> value of its polynomial at `root` mod p
-    residues = []
-    for bp in field.basis_polys:
-        val = exact.poly_eval(list(bp), Fraction(root))
-        residues.append((val.numerator * exact.inv_mod(val.denominator, p)) % p)
+    residues = [exact.rational_mod(exact.poly_eval(list(bp), Fraction(root)), p)
+                for bp in field.basis_polys]
     ideal = PrimeIdealData(field=field, p=p, root=root, basis_coords=basis_coords,
                            residues=residues, coset_reps=[])
     lat = ZLattice(ideal.embedded_basis())
@@ -164,12 +159,12 @@ class NestedLatticePair:
         return [self.ideal.rho(a) for a in ring_vec]
 
     def in_fine_code(self, symbols):
-        """Membership of an F_p^T word in the fine code (syndrome check)."""
-        kf = self.k_fine
-        A = self.G_fine[kf:, :]
-        head = np.array(symbols[:kf]) % self.p
-        tail = (A @ head) % self.p
-        return all(int(tail[i]) == symbols[kf + i] % self.p for i in range(self.T - kf))
+        """Membership of an F_p^T word in the fine code: G_fine = [I; A] is
+        systematic, so re-encoding the first k_fine symbols is the syndrome
+        check."""
+        p = self.p
+        return (exact.mat_vec_mod(self.G_fine.tolist(), symbols[:self.k_fine], p)
+                == [s % p for s in symbols])
 
     def fine_coords_of(self, ring_vec):
         """Exact generator coordinates of a ring vector lying in the fine lattice."""
@@ -344,14 +339,12 @@ def destination_solve(coeff_matrix, equations, p):
 
     coeff_matrix[r][l] is relay r's residue coefficient for user l;
     equations[r] the finite-field combination it forwarded (one symbol per
-    message stream). Raises CodecError when the system is singular.
+    message stream). Raises CodecError when the system is singular mod p.
+    Otherwise the exact rational solution reduces mod p: its denominators
+    divide det A, a unit mod p.
     """
-    try:
-        inv = exact.mat_inv_mod(coeff_matrix, p)
-    except ZeroDivisionError as e:
-        raise CodecError("relay coefficient matrix is singular mod %d" % p) from e
+    if exact.int_mat_det(coeff_matrix) % p == 0:
+        raise CodecError("relay coefficient matrix is singular mod %d" % p)
     eq = np.array(equations, dtype=int).reshape(len(equations), -1)
-    out = []
-    for col in range(eq.shape[1]):
-        out.append(exact.mat_vec_mod(inv, [int(x) for x in eq[:, col]], p))
-    return [[out[c][r] for c in range(eq.shape[1])] for r in range(len(equations))]
+    cols = exact.mat_solve(coeff_matrix, eq.T.tolist())
+    return [[exact.rational_mod(x, p) for x in row] for row in zip(*cols)]

@@ -182,26 +182,9 @@ def column_basis(cols):
 # Arithmetic mod a prime p.
 # ---------------------------------------------------------------------------
 
-def inv_mod(a, p):
-    return pow(int(a) % p, -1, p)
-
-
-def mat_inv_mod(rows, p):
-    n = len(rows)
-    a = [[int(x) % p for x in row] + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix mod %d" % p)
-        a[col], a[piv] = a[piv], a[col]
-        inv = inv_mod(a[col][col], p)
-        a[col] = [(x * inv) % p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] % p != 0:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return [[a[i][n + j] for j in range(n)] for i in range(n)]
+def rational_mod(x, p):
+    """Residue mod p of a rational x whose denominator is prime to p."""
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def mat_vec_mod(rows, vec, p):

@@ -13,12 +13,12 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import catalog_field
-from .rates import (ChannelRealization, PathologicalChannelError,
+from .rates import (ChannelRealization, PathologicalChannelError, _snr_power,
                     best_coefficients, if_rate, integer_baseline,
                     integer_if_rate, mac_capacity)
 
@@ -28,14 +28,15 @@ IF_METRICS = ("if_rate", "z_if", "ml")
 
 @dataclass
 class SweepConfig:
-    """Monte Carlo sweep description."""
+    """Monte Carlo sweep description. Empty metrics mean every metric of the
+    sweep that runs the config; each SNR must have a finite power."""
 
     fields: list
     users: int = 2
     snr_db_grid: tuple = tuple(range(0, 55, 5))
     trials: int = 2000
     seed: int = 0
-    metrics: tuple = RATE_METRICS
+    metrics: tuple = ()
 
     def __post_init__(self):
         if self.users < 1:
@@ -48,6 +49,8 @@ class SweepConfig:
             raise ValueError("all sweep fields must share one degree, got %s"
                              % sorted(degrees))
         self.snr_db_grid = tuple(float(s) for s in self.snr_db_grid)
+        for s in self.snr_db_grid:
+            _snr_power(s)
         self.metrics = tuple(self.metrics)
 
     @classmethod
@@ -85,7 +88,7 @@ def _trial(cfg, block_shape, point, trial):
     h = rng.normal(size=(fields[0].degree,) + block_shape)
     out = {}
     for snr_db in cfg.snr_db_grid:
-        ch = ChannelRealization(h=h, snr=10.0 ** (snr_db / 10.0))
+        ch = ChannelRealization(h=h, snr=_snr_power(snr_db))
         try:
             point(cfg, fields, ch, snr_db, trial, out)
         except PathologicalChannelError as e:
@@ -135,6 +138,8 @@ def _run(cfg, known, block_shape, point, workers):
     bad = set(cfg.metrics) - set(known)
     if bad:
         raise ValueError("unknown metrics: %s" % ", ".join(sorted(bad)))
+    if not cfg.metrics:
+        cfg = replace(cfg, metrics=known)
     trial_fn = functools.partial(_trial, cfg, block_shape, point)
     if workers <= 1:
         results = [trial_fn(t) for t in range(cfg.trials)]

@@ -209,13 +209,6 @@ class NumberField:
             self._psi_embeddings[L] = kron
         return self._psi_embeddings[L]
 
-    # -- coordinate conversions -------------------------------------------
-
-    def from_power_basis(self, poly):
-        """Basis coordinates of a rational polynomial in theta."""
-        rhs = list(poly) + [0] * (self.degree - len(poly))
-        return exact.mat_solve(self._basis_mat, [rhs])[0]
-
     # -- element constructors ----------------------------------------------
 
     def element(self, coords):
@@ -228,7 +221,9 @@ class NumberField:
         return self.element([1] + [0] * (self.degree - 1))
 
     def theta(self):
-        coords = self.from_power_basis([0, 1] if self.degree > 1 else [0])
+        """The generator theta (0 in the rationals) in basis coordinates."""
+        rhs = [int(i == 1) for i in range(self.degree)]
+        coords = exact.mat_solve(self._basis_mat, [rhs])[0]
         assert all(c.denominator == 1 for c in coords)
         return self.element([int(c) for c in coords])
 

@@ -70,10 +70,10 @@ class ZLattice:
         U's columns are tuples of Python ints, the images of the unit
         vectors, which `_apply_transform` scales and adds. Each column norm^2
         is summed top to bottom with +=, the order of np.sum(axis=0) on the
-        C-ordered basis. R is the triangular factor of `_qr_positive` without
-        its Q: numpy's mode "raw" runs the same factorization and returns its
-        transpose, whose lower triangle holds R, and negating a row is exact,
-        so the rows hold the same floats. Q waits for `_q`.
+        C-ordered basis. R is the triangular factor of np.linalg.qr with its
+        negative-diagonal rows negated: numpy's mode "raw" runs the same
+        factorization and returns its transpose, whose lower triangle holds
+        R, and negating a row is exact. Q waits for `_q`.
         """
         red, u = lll_reduce(self)
         r_rows = np.linalg.qr(red.basis, mode="raw")[0].T.tolist()
@@ -92,8 +92,10 @@ class ZLattice:
     @functools.cached_property
     def _q(self):
         """Q factor of the reduced basis, made on the first closest-vector
-        call and kept (minima never read it)."""
-        return _qr_positive(self._reduction[0])[0]
+        call and kept (minima never read it), with the columns flipped whose
+        R diagonal entry is negative."""
+        q, r = np.linalg.qr(self._reduction[0])
+        return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
 def _norm_error(s):
@@ -263,13 +265,6 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
 
     rec(m - 1, 0.0, target is None)
     return out
-
-
-def _qr_positive(b):
-    q, r = np.linalg.qr(b)
-    sign = np.sign(np.diag(r))
-    sign[sign == 0] = 1.0
-    return q * sign, (r.T * sign).T
 
 
 def _canonical(vec):

@@ -37,6 +37,18 @@ def log2_plus(x):
     return math.log2(x)
 
 
+def _snr_power(snr_db):
+    """Power 10^(snr_db/10) of an SNR in dB; a value that is not finite, or
+    whose power overflows a float, raises ValueError naming it."""
+    try:
+        if math.isfinite(snr_db):
+            return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        pass
+    raise ValueError("SNR %r dB is not finite, or its power 10^(dB/10) overflows "
+                     "a float" % snr_db)
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """Real block-fading channel. A 2-D h, shape (blocks, users), has one
@@ -71,20 +83,24 @@ class ChannelRealization:
     def users(self):
         return self.h.shape[-1]
 
-    @property
-    def _rows(self):
-        """h as rows of user gains: CF and its bounds need one antenna per block."""
+    @functools.cached_property
+    def _mmse_gains(self):
+        """Per-block gains g_j = P |h_j|^2 + 1, computed on first use and kept.
+        The MMSE blocks, the capacity terms and the MMSE scalings read them
+        first, so this is where CF and its bounds require a 2-D h, one
+        receive antenna per block."""
         if self.h.ndim != 2:
             raise ValueError("compute-and-forward needs one receive antenna per "
                              "block, got channel gains of shape %s" % (self.h.shape,))
-        return self.h
+        P = self.snr
+        return tuple(P * float(hj @ hj) + 1.0 for hj in self.h)
 
     @functools.cached_property
     def _mmse_blocks(self):
-        """Per-block MMSE matrices I - (P/g_j) h_j h_j^T, g_j = 1 + P |h_j|^2,
-        views of one stack kept on first use (all fields and the Z baseline)."""
-        h, P = self._rows, self.snr
-        scale = np.array([P / (P * float(hj @ hj) + 1.0) for hj in h])[:, None, None]
+        """Per-block MMSE matrices I - (P/g_j) h_j h_j^T, views of one stack
+        kept on first use (all fields and the Z baseline)."""
+        h, P = self.h, self.snr
+        scale = np.array([P / g for g in self._mmse_gains])[:, None, None]
         return _read_only(np.eye(h.shape[1]) - scale * (h[:, :, None] * h[:, None, :]))
 
     @functools.cached_property
@@ -100,19 +116,19 @@ class ChannelRealization:
 
     @functools.cached_property
     def _capacity_terms(self):
-        """Per-block terms log2(1 + P |h_j|^2), computed on first use and kept
-        (the MAC capacity and every field's Minkowski bounds read them)."""
-        P = self.snr
-        return tuple(log2_plus(1.0 + P * float(hj @ hj)) for hj in self._rows)
+        """Per-block terms log2(g_j), computed on first use and kept (the MAC
+        capacity and every field's Minkowski bounds read them)."""
+        return tuple(log2_plus(g) for g in self._mmse_gains)
 
     @functools.cached_property
     def _if_whiteners(self):
         """Per-block integer-forcing whiteners F_j = (P^-1 I + H_j^T H_j)^(-1/2)
         from one stacked eigh, read-only; a 2-D h gives 1 x users blocks H_j."""
         H = self.h.reshape(self.n_blocks, -1, self.users)
-        w, v = np.linalg.eigh(np.eye(self.users) / self.snr + H.swapaxes(1, 2) @ H)
+        w, v = np.linalg.eigh(np.diag([1.0 / self.snr] * self.users)
+                              + H.swapaxes(1, 2) @ H)
         d = np.maximum(w, 1e-300) ** -0.5
-        return _read_only(v @ (d[:, :, None] * np.eye(self.users)) @ v.swapaxes(1, 2))
+        return _read_only((v * d[:, None, :]) @ v.swapaxes(1, 2))
 
     @functools.cached_property
     def _ml_capacity(self):
@@ -135,10 +151,7 @@ class ChannelRealization:
                 "definite in floating point" % (10.0 * math.log10(P)))
         best = math.inf
         for size, row in zip(sizes, logdet.tolist()):
-            tot = 0.0
-            for x in row:
-                tot += x / math.log(2.0)
-            best = min(best, tot / (2.0 * n * size))
+            best = min(best, _left_sum(x / math.log(2.0) for x in row) / (2.0 * n * size))
         return best
 
     @classmethod
@@ -221,9 +234,8 @@ def _rate_gm(terms):
 
 
 def _mmse_scaling(channel, sigma):
-    P = channel.snr
-    return [P * float(sigma[j] @ hj) / (P * float(hj @ hj) + 1.0)
-            for j, hj in enumerate(channel.h)]
+    return [channel.snr * float(s @ hj) / g
+            for s, hj, g in zip(sigma, channel.h, channel._mmse_gains)]
 
 
 def build_humbert(field, channel):
@@ -482,11 +494,11 @@ def dof_estimate(field, h, snr_db_grid, z_baseline=False):
     must span at least 30 dB. Returns (slope, rates list).
     """
     snr_db_grid = [float(s) for s in snr_db_grid]
+    powers = [_snr_power(s) for s in snr_db_grid]
     if len(snr_db_grid) < 2 or max(snr_db_grid) - min(snr_db_grid) < 30.0 - 1e-9:
         raise ValueError("SNR grid must span at least 30 dB")
     xs, ys = [], []
-    for s in snr_db_grid:
-        P = 10.0 ** (s / 10.0)
+    for P in powers:
         ch = ChannelRealization(h=h, snr=P)
         if z_baseline:
             rates, _ = integer_baseline(ch, k=1)

@@ -314,6 +314,85 @@ def test_destination_solve_properties():
         assert [row[0] for row in sol] == [int(w[0]), int(w[1])]
 
 
+def reference_inv_mod(rows, p):
+    """Inverse mod p by Gauss-Jordan elimination over F_p, or None when the
+    matrix is singular mod p."""
+    n = len(rows)
+    a = [[x % p for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = pow(a[col][col], -1, p)
+        a[col] = [x * inv % p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def test_destination_solve_equals_gauss_jordan_mod_p():
+    rng = np.random.default_rng(18)
+    singular = 0
+    for p in (2, 3, 5, 7, 101):
+        for relays in range(1, 5):
+            for symbols in range(1, 4):
+                for _ in range(12):
+                    A = rng.integers(-2 * p, 2 * p, size=(relays, relays)).tolist()
+                    eq = rng.integers(-p, 2 * p, size=(relays, symbols)).tolist()
+                    inv = reference_inv_mod(A, p)
+                    if inv is None:
+                        singular += 1
+                        with pytest.raises(CodecError, match="singular mod %d" % p):
+                            destination_solve(A, eq, p)
+                        continue
+                    expect = [[sum(x * e[c] for x, e in zip(row, eq)) % p
+                               for c in range(symbols)] for row in inv]
+                    assert destination_solve(A, eq, p) == expect
+    assert singular > 20
+    # det 5 over Q, so an exact solve succeeds, but singular mod 5
+    with pytest.raises(CodecError, match="singular mod 5"):
+        destination_solve([[5, 0], [0, 1]], [[1], [2]], 5)
+
+
+def reference_in_fine_code(pair, word):
+    """Syndrome test of a word against the systematic G_fine = [I; A]."""
+    p, kf = pair.p, pair.k_fine
+    A = pair.G_fine[kf:].tolist()
+    return all((sum(a * w for a, w in zip(row, word[:kf])) - word[kf + i]) % p == 0
+               for i, row in enumerate(A))
+
+
+def test_in_fine_code_equals_syndrome_oracle():
+    f = catalog_field("quad-5")
+    ideal = prime_ideal(f, 5, 3)
+    for G in ([[1], [2], [4]], [[1, 0], [0, 1], [3, 2]]):
+        pair = build_nested_pair(f, ideal, np.zeros((3, 0), int), G, T=3)
+        verdicts = [pair.in_fine_code(list(w)) for w in np.ndindex(5, 5, 5)]
+        assert verdicts == [reference_in_fine_code(pair, list(w))
+                            for w in np.ndindex(5, 5, 5)]
+        assert sum(verdicts) == 5 ** pair.k_fine
+    # the benchmark pair, on codewords, corrupted codewords and unreduced symbols
+    pair = build_nested_pair(f, prime_ideal(f, 101, 23), [[1], [0], [3], [11]],
+                             [[1, 0], [0, 1], [3, 7], [11, 5]], T=4)
+    rng = np.random.default_rng(5)
+    members = 0
+    for _ in range(300):
+        head = [int(x) for x in rng.integers(-202, 303, size=2)]
+        word = head + [(3 * head[0] + 7 * head[1]) % 101, (11 * head[0] + 5 * head[1]) % 101]
+        if rng.random() < 0.3:
+            word[rng.integers(4)] += int(rng.integers(1, 101))
+        elif rng.random() < 0.5:
+            word = [w + 101 * int(rng.integers(-2, 3)) for w in word]
+        expect = reference_in_fine_code(pair, word)
+        members += expect
+        assert pair.in_fine_code(word) == expect
+    assert 0 < members < 300
+
+
 def test_noisy_round_trip_matches_noiseless_oracle():
     f = catalog_field("quad-5")
     ideal = prime_ideal(f, 5, 3)

@@ -3,6 +3,7 @@ import csv
 import functools
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,29 @@ def test_if_sweep_basics():
     ml = curve(points, "-", "ml")[1]
     ring = curve(points, "quad-5", "if_rate")[1]
     assert all(m >= r - 1e-9 for m, r in zip(ml, ring))
+
+
+@pytest.mark.parametrize("runner, known", [(run_sweep, RATE_METRICS),
+                                           (run_if_sweep, IF_METRICS)])
+def test_default_metrics_are_every_metric_of_the_runner(runner, known):
+    # a default config runs on either sweep and writes the CSV of its full
+    # metric list, so no IF caller has to pass IF_METRICS by hand
+    common = dict(fields=["quad-5"], snr_db_grid=[0, 20], trials=2, seed=7)
+    default = SweepConfig(**common)
+    assert default.metrics == ()
+    expected = csv_string(runner(SweepConfig(**common, metrics=known)))
+    assert csv_string(runner(default)) == expected
+    assert {row.split(",")[2] for row in expected.splitlines()[1:]} == set(known)
+
+
+@pytest.mark.parametrize("snr_db", [4000, 1e308, math.nan, math.inf, -math.inf])
+def test_snr_without_finite_power_rejected_before_any_trial(snr_db, monkeypatch):
+    # an overflowing power raised a bare OverflowError from the first trial,
+    # and nan or inf a PathologicalChannelError in the middle of the sweep
+    monkeypatch.setattr(experiments, "_trial", lambda *a: pytest.fail("a trial ran"))
+    for runner in (run_sweep, run_if_sweep):
+        with pytest.raises(ValueError, match=re.escape("SNR %r dB" % float(snr_db))):
+            runner(SweepConfig(fields=["quad-5"], snr_db_grid=(0, snr_db), trials=1))
 
 
 def test_horizontal_gap_interpolation():

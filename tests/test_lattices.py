@@ -354,7 +354,7 @@ def test_minima_radius_equals_echelon_column_pass(monkeypatch):
 
 def assert_r_rows_equal_qr_positive(lat):
     red_basis, u_cols, r_rows, norms2 = lat._reduction
-    r_mat = lattices._qr_positive(red_basis)[1]
+    r_mat = reference_qr(red_basis)[1]
     assert r_rows == r_mat.tolist()
     # == on floats equates -0.0 and 0.0; the bytes do not
     assert np.array(r_rows).tobytes() == r_mat.tobytes()
@@ -964,7 +964,7 @@ def reference_greedy_minima(lat, k, new_test, test_columns=True):
     every column until it has k picks, a generator over tie groups and the
     int()-converting echelon tests: (coefficient tuples, lengths)."""
     red, u_rows = lll_reduce(lat)
-    r_rows = lattices._qr_positive(red.basis)[1].tolist()
+    r_rows = reference_qr(red.basis)[1].tolist()
     norms2 = []
     for col in red.basis.T.tolist():
         s = 0.0

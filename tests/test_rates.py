@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ringcf import (ChannelRealization, EnumerationError,
                     integer_baseline, integer_if_rate, mac_capacity,
                     minkowski_rate_bounds, ml_capacity, psi_inverse, psi_map,
                     rank_over_K, rate_am, rate_gm, successive_minima)
-from ringcf import lattices
+from ringcf import lattices, rates
 from ringcf.lattices import hermite_constant
 from ringcf.rates import (ChannelFormatError, _block_basis, _embed_vector,
                           log2_plus, mmse_scaling)
@@ -436,6 +437,15 @@ def test_dof_grid_validation():
     f = catalog_field("rational")
     with pytest.raises(ValueError):
         dof_estimate(f, np.array([[1.0]]), [40, 50])
+
+
+@pytest.mark.parametrize("snr_db", [4000, 1e308, math.nan, math.inf, -math.inf])
+def test_dof_rejects_snr_without_finite_power_before_any_point(snr_db, monkeypatch):
+    # 4000 dB raised a bare OverflowError after the 0 dB point had been solved
+    monkeypatch.setattr(rates, "best_coefficients", lambda *a, **k: pytest.fail("solved"))
+    f, h = catalog_field("quad-5"), np.array([[0.3, -1.2], [0.7, 0.4]])
+    with pytest.raises(ValueError, match=re.escape("SNR %r dB" % float(snr_db))):
+        dof_estimate(f, h, [0, snr_db])
 
 
 def test_ml_capacity_subset_minimum():
