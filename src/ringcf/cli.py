@@ -13,37 +13,37 @@ import sys
 import numpy as np
 
 from . import codec, experiments, fields, rates
-from .lattices import EnumerationError
+
+
+MAX_GRID_POINTS = 10000  # checked while a range expands, so 1e-9 steps stop early
 
 
 def _parse_grid(text):
-    """Parse an SNR grid: either 'start:step:stop' or a comma list of finite
-    dB values. Anything else is a usage error."""
+    """SNR grid 'start:step:stop' (finite, step > 0, stop >= start) or a comma
+    list of dB, at most MAX_GRID_POINTS values, each accepted by
+    rates._snr_power; anything else is a usage error."""
     try:
-        if ":" not in text:
-            values = [float(x) for x in text.split(",")]
-        else:
-            values = start, step, stop = [float(x) for x in text.split(":")]
+        values = [float(x) for x in text.split(":" if ":" in text else ",")]
+        if ":" in text:
+            start, step, stop = values
     except ValueError:
         raise argparse.ArgumentTypeError("expected start:step:stop or a comma "
                                          "list of dB, got %r" % text) from None
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError("grid %r has a non-finite value" % text)
-    if ":" in text:
-        if step <= 0 or stop < start:
-            raise argparse.ArgumentTypeError("grid %r needs step > 0 and stop >= start"
-                                             % text)
-        values = []
-        v = start
-        while v <= stop + 1e-9:
-            values.append(round(v, 9))
-            v += step
     try:
+        if ":" in text:
+            if not (all(map(math.isfinite, values)) and step > 0 and stop >= start):
+                raise ValueError("start:step:stop needs finite values, step > 0 "
+                                 "and stop >= start")
+            values, v = [], start
+            while v <= stop + 1e-9 and len(values) <= MAX_GRID_POINTS:
+                values.append(round(v, 9))
+                v += step
+        if len(values) > MAX_GRID_POINTS:
+            raise ValueError("more than %d points" % MAX_GRID_POINTS)
         for v in values:
             rates._snr_power(v)
-    except ValueError:
-        raise argparse.ArgumentTypeError("grid %r has an SNR whose power 10^(dB/10) "
-                                         "is too large for a float" % text) from None
+    except ValueError as e:
+        raise argparse.ArgumentTypeError("grid %r: %s" % (text, e)) from None
     return values
 
 
@@ -59,20 +59,15 @@ def _positive_int(text):
     return value
 
 
-def _snr_db(text):
-    """An SNR in dB: a finite number whose power is a float. nan, inf, text
-    or an overflowing power is a usage error."""
+def _snr_db(text, window=0.0):
+    """An SNR in dB that rates._snr_power accepts, as must the SNR `window` dB
+    below it; anything else is a usage error."""
     try:
         value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
-    try:
-        rates._snr_power(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("SNR %s dB overflows: 10^(dB/10) is too large "
-                                         "for a float" % text) from None
+        for v in (value, value - window):
+            rates._snr_power(v)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return value
 
 
@@ -100,32 +95,37 @@ def _message_pair(text):
     return messages
 
 
-def _load_field(name_or_path):
-    if name_or_path in fields.catalog_names():
-        return fields.catalog_field(name_or_path)
-    with open(name_or_path) as fh:
-        return fields.field_from_json(json.load(fh))
+def _load_field(args):
+    """Catalog field named by --field, or the field of a JSON file at that
+    path; a file that fields.field_from_json refuses is a usage error."""
+    if args.field in fields.catalog_names():
+        return fields.catalog_field(args.field)
+    with open(args.field) as fh:
+        try:
+            return fields.field_from_json(json.load(fh))
+        except ValueError as e:
+            args.usage_error("field file %s: %s" % (args.field, e))
 
 
-def _load_channel(path, snr_db, usage_error):
-    """Channel of a JSON file {h, snr_db}; snr_db overrides the file's when
-    given. A file that is not an object, an h or snr_db that is missing or
-    not numeric, an h that is not a blocks x users matrix, and an SNR whose
-    power overflows a float are usage errors."""
+def _channel(args, f, snr_db):
+    """Channel of --channel: a JSON file {h, snr_db}, snr_db replacing its own
+    when given, or a --seed draw of f.degree x --users gains at snr_db (or 20).
+    A file that from_json refuses, or with a 3-D h, is a usage error naming it."""
+    path = args.channel
+    if not path or path == "random":
+        h = np.random.default_rng(args.seed).normal(size=(f.degree, args.users))
+        return rates.ChannelRealization(h, rates._snr_power(20.0 if snr_db is None else snr_db))
     with open(path) as fh:
-        doc = json.load(fh)
-    if snr_db is not None and isinstance(doc, dict):
-        doc = dict(doc, snr_db=snr_db)
-    try:
-        ch = rates.ChannelRealization.from_json(doc)
-    except rates.ChannelFormatError as e:
-        usage_error("channel file %s: %s" % (path, e))
-    except OverflowError:
-        usage_error("snr_db %s of %s overflows: 10^(snr_db/10) is too large for a float"
-                    % (doc["snr_db"], path))
+        try:
+            doc = json.load(fh)
+            if snr_db is not None and isinstance(doc, dict):
+                doc = dict(doc, snr_db=snr_db)
+            ch = rates.ChannelRealization.from_json(doc)
+        except ValueError as e:
+            args.usage_error("channel file %s: %s" % (path, e))
     if ch.h.ndim != 2:
-        usage_error("channel file %s: 'h' has shape %s; the command line needs one receive "
-                    "antenna per block, a blocks x users matrix" % (path, ch.h.shape))
+        args.usage_error("channel file %s: 'h' has shape %s; the command line needs "
+                         "one receive antenna per block" % (path, ch.h.shape))
     return ch
 
 
@@ -153,14 +153,8 @@ def cmd_fields(args):
 
 
 def cmd_rate(args):
-    f = _load_field(args.field)
-    if args.channel and args.channel != "random":
-        ch = _load_channel(args.channel, args.snr_db, args.usage_error)
-    else:
-        rng = np.random.default_rng(args.seed)
-        h = rng.normal(size=(f.degree, args.users))
-        snr_db = 20.0 if args.snr_db is None else args.snr_db
-        ch = rates.ChannelRealization(h=h, snr=rates._snr_power(snr_db))
+    f = _load_field(args)
+    ch = _channel(args, f, args.snr_db)
     if args.k is not None and args.k > ch.users:
         args.usage_error("--k %d exceeds the %d users of the channel" % (args.k, ch.users))
     rep = rates.best_coefficients(f, ch, k=args.k)
@@ -171,12 +165,12 @@ def cmd_rate(args):
     return 0
 
 
-def _sweep_common(args, runner):
+def cmd_sweep(args):
     cfg = experiments.SweepConfig(
         fields=args.fields.split(","), users=args.users,
         snr_db_grid=args.snr_grid_db, trials=args.trials,
         seed=args.seed, metrics=args.metrics)
-    points = runner(cfg, workers=args.workers)
+    points = args.runner(cfg, workers=args.workers)
     if args.format == "csv":
         text = experiments.csv_string(points)
     else:
@@ -185,22 +179,10 @@ def _sweep_common(args, runner):
     return 0
 
 
-def cmd_sweep(args):
-    return _sweep_common(args, experiments.run_sweep)
-
-
-def cmd_if_sweep(args):
-    return _sweep_common(args, experiments.run_if_sweep)
-
-
 def cmd_dof(args):
-    f = _load_field(args.field)
-    if args.channel and args.channel != "random":
-        # the fit sweeps its own SNR grid, so the file's snr_db is not read
-        h = _load_channel(args.channel, 0.0, args.usage_error).h
-    else:
-        rng = np.random.default_rng(args.seed)
-        h = rng.normal(size=(f.degree, args.users))
+    f = _load_field(args)
+    # the fit sweeps its own SNR grid, so the file's snr_db is not read
+    h = _channel(args, f, 0.0).h
     users = h.shape[1]  # a channel file sets the user count
     top = args.snr_top_db
     grid = [top - 40.0 + 5.0 * i for i in range(9)]
@@ -293,8 +275,8 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_rate, usage_error=p.error)
 
-    for name, fn, known in (("sweep", cmd_sweep, experiments.RATE_METRICS),
-                            ("if-sweep", cmd_if_sweep, experiments.IF_METRICS)):
+    for name, runner, known in (("sweep", experiments.run_sweep, experiments.RATE_METRICS),
+                                ("if-sweep", experiments.run_if_sweep, experiments.IF_METRICS)):
         p = sub.add_parser(name, help="Monte Carlo %s over an SNR grid"
                            % ("rate sweep" if name == "sweep" else "integer-forcing sweep"))
         p.add_argument("--fields", required=True, help="comma-separated catalog names")
@@ -305,15 +287,15 @@ def build_parser():
                        help="comma-separated subset of: " + ", ".join(known))
         p.add_argument("--workers", type=_positive_int, default=1)
         common(p, formats=("csv", "json"))
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_sweep, runner=runner)
 
     p = sub.add_parser("dof", help="degrees-of-freedom slope on a fixed channel")
     p.add_argument("--field", required=True)
     p.add_argument("--users", type=_positive_int, default=2,
                    help="users of a random channel (a channel file sets its own)")
     p.add_argument("--channel", help='JSON file with {h}, or "random"')
-    p.add_argument("--snr-top-db", type=_snr_db, default=80.0,
-                   help="top of the 40 dB fitting window")
+    p.add_argument("--snr-top-db", type=lambda text: _snr_db(text, window=40.0),
+                   default=80.0, help="top of the 40 dB fitting window")
     p.add_argument("--z-baseline", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_dof, usage_error=p.error)
@@ -331,9 +313,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (EnumerationError, np.linalg.LinAlgError, FloatingPointError,
-            rates.PathologicalChannelError, codec.CodecError, ValueError,
-            AssertionError, RuntimeError, KeyError, OSError) as e:
+    # with subclasses: LinAlgError, PathologicalChannelError, CodecError, EnumerationError
+    except (ValueError, RuntimeError, FloatingPointError, AssertionError, KeyError,
+            OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
 

@@ -311,27 +311,14 @@ def decode_equation(pair, Y, b, coeff_vector):
 
 
 def extract_ff_equation(pair, equation):
-    """Finite-field message combination carried by a lattice equation.
-
-    Reduces the equation modulo the prime ideal, strips the coarse-code
-    component, and inverts the message generator via its pseudo-inverse.
-    """
-    p = pair.p
+    """Finite-field message combination carried by a lattice equation: its
+    reduction modulo the prime ideal must lie in the fine code, and as
+    G_fine = [I; A] is systematic with G_coarse its first k_coarse columns,
+    the message symbols are entries k_coarse to k_fine of that word."""
     v = pair.reduce_vector(equation.ring_coords)
     if not pair.in_fine_code(v):
         raise CodecError("equation does not reduce into the fine code")
-    kc, kf = pair.k_coarse, pair.k_fine
-    if kc:
-        coarse_part = exact.mat_vec_mod(pair.G_coarse.tolist(), v[:kc], p)
-        v = [(x - y) % p for x, y in zip(v, coarse_part)]
-    # v now equals G_msg @ u mod p; the canonical systematic rows expose u
-    # directly, matching the Gram pseudo-inverse whenever that is defined.
-    u = v[kc:kf]
-    Gm = pair.G_msg.tolist()
-    check = exact.mat_vec_mod(Gm, u, p)
-    if check != [x % p for x in v]:
-        raise CodecError("equation is not in the message-code coset")
-    return u
+    return v[pair.k_coarse:pair.k_fine]
 
 
 def destination_solve(coeff_matrix, equations, p):

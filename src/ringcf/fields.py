@@ -352,14 +352,21 @@ def field_from_json(doc):
 
     min_poly lists monic integer coefficients low degree first; basis lists
     each integral basis element as rational coefficients in theta (numbers
-    or strings like "1/2").
+    or strings like "1/2"). A malformed document raises ValueError.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    name = doc["name"]
-    min_poly = [int(c) for c in doc["min_poly"]]
-    basis = [[_parse_rational(c) for c in row] for row in doc["basis"]]
-    return NumberField(name, min_poly, basis)
+    if not isinstance(doc, dict):
+        raise ValueError("field document must be an object {name, min_poly, basis}")
+    for key in ("name", "min_poly", "basis"):
+        if key not in doc:
+            raise ValueError("field document has no %r" % key)
+    try:
+        min_poly = [int(c) for c in doc["min_poly"]]
+        basis = [[_parse_rational(c) for c in row] for row in doc["basis"]]
+    except TypeError as e:
+        raise ValueError("field min_poly and basis must be lists of numbers: %s" % e) from None
+    return NumberField(doc["name"], min_poly, basis)
 
 
 def field_to_json(field):

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ class PathologicalChannelError(ValueError):
 
 class ChannelFormatError(ValueError):
     """Raised by `ChannelRealization.from_json` for a document that is not an
-    object, or whose h or snr_db is missing or not numeric."""
+    object, or whose h or snr_db is missing, not numeric or refused."""
 
 
 def log2_plus(x):
@@ -37,16 +38,24 @@ def log2_plus(x):
     return math.log2(x)
 
 
+def _usable_power(P, snr_db=None):
+    """P if it is a normal positive float (not nan, inf, <= 0 or subnormal);
+    else PathologicalChannelError naming P and the SNR in dB it came from."""
+    if sys.float_info.min <= P < math.inf:
+        return P
+    raise PathologicalChannelError("snr must be positive and finite, a normal float, got %r%s"
+                                   % (P, "" if snr_db is None else " from SNR %r dB" % snr_db))
+
+
 def _snr_power(snr_db):
-    """Power 10^(snr_db/10) of an SNR in dB; a value that is not finite, or
-    whose power overflows a float, raises ValueError naming it."""
+    """Power 10^(snr_db/10) of an SNR in dB, the one dB conversion. nan, +-inf
+    and a dB above about 3082 or below about -3076, whose power is no normal
+    positive float, raise PathologicalChannelError (a ValueError) naming it."""
     try:
-        if math.isfinite(snr_db):
-            return 10.0 ** (snr_db / 10.0)
+        P = 10.0 ** (snr_db / 10.0)
     except OverflowError:
-        pass
-    raise ValueError("SNR %r dB is not finite, or its power 10^(dB/10) overflows "
-                     "a float" % snr_db)
+        P = math.inf
+    return _usable_power(P, snr_db)
 
 
 @dataclass(frozen=True)
@@ -70,8 +79,7 @@ class ChannelRealization:
                                            "shape %s" % (h.shape,))
         if not np.all(np.isfinite(h)):
             raise PathologicalChannelError("channel gains must be finite")
-        if not (self.snr > 0 and math.isfinite(self.snr)):
-            raise PathologicalChannelError("snr must be positive and finite")
+        _usable_power(self.snr)
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
 
@@ -157,14 +165,13 @@ class ChannelRealization:
     @classmethod
     def from_json(cls, doc):
         """Channel of a document {h, snr_db}. A document that is not an
-        object, or whose h or snr_db is missing or not numeric, raises
-        ChannelFormatError naming the key; an snr_db whose power
-        10^(snr_db/10) is too large for a float raises OverflowError."""
+        object, or whose h or snr_db is missing, not numeric or (snr_db)
+        refused by _snr_power, raises ChannelFormatError naming the key."""
         if isinstance(doc, str):
             doc = json.loads(doc)
         if not isinstance(doc, dict):
             raise ChannelFormatError("channel document must be an object {h, snr_db}")
-        snr = 10.0 ** (_json_number(doc, "snr_db", float) / 10.0)
+        snr = _json_number(doc, "snr_db", lambda v: _snr_power(float(v)))
         return cls(h=_json_number(doc, "h", lambda v: np.array(v, dtype=float)), snr=snr)
 
     def to_json(self):
@@ -178,7 +185,9 @@ def _json_number(doc, key, convert):
         raise ChannelFormatError("channel document has no %r" % key)
     try:
         return convert(doc[key])
-    except (TypeError, ValueError, OverflowError):
+    except PathologicalChannelError as e:
+        raise ChannelFormatError("channel %r: %s" % (key, e)) from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float
         raise ChannelFormatError("channel %r must be numeric, got %r"
                                  % (key, doc[key])) from None
 

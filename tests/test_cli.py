@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ringcf import catalog_field, cli, field_to_json
 from ringcf.cli import main
 
 
@@ -173,14 +174,43 @@ def test_dof_z_baseline_flag(capsys):
     assert json.loads(out)["slope"] < 0.2
 
 
+SNR_REFUSED = "snr must be positive and finite, a normal float, got "
+
+
 def test_bad_snr_grids_are_usage_errors(capsys):
-    for grid in ("0:5", "10:5:0", "0,a", "nan", "10,inf", "nan:1:5"):
+    bad_range = "start:step:stop needs finite values, step > 0 and stop >= start"
+    for grid, message in (
+            ("0:5", "expected start:step:stop or a comma list of dB, got '0:5'"),
+            ("10:5:0", "grid '10:5:0': " + bad_range),
+            ("0,a", "expected start:step:stop or a comma list of dB, got '0,a'"),
+            ("nan", "grid 'nan': %snan from SNR nan dB" % SNR_REFUSED),
+            ("10,inf", "grid '10,inf': %sinf from SNR inf dB" % SNR_REFUSED),
+            ("nan:1:5", "grid 'nan:1:5': " + bad_range),
+            ("0:1:inf", "grid '0:1:inf': " + bad_range),
+            ("-4000", "grid '-4000': %s0.0 from SNR -4000.0 dB" % SNR_REFUSED),
+            ("0,-3090", "grid '0,-3090': %s1e-309 from SNR -3090.0 dB" % SNR_REFUSED)):
         with pytest.raises(SystemExit) as e:
             main(["sweep", "--fields", "quad-5", "--trials", "1", "--snr-grid-db", grid])
         assert e.value.code == 2
-    err = capsys.readouterr().err
-    assert "expected start:step:stop" in err
-    assert "grid '10,inf' has a non-finite value" in err
+        assert message in capsys.readouterr().err
+
+
+def test_snr_grid_point_limit(monkeypatch, capsys):
+    # a range is refused while it expands: at most MAX_GRID_POINTS + 1 values are built
+    assert cli.MAX_GRID_POINTS == 10000
+    # 10000 points whose powers are all floats (0:1:9999 reaches 9999 dB, past 3082)
+    assert len(cli._parse_grid("0:0.25:2499.75")) == 10000
+    assert len(cli._parse_grid(",".join(["0"] * 10000))) == 10000
+    built = []
+    monkeypatch.setattr(cli, "round", lambda v, n: built.append(v) or v, raising=False)
+    for grid in ("0:1e-5:1", "0:1e-9:1", "0:0.25:2500", ",".join(["0"] * 10001)):
+        for command in ("sweep", "if-sweep"):
+            built.clear()
+            with pytest.raises(SystemExit) as e:
+                main([command, "--fields", "quad-5", "--trials", "1", "--snr-grid-db", grid])
+            assert e.value.code == 2
+            assert "grid %r: more than 10000 points" % grid in capsys.readouterr().err
+            assert len(built) <= 10001
 
 
 @pytest.mark.parametrize("argv", [
@@ -208,12 +238,27 @@ def test_counts_below_one_are_usage_errors(argv, capsys):
     ["rate", "--field", "quad-5", "--snr-db", "loud"],
     ["dof", "--field", "quad-5", "--snr-top-db", "nan"],
     ["dof", "--field", "quad-5", "--snr-top-db", "inf"],
+    ["rate", "--field", "quad-5", "--snr-db=-4000"],
+    ["dof", "--field", "quad-5", "--snr-top-db=-4000"],
+    ["rate", "--field", "quad-5", "--snr-db=-3090"],
+    # the fit's window reaches 40 dB below the top: -3050 dB asks for -3090 dB
+    ["dof", "--field", "quad-5", "--snr-top-db=-3050"],
 ])
 def test_non_finite_snr_is_usage_error(argv, capsys):
+    value = argv[-1].split("=")[-1]
+    message = {"nan": "nan from SNR nan dB", "inf": "inf from SNR inf dB",
+               "-inf": "0.0 from SNR -inf dB", "-4000": "0.0 from SNR -4000.0 dB",
+               "-3090": "1e-309 from SNR -3090.0 dB",
+               "-3050": "1e-309 from SNR -3090.0 dB"}.get(value)
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
-    assert "expected a finite number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    flag = argv[3].split("=")[0]
+    if message is None:
+        assert "argument %s: could not convert string to float: 'loud'" % flag in err
+    else:
+        assert "argument %s: %s%s" % (flag, SNR_REFUSED, message) in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,7 +270,8 @@ def test_overflowing_snr_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
-    assert "SNR 4000 dB overflows" in capsys.readouterr().err
+    assert ("argument %s: %sinf from SNR 4000.0 dB" % (argv[3], SNR_REFUSED)
+            in capsys.readouterr().err)
 
 
 def test_overflowing_channel_file_snr_is_usage_error(tmp_path, capsys):
@@ -234,11 +280,92 @@ def test_overflowing_channel_file_snr_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["rate", "--field", "quad-5", "--channel", str(path)])
     assert e.value.code == 2
-    assert "snr_db 4000 of %s overflows" % path in capsys.readouterr().err
+    assert ("channel file %s: channel 'snr_db': %sinf from SNR 4000.0 dB"
+            % (path, SNR_REFUSED) in capsys.readouterr().err)
     # --snr-db replaces the file's value
     code, out, _ = run_cli(capsys, "rate", "--field", "quad-5", "--channel", str(path),
                            "--snr-db", "20")
     assert code == 0 and json.loads(out)["coeffs"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("-4000", "0.0 from SNR -4000.0 dB"),
+    ("-3090", "1e-309 from SNR -3090.0 dB"),
+    ("NaN", "nan from SNR nan dB"),
+    ("Infinity", "inf from SNR inf dB"),
+], ids=["-4000", "-3090", "NaN", "Infinity"])
+def test_channel_file_snr_without_power_is_usage_error(text, message, tmp_path, capsys):
+    path = tmp_path / "quiet.json"
+    path.write_text('{"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": %s}' % text)
+    with pytest.raises(SystemExit) as e:
+        main(["rate", "--field", "quad-5", "--channel", str(path)])
+    assert e.value.code == 2
+    assert ("channel file %s: channel 'snr_db': %s%s" % (path, SNR_REFUSED, message)
+            in capsys.readouterr().err)
+    # dof does not read the file's snr_db
+    code, out, _ = run_cli(capsys, "dof", "--field", "quad-5", "--channel", str(path))
+    assert code == 0 and json.loads(out)["users"] == 2
+
+
+@pytest.mark.parametrize("h,message", [
+    ("[[0.3, NaN], [0.7, 0.4]]", "channel gains must be finite"),
+    ("[[[[1.0]]]]", "channel gains must be 2-D or 3-D"),
+    ("[[1e999, 1.0]]", "channel gains must be finite"),
+    ("[[%s, 1.0]]" % (10 ** 400), "'h' must be numeric"),
+], ids=["h-nan", "h-4d", "h-inf", "h-huge-int"])
+def test_channel_file_gains_refused_as_usage_errors(h, message, tmp_path, capsys):
+    # every ValueError of the channel reader names the file and exits 2
+    path = tmp_path / "gains.json"
+    path.write_text('{"h": %s, "snr_db": 20}' % h)
+    for command in ("rate", "dof"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--field", "quad-5", "--channel", str(path)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "channel file %s: " % path in err and message in err
+
+
+def test_unparsable_json_files_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"h": [[0.3, ')
+    for flag in ("--channel", "--field"):
+        for command in ("rate", "dof"):
+            argv = [command, "--field", "quad-5", "--channel", str(path)]
+            if flag == "--field":
+                argv = [command, "--field", str(path)]
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2
+            kind = "channel" if flag == "--channel" else "field"
+            assert "%s file %s: Expecting value" % (kind, path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "field document must be an object {name, min_poly, basis}"),
+    ({"name": "f", "basis": [[1], [0, 1]]}, "field document has no 'min_poly'"),
+    ({"min_poly": [-1, -1, 1], "basis": [[1], [0, 1]]}, "field document has no 'name'"),
+    ({"name": "f", "min_poly": 5, "basis": [[1]]},
+     "field min_poly and basis must be lists of numbers"),
+    ({"name": "f", "min_poly": [1, 2], "basis": [[1]]}, "monic"),
+], ids=["not-object", "no-min_poly", "no-name", "min_poly-number", "not-monic"])
+def test_bad_field_files_are_usage_errors(doc, message, tmp_path, capsys):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    for command in ("rate", "dof"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--field", str(path)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "field file %s: " % path in err and message in err
+
+
+def test_field_file_runs(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(field_to_json(catalog_field("quad-5"))))
+    for command in ("rate", "dof"):
+        code, out, _ = run_cli(capsys, command, "--field", str(path), "--seed", "3")
+        expected = run_cli(capsys, command, "--field", "quad-5", "--seed", "3")
+        assert code == 0 and (code, out) == expected[:2]
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -288,7 +415,8 @@ def test_overflowing_snr_grid_is_usage_error(grid, capsys):
         with pytest.raises(SystemExit) as e:
             main([command, "--fields", "quad-5", "--trials", "1", "--snr-grid-db", grid])
         assert e.value.code == 2
-        assert "power 10^(dB/10) is too large" in capsys.readouterr().err
+        assert ("argument --snr-grid-db: grid %r: %sinf from SNR 4000.0 dB"
+                % (grid, SNR_REFUSED) in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv,valid", [

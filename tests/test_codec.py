@@ -9,8 +9,8 @@ from ringcf import (build_nested_pair, catalog_field, closest_vector,
                     decode_equation, destination_solve, encode,
                     extract_ff_equation, lattices, prime_ideal, sample_dither,
                     scale_by_ring)
-from ringcf.codec import CodecError
-from ringcf.exact import int_mat_det
+from ringcf.codec import CodecError, LatticeEquation
+from ringcf.exact import int_mat_det, mat_vec_mod
 from ringcf.lattices import ZLattice
 
 
@@ -429,3 +429,60 @@ def test_dither_stays_in_voronoi_and_shifts_cosets(golden):
     cw = encode(pair, [2], dither=sample_dither(pair, rng))
     # dithered signal still lands in the fine lattice coset structure
     assert cw.X.shape == (2, 1)
+
+
+def reference_extract_ff_equation(pair, equation):
+    """The extraction before it returned the message slice after one check:
+    it subtracted the coarse-code part and re-encoded with G_msg."""
+    p = pair.p
+    v = pair.reduce_vector(equation.ring_coords)
+    if not pair.in_fine_code(v):
+        raise CodecError("equation does not reduce into the fine code")
+    kc, kf = pair.k_coarse, pair.k_fine
+    if kc:
+        coarse_part = mat_vec_mod(pair.G_coarse.tolist(), v[:kc], p)
+        v = [(x - y) % p for x, y in zip(v, coarse_part)]
+    u = v[kc:kf]
+    if mat_vec_mod(pair.G_msg.tolist(), u, p) != [x % p for x in v]:
+        raise CodecError("equation is not in the message-code coset")
+    return u
+
+
+def test_extract_equals_reference_on_accepted_and_refused_equations():
+    # G_fine is systematic, so once the word is in the fine code the coarse
+    # subtraction and the G_msg re-check of the reference can never fail
+    f = catalog_field("quad-5")
+    pairs = [build_nested_pair(f, prime_ideal(f, 101, 23), [[1], [0], [3], [11]],
+                               [[1, 0], [0, 1], [3, 7], [11, 5]], T=4),
+             build_nested_pair(f, prime_ideal(f, 101, 23), np.zeros((3, 0), int),
+                               [[1], [4], [9]], T=3),
+             build_nested_pair(f, prime_ideal(f, 5, 3), [[1], [0], [3]],
+                               [[1, 0], [0, 1], [3, 2]], T=3)]
+    rng = np.random.default_rng(19)
+    outcomes = []
+    for pair in pairs:
+        k = pair.k_fine - pair.k_coarse
+        for _ in range(400):
+            if rng.random() < 0.5:
+                # a relay equation: a ring combination of two codewords
+                a = [f.element(rng.integers(-3, 4, size=2)) for _ in range(2)]
+                w = [[int(x) for x in rng.integers(0, pair.p, size=k)] for _ in range(2)]
+                Y = sum(scale_by_ring(pair, al, encode(pair, wl))[0] for al, wl in zip(a, w))
+                eq = decode_equation(pair, Y, [1.0, 1.0], a)
+            else:
+                # any ring vector: mostly outside the fine code
+                eq = LatticeEquation(ring_coords=[f.element(rng.integers(-60, 61, size=2))
+                                                  for _ in range(pair.T)],
+                                     signal=None, coeff_residues=[])
+            try:
+                expected = reference_extract_ff_equation(pair, eq)
+            except CodecError as e:
+                with pytest.raises(CodecError) as got:
+                    extract_ff_equation(pair, eq)
+                assert str(got.value) == str(e)
+                outcomes.append(False)
+            else:
+                u = extract_ff_equation(pair, eq)
+                assert u == expected and all(type(x) is int for x in u)
+                outcomes.append(True)
+    assert 400 < sum(outcomes) < 800

@@ -173,10 +173,12 @@ def test_default_metrics_are_every_metric_of_the_runner(runner, known):
     assert {row.split(",")[2] for row in expected.splitlines()[1:]} == set(known)
 
 
-@pytest.mark.parametrize("snr_db", [4000, 1e308, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("snr_db", [4000, 1e308, math.nan, math.inf, -math.inf,
+                                    -4000, -3090])
 def test_snr_without_finite_power_rejected_before_any_trial(snr_db, monkeypatch):
     # an overflowing power raised a bare OverflowError from the first trial,
-    # and nan or inf a PathologicalChannelError in the middle of the sweep
+    # and nan or inf a PathologicalChannelError in the middle of the sweep;
+    # -4000 dB (power 0.0) and -3090 dB (a subnormal power) are refused too
     monkeypatch.setattr(experiments, "_trial", lambda *a: pytest.fail("a trial ran"))
     for runner in (run_sweep, run_if_sweep):
         with pytest.raises(ValueError, match=re.escape("SNR %r dB" % float(snr_db))):

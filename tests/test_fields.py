@@ -247,6 +247,20 @@ def test_json_round_trip():
     assert g.mult_table == f.mult_table
 
 
+@pytest.mark.parametrize("doc,message", [
+    ("[1, 2]", "must be an object"),
+    ({"min_poly": [-1, -1, 1], "basis": [[1], [0, 1]]}, "has no 'name'"),
+    ({"name": "x", "basis": [[1], [0, 1]]}, "has no 'min_poly'"),
+    ({"name": "x", "min_poly": [-1, -1, 1]}, "has no 'basis'"),
+    ({"name": "x", "min_poly": 5, "basis": [[1]]}, "must be lists of numbers"),
+    ({"name": "x", "min_poly": [-1, -1, 1], "basis": [1, 2]}, "must be lists of numbers"),
+])
+def test_loader_errors_are_value_errors(doc, message):
+    # never a KeyError or TypeError, so a caller can refuse the document
+    with pytest.raises(ValueError, match=message):
+        field_from_json(doc)
+
+
 def test_loader_rejects_non_monic_and_bad_basis():
     with pytest.raises(ValueError):
         field_from_json({"name": "x", "min_poly": [1, 2], "basis": [[1]]})

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,12 @@ def test_channel_validation():
         ChannelRealization(h=np.array([[np.inf, 1.0]]), snr=1.0)
     with pytest.raises(PathologicalChannelError):
         ChannelRealization(h=np.ones((1, 2)), snr=0.0)
+    # a subnormal power is refused with its value, as _snr_power refuses its dB
+    for snr in (1e-309, 5e-324, -1e-300):
+        with pytest.raises(PathologicalChannelError, match=re.escape("got %r" % snr)):
+            ChannelRealization(h=np.ones((1, 2)), snr=snr)
+    assert ChannelRealization(h=np.ones((1, 2)), snr=sys.float_info.min).snr > 0
+    assert ChannelRealization(h=np.ones((1, 2)), snr=sys.float_info.max).snr < math.inf
     with pytest.raises(PathologicalChannelError, match="2-D or 3-D"):
         ChannelRealization(h=np.ones((2, 1, 2, 2)), snr=1.0)
 
@@ -61,8 +68,13 @@ def test_channel_json_round_trip():
     ({"h": [[1.0, 2.0], [3.0]], "snr_db": 20}, "'h' must be numeric"),
     ({"h": {"a": 1}, "snr_db": 20}, "'h' must be numeric"),
     ("[1, 2]", "must be an object"),
+    ({"h": [[1.0, 2.0]], "snr_db": 10 ** 400}, "'snr_db' must be numeric"),
+    ({"h": [[10 ** 400, 2.0]], "snr_db": 20}, "'h' must be numeric"),
+    ({"h": [[1.0, 2.0]], "snr_db": -4000}, "'snr_db': snr must be positive and finite"),
+    ('{"h": [[1.0, 2.0]], "snr_db": NaN}', "'snr_db': snr must be positive and finite"),
 ], ids=["no-snr_db", "no-h", "snr_db-list", "snr_db-null", "snr_db-text", "h-text",
-        "h-ragged", "h-object", "not-object"])
+        "h-ragged", "h-object", "not-object", "snr_db-huge-int", "h-huge-int",
+        "snr_db-underflow", "snr_db-nan"])
 def test_channel_json_errors_name_the_key(doc, message):
     # a ValueError subclass, never a KeyError or TypeError
     with pytest.raises(ChannelFormatError, match=message) as e:
@@ -439,13 +451,26 @@ def test_dof_grid_validation():
         dof_estimate(f, np.array([[1.0]]), [40, 50])
 
 
-@pytest.mark.parametrize("snr_db", [4000, 1e308, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("snr_db", [4000, 1e308, math.nan, math.inf, -math.inf,
+                                    -4000, -3090])
 def test_dof_rejects_snr_without_finite_power_before_any_point(snr_db, monkeypatch):
     # 4000 dB raised a bare OverflowError after the 0 dB point had been solved
     monkeypatch.setattr(rates, "best_coefficients", lambda *a, **k: pytest.fail("solved"))
     f, h = catalog_field("quad-5"), np.array([[0.3, -1.2], [0.7, 0.4]])
     with pytest.raises(ValueError, match=re.escape("SNR %r dB" % float(snr_db))):
         dof_estimate(f, h, [0, snr_db])
+
+
+def test_snr_power_accepts_exactly_the_normal_powers():
+    # about 3082 dB is the last power below float max, about -3076 dB the
+    # last one at or above the smallest normal float
+    for snr_db in (-3076.0, -120.0, 0, 20.5, 3082.0):
+        P = rates._snr_power(snr_db)
+        assert P == 10.0 ** (snr_db / 10.0) and sys.float_info.min <= P < math.inf
+    for snr_db in (-3077.0, -3090.0, -4000.0, 3083.0, 4000.0, math.nan, math.inf,
+                   -math.inf):
+        with pytest.raises(PathologicalChannelError, match=re.escape("SNR %r dB" % snr_db)):
+            rates._snr_power(snr_db)
 
 
 def test_ml_capacity_subset_minimum():
