@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 demo verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -71,17 +73,26 @@ def _snr_db(text, window=0.0):
     return value
 
 
-def _metric_list(known):
-    """Type of --metrics for a sweep whose valid metrics are `known`: a comma
-    list of them (empty means all); any other name is a usage error."""
-    def parse(text):
-        metrics = tuple(text.split(",")) if text else known
-        bad = sorted(set(metrics) - set(known))
-        if bad:
-            raise argparse.ArgumentTypeError("unknown metrics: %s (valid: %s)"
-                                             % (", ".join(bad), ", ".join(known)))
-        return metrics
-    return parse
+def _metrics(known, text):
+    """--metrics of a sweep with valid metrics `known`: a comma list (empty
+    means all); experiments.sweep_metrics refuses a bad one, a usage error."""
+    try:
+        return experiments.sweep_metrics(known, text.split(",") if text else ())
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _out_path(path):
+    """--out: a path that opens for appending (an existing file keeps its
+    content), else a usage error; a file that this check created is removed."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as e:
+        raise argparse.ArgumentTypeError("cannot write %s: %s" % (path, e)) from None
+    if not existed:
+        os.remove(path)
+    return path
 
 
 def _message_pair(text):
@@ -95,34 +106,39 @@ def _message_pair(text):
     return messages
 
 
+def _from_file(args, what, path, parse):
+    """parse(JSON document of the file at path); a file that cannot be read,
+    or whose document parse refuses (ValueError), is a usage error naming it."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError) as e:
+        args.usage_error("%s file %s: %s" % (what, path, e))
+
+
 def _load_field(args):
     """Catalog field named by --field, or the field of a JSON file at that
     path; a file that fields.field_from_json refuses is a usage error."""
     if args.field in fields.catalog_names():
         return fields.catalog_field(args.field)
-    with open(args.field) as fh:
-        try:
-            return fields.field_from_json(json.load(fh))
-        except ValueError as e:
-            args.usage_error("field file %s: %s" % (args.field, e))
+    return _from_file(args, "field", args.field, fields.field_from_json)
 
 
 def _channel(args, f, snr_db):
     """Channel of --channel: a JSON file {h, snr_db}, snr_db replacing its own
     when given, or a --seed draw of f.degree x --users gains at snr_db (or 20).
-    A file that from_json refuses, or with a 3-D h, is a usage error naming it."""
+    A file that cannot be read, that from_json refuses, or with a 3-D h, is a
+    usage error naming it."""
     path = args.channel
     if not path or path == "random":
         h = np.random.default_rng(args.seed).normal(size=(f.degree, args.users))
         return rates.ChannelRealization(h, rates._snr_power(20.0 if snr_db is None else snr_db))
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-            if snr_db is not None and isinstance(doc, dict):
-                doc = dict(doc, snr_db=snr_db)
-            ch = rates.ChannelRealization.from_json(doc)
-        except ValueError as e:
-            args.usage_error("channel file %s: %s" % (path, e))
+
+    def parse(doc):
+        if snr_db is not None and isinstance(doc, dict):
+            doc = dict(doc, snr_db=snr_db)
+        return rates.ChannelRealization.from_json(doc)
+    ch = _from_file(args, "channel", path, parse)
     if ch.h.ndim != 2:
         args.usage_error("channel file %s: 'h' has shape %s; the command line needs "
                          "one receive antenna per block" % (path, ch.h.shape))
@@ -142,13 +158,9 @@ def _write(args, text):
 
 
 def cmd_fields(args):
-    out = []
-    for name in fields.catalog_names():
-        f = fields.catalog_field(name)
-        out.append({"name": name, "degree": f.degree,
-                    "discriminant": f.discriminant,
-                    "min_poly": list(f.min_poly)})
-    _emit(args, out)
+    _emit(args, [{"name": f.name, "degree": f.degree, "discriminant": f.discriminant,
+                  "min_poly": list(f.min_poly)}
+                 for f in map(fields.catalog_field, fields.catalog_names())])
     return 0
 
 
@@ -171,11 +183,8 @@ def cmd_sweep(args):
         snr_db_grid=args.snr_grid_db, trials=args.trials,
         seed=args.seed, metrics=args.metrics)
     points = args.runner(cfg, workers=args.workers)
-    if args.format == "csv":
-        text = experiments.csv_string(points)
-    else:
-        text = json.dumps([vars(p) for p in points], indent=2) + "\n"
-    _write(args, text)
+    _write(args, experiments.csv_string(points) if args.format == "csv"
+           else json.dumps([vars(p) for p in points], indent=2) + "\n")
     return 0
 
 
@@ -255,7 +264,7 @@ def build_parser():
     def common(p, formats=("json",)):
         # csv exists only for sweeps; argparse rejects it elsewhere (exit 2)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="write output to a file")
+        p.add_argument("--out", type=_out_path, default=None, help="write output to a file")
         p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("fields", help="list the built-in field catalog")
@@ -283,7 +292,7 @@ def build_parser():
         p.add_argument("--users", type=_positive_int, default=2)
         p.add_argument("--trials", type=_positive_int, default=2000)
         p.add_argument("--snr-grid-db", type=_parse_grid, default="0:5:50")
-        p.add_argument("--metrics", type=_metric_list(known), default=known,
+        p.add_argument("--metrics", type=functools.partial(_metrics, known), default=known,
                        help="comma-separated subset of: " + ", ".join(known))
         p.add_argument("--workers", type=_positive_int, default=1)
         common(p, formats=("csv", "json"))

@@ -175,14 +175,6 @@ class NestedLatticePair:
         return [int(z) for z in sol]
 
 
-def _validate_canonical(G, name):
-    T, k = G.shape
-    if k > T:
-        raise CodecError("%s has more columns than positions" % name)
-    if not np.array_equal(G[:k, :], np.eye(k, dtype=int)):
-        raise CodecError("%s is not in canonical systematic form" % name)
-
-
 def build_nested_pair(field, ideal, G_coarse, G_fine, T):
     """Assemble the nested pair and verify volumes and nesting exactly."""
     G_fine = np.array(G_fine, dtype=int).reshape(T, -1) % ideal.p
@@ -190,17 +182,22 @@ def build_nested_pair(field, ideal, G_coarse, G_fine, T):
     kf, kc = G_fine.shape[1], G_coarse.shape[1]
     if kc > kf:
         raise CodecError("coarse code cannot have more generators than fine")
-    _validate_canonical(G_fine, "fine generator")
+    if kf > T:
+        raise CodecError("fine generator has more columns than positions")
+    if not np.array_equal(G_fine[:kf, :], np.eye(kf, dtype=int)):
+        raise CodecError("fine generator is not in canonical systematic form")
     if not np.array_equal(G_coarse, G_fine[:, :kc]):
         raise CodecError("coarse generator must be a prefix of the fine generator")
-    eye_n, eye_T = np.eye(field.degree, dtype=int), np.eye(T, dtype=int)
+    n, eye_T = field.degree, np.eye(T, dtype=int)
     B = np.array(ideal.basis_coords, dtype=int).T
 
     def generators(G):
         # Construction A from a systematic G: column (s, i) is G[:, s] (x) e_i
-        # for s < k and e_s (x) b_i for s >= k, b_i the ideal's basis columns
+        # for s < k and e_s (x) b_i for s >= k, b_i the ideal's basis columns:
+        # P[t, s] * C_s[a, i] at (t*n + a, s*n + i), P = [G | e_k .. e_T], C_s = I or B
         k = G.shape[1]
-        return np.hstack([np.kron(G, eye_n), np.kron(eye_T[:, k:], B)]).T.tolist()
+        C = np.array([np.eye(n, dtype=int)] * k + [B] * (T - k)).transpose(1, 0, 2)
+        return (np.hstack([G, eye_T[:, k:]])[:, None, :, None] * C).reshape(T * n, -1).T.tolist()
 
     pair = NestedLatticePair(field=field, ideal=ideal, G_coarse=G_coarse,
                              G_fine=G_fine, T=T, gen_fine=generators(G_fine),

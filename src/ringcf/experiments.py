@@ -7,6 +7,7 @@ worker processes run the trials.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import io
@@ -134,12 +135,18 @@ def _if_point(cfg, fields, ch, snr_db, trial, out):
         out[(snr_db, "-", "ml")] = rep.ml_capacity
 
 
-def _run(cfg, known, block_shape, point, workers):
-    bad = set(cfg.metrics) - set(known)
+def sweep_metrics(known, metrics):
+    """The requested metrics of a sweep with valid metrics `known`, or all of
+    them when none are named; ValueError names unknown ones and lists `known`."""
+    bad = sorted(set(metrics) - set(known))
     if bad:
-        raise ValueError("unknown metrics: %s" % ", ".join(sorted(bad)))
-    if not cfg.metrics:
-        cfg = replace(cfg, metrics=known)
+        raise ValueError("unknown metrics: %s (valid: %s)" % (", ".join(bad), ", ".join(known)))
+    return tuple(metrics) or known
+
+
+def _run(cfg, known, block_shape, point, workers):
+    metrics = sweep_metrics(known, cfg.metrics)
+    cfg = cfg if metrics == cfg.metrics else replace(cfg, metrics=metrics)
     trial_fn = functools.partial(_trial, cfg, block_shape, point)
     if workers <= 1:
         results = [trial_fn(t) for t in range(cfg.trials)]
@@ -178,20 +185,15 @@ def run_if_sweep(cfg, workers=1):
 
 
 def export_csv(points, out):
-    """Write curve points as CSV (header + one row per point)."""
-    close = False
-    if isinstance(out, (str, os.PathLike)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(out)
+    """Write curve points as CSV (header + one row per point) to a path, or
+    to an open text stream that stays open."""
+    path = isinstance(out, (str, os.PathLike))
+    with open(out, "w", newline="") if path else contextlib.nullcontext(out) as fh:
+        w = csv.writer(fh)
         w.writerow(["snr_db", "field", "metric", "mean", "stderr", "trials", "seed"])
         for pt in points:
             w.writerow([repr(pt.snr_db), pt.field, pt.metric, repr(pt.mean),
                         repr(pt.stderr), pt.trials, pt.seed])
-    finally:
-        if close:
-            out.close()
 
 
 def csv_string(points):

@@ -190,7 +190,6 @@ class NumberField:
         det2 = np.linalg.det(emb) ** 2
         if abs(det2 - disc) > 1e-9 * disc:
             raise ValueError("embedding matrix disagrees with exact discriminant")
-        self._psi_embeddings = {}
 
     @functools.cached_property
     def _omega_matrices(self):
@@ -199,15 +198,6 @@ class NumberField:
         n = self.degree
         return tuple(self.element([int(i == j) for j in range(n)]).mul_matrix()
                      for i in range(1, n))
-
-    def _psi_embedding(self, L):
-        """embeddings kron I_L (read-only), built once per L: the real
-        embeddings of a length-L vector in psi_map coordinates."""
-        if L not in self._psi_embeddings:
-            kron = np.kron(self.embeddings, np.eye(L))
-            kron.flags.writeable = False
-            self._psi_embeddings[L] = kron
-        return self._psi_embeddings[L]
 
     # -- element constructors ----------------------------------------------
 
@@ -230,6 +220,23 @@ class NumberField:
     def __repr__(self):
         return "NumberField(%r, degree=%d, disc=%d)" % (self.name, self.degree,
                                                         self.discriminant)
+
+
+def psi_map(field, int_vec):
+    """Integer vector of length n*L -> length-L vector of ring elements.
+
+    Entry (k-1)*L + l is coordinate k of element l (rates' block lattices).
+    """
+    n = field.degree
+    if len(int_vec) % n != 0:
+        raise ValueError("vector length must be a multiple of the degree")
+    L = len(int_vec) // n
+    return [field.element(int_vec[l::L]) for l in range(L)]
+
+
+def psi_inverse(coeffs):
+    """Inverse of psi_map: ring-element vector -> flat integer vector."""
+    return [c for column in zip(*(a.coords for a in coeffs)) for c in column]
 
 
 class KSpan(exact.IntEchelon):
@@ -270,8 +277,7 @@ def rank_over_K(field, rows):
     if any(a.field is not field and a.field.name != field.name for row in rows for a in row):
         raise FieldMismatchError("elements belong to a different field")
     span = KSpan(field)
-    return sum(span.add([a.coords[k] for k in range(field.degree) for a in row])
-               for row in rows)
+    return sum(span.add(psi_inverse(row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import KSpan
+from .fields import KSpan, psi_inverse, psi_map  # noqa: F401 (psi_inverse: re-export)
 from .lattices import ZLattice, _greedy_minima, hermite_constant, successive_minima
 
 
@@ -209,28 +209,18 @@ class HumbertForm:
 
     def value(self, coeffs):
         """Quadratic form of a coefficient vector (length-L AlgebraicInts)."""
-        return _form_value(_embedded_terms(self, coeffs)[1])
+        return float(sum(_embedded_terms(self, coeffs)[1]))
 
     def chol_det(self):
         return float(np.prod([np.prod(np.diag(c)) for c in self.M_chol]))
 
 
-def _embed_vector(field, coeffs):
-    """Matrix with row j = (sigma_j applied entrywise to the vector)."""
-    coord_mat = np.array([a.coords for a in coeffs], dtype=float).T
-    return field.embeddings @ coord_mat
-
-
 def _embedded_terms(humbert, coeffs):
-    """(sigma, per-block terms sigma_j^T M_j sigma_j) of a coefficient
-    vector: the one embedding that the form value, the geometric-mean rate
-    and the MMSE scaling all read."""
-    sigma = _embed_vector(humbert.field, coeffs)
+    """(sigma, per-block terms sigma_j^T M_j sigma_j) of a coefficient vector,
+    row j of sigma holding sigma_j of each entry: the one embedding that the
+    form value, the geometric-mean rate and the MMSE scaling all read."""
+    sigma = humbert.field.embeddings @ np.array([a.coords for a in coeffs], dtype=float).T
     return sigma, [sigma[j] @ Mj @ sigma[j] for j, Mj in enumerate(humbert.M)]
-
-
-def _form_value(terms):
-    return float(sum(terms))
 
 
 def _rate_gm(terms):
@@ -261,16 +251,17 @@ def _read_only(stack):
 
 
 def _block_basis(field, factors):
-    """nL x nL basis diag(F_1, .., F_n) @ (embeddings kron I_L) of the
-    lattice whose squared lengths give the form sum_j |F_j sigma_j(a)|^2;
-    the channel must have one block per embedding."""
+    """nL x nL basis of the lattice whose squared lengths give the form
+    sum_j |F_j sigma_j(a)|^2 in psi_map coordinates: entry (j*L + a, k*L + l)
+    is F_j[a, l] * sigma_j(omega_k), one broadcast product. The channel must
+    have one block per embedding."""
     n, L = len(factors), factors[0].shape[0]
     if n != field.degree:
         raise ValueError("channel has %d blocks but field degree is %d" % (n, field.degree))
-    blocks = np.zeros((n * L, n * L))
-    for j, Fj in enumerate(factors):
-        blocks[j * L:(j + 1) * L, j * L:(j + 1) * L] = Fj
-    return blocks @ field._psi_embedding(L)
+    F, E = np.array(factors), field.embeddings
+    # + 0.0 makes a -0.0 product +0.0, the bits of diag(F_j) @ (E kron I_L),
+    # whose entries add exact +0.0 terms to one product (-0.0 + 0.0 is +0.0)
+    return (F[:, :, None, :] * E[:, None, :, None]).reshape(n * L, n * L) + 0.0
 
 
 def _select_independent(field, basis, k):
@@ -285,23 +276,6 @@ def _select_independent(field, basis, k):
 def _z_minima(gram, k):
     """First k successive minima of Z^L under the positive-definite Gram matrix."""
     return successive_minima(ZLattice._checked(np.linalg.cholesky(gram).T), k)
-
-
-def psi_map(field, int_vec):
-    """Integer vector of length n*L -> length-L vector of ring elements.
-
-    Entry (k-1)*L + l of the integer vector is coordinate k of element l.
-    """
-    n = field.degree
-    if len(int_vec) % n != 0:
-        raise ValueError("vector length must be a multiple of the degree")
-    L = len(int_vec) // n
-    return [field.element(int_vec[l::L]) for l in range(L)]
-
-
-def psi_inverse(coeffs):
-    """Inverse of psi_map: ring-element vector -> flat integer vector."""
-    return [a.coords[k] for k in range(coeffs[0].field.degree) for a in coeffs]
 
 
 def rate_am(field, f_value):
@@ -319,7 +293,7 @@ def rate_gm(humbert, coeffs):
 
 def mmse_scaling(humbert, coeffs):
     """Optimal per-block receiver scaling for a coefficient vector."""
-    return _mmse_scaling(humbert.channel, _embed_vector(humbert.field, coeffs))
+    return _mmse_scaling(humbert.channel, _embedded_terms(humbert, coeffs)[0])
 
 
 def minkowski_rate_bounds(field, channel):
@@ -406,7 +380,7 @@ def best_coefficients(field, channel, k=None):
     hf = build_humbert(field, channel)
     selected, _ = _select_independent(field, hf.phi_M, k)
     embedded = [_embedded_terms(hf, v) for v in selected]
-    f_values = [_form_value(terms) for _, terms in embedded]
+    f_values = [float(sum(terms)) for _, terms in embedded]
     rates = [rate_am(field, f) for f in f_values]
     sigma, terms = embedded[0]
     return RateReport(

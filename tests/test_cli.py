@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ringcf import catalog_field, cli, field_to_json
+from ringcf import catalog_field, cli, experiments, field_to_json
 from ringcf.cli import main
 
 
@@ -433,6 +433,70 @@ def test_unknown_metrics_are_usage_errors(argv, valid, capsys):
     err = capsys.readouterr().err
     assert "unknown metrics: " + argv[-1].split(",")[-1] in err
     assert "(valid: %s)" % valid in err
+
+
+@pytest.mark.parametrize("command,runner", [("sweep", experiments.run_sweep),
+                                            ("if-sweep", experiments.run_if_sweep)])
+def test_unknown_metric_messages_agree(command, runner, capsys):
+    # experiments.sweep_metrics writes the one message that both report
+    with pytest.raises(ValueError) as python_error:
+        runner(experiments.SweepConfig(fields=["quad-5"], trials=1,
+                                       metrics=("bogus", "ml", "rate1")))
+    with pytest.raises(SystemExit) as e:
+        main([command, "--fields", "quad-5", "--trials", "1", "--metrics", "bogus,ml,rate1"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --metrics: %s\n"
+                                            % python_error.value)
+
+
+@pytest.mark.parametrize("what", ["missing", "directory"])
+@pytest.mark.parametrize("flag", ["--field", "--channel"])
+@pytest.mark.parametrize("command", ["rate", "dof"])
+def test_unreadable_input_files_are_usage_errors(command, flag, what, tmp_path, capsys):
+    path = tmp_path / "nofile.json" if what == "missing" else tmp_path
+    argv = [command, "--field", str(path)]
+    if flag == "--channel":
+        argv = [command, "--field", "quad-5", "--channel", str(path)]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    reason = "No such file or directory" if what == "missing" else "Is a directory"
+    err = capsys.readouterr().err
+    assert "%s file %s: [Errno " % (flag[2:], path) in err and reason in err
+
+
+OUT_COMMANDS = [["sweep", "--fields", "quad-5", "--trials", "1"],
+                ["if-sweep", "--fields", "quad-5", "--trials", "1"],
+                ["rate", "--field", "quad-5"], ["dof", "--field", "quad-5"],
+                ["fields"], ["codec-demo"]]
+
+
+def test_unwritable_out_is_refused_before_any_trial(monkeypatch, tmp_path, capsys):
+    calls = []
+    for name in ("run_sweep", "run_if_sweep"):
+        monkeypatch.setattr(experiments, name, lambda *a, **k: calls.append(a))
+    out = tmp_path / "nodir" / "x.csv"
+    for argv in OUT_COMMANDS:
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--out", str(out)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --out: cannot write %s: [Errno 2] No such file" % out in err
+    assert calls == [] and not out.parent.exists()
+
+
+def test_failed_command_leaves_out_as_it_was(monkeypatch, tmp_path, capsys):
+    def fail(cfg, workers=1):
+        raise ValueError("no trial ran")
+    monkeypatch.setattr(experiments, "run_sweep", fail)
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("earlier output\n")
+    for path in (kept, fresh):
+        code, out, err = run_cli(capsys, "sweep", "--fields", "quad-5", "--trials", "1",
+                                 "--out", str(path))
+        assert (code, out, err) == (3, "", "error: no trial ran\n")
+    assert kept.read_text() == "earlier output\n" and not fresh.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
 
 
 def test_k_above_users_is_usage_error(tmp_path, capsys):

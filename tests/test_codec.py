@@ -170,6 +170,27 @@ def test_generators_are_construction_a(name, p, root, T, G, kc):
         assert abs(int_mat_det(gen)) == p ** (T - k)
 
 
+def kron_generators(field, ideal, G):
+    """Construction A generators as the two Kronecker products they stand
+    for, [G kron I_n | e_k..e_T kron B], the reference for build_nested_pair."""
+    T, k = G.shape
+    B = np.array(ideal.basis_coords, dtype=int).T
+    return np.hstack([np.kron(G, np.eye(field.degree, dtype=int)),
+                      np.kron(np.eye(T, dtype=int)[:, k:], B)]).T.tolist()
+
+
+@pytest.mark.parametrize("kc", [0, 1, 2])
+@pytest.mark.parametrize("name,p,root,T,G", CONSTRUCTION_A_CASES)
+def test_generators_equal_kron_reference(name, p, root, T, G, kc):
+    f = catalog_field(name)
+    ideal = prime_ideal(f, p, root)
+    G = np.array(G) % p
+    pair = build_nested_pair(f, ideal, G[:, :kc], G, T=T)
+    for gen, code in ((pair.gen_fine, G), (pair.gen_coarse, G[:, :kc])):
+        assert gen == kron_generators(f, ideal, code)
+        assert all(type(x) is int for col in gen for x in col)
+
+
 @pytest.mark.parametrize("kc", [0, 1])
 @pytest.mark.parametrize("name,p,root,T,G", CONSTRUCTION_A_CASES)
 def test_noiseless_relay_equation_beyond_quad5(name, p, root, T, G, kc):
@@ -194,6 +215,16 @@ def test_non_canonical_generator_rejected():
         build_nested_pair(f, ideal, np.zeros((2, 0), int), [[2], [1]], T=2)
     with pytest.raises(CodecError):
         build_nested_pair(f, ideal, [[1], [1]], [[1, 0], [0, 1]], T=2)
+
+
+def test_generator_counts_checked():
+    f = catalog_field("quad-5")
+    ideal = prime_ideal(f, 5, 3)
+    with pytest.raises(CodecError, match="^fine generator has more columns than positions$"):
+        build_nested_pair(f, ideal, np.zeros((1, 0), int), [[1, 0]], T=1)
+    with pytest.raises(CodecError,
+                       match="^coarse code cannot have more generators than fine$"):
+        build_nested_pair(f, ideal, [[1, 0], [0, 1]], [[1], [0]], T=2)
 
 
 def test_base_field_reduces_to_classic_construction():
@@ -278,6 +309,13 @@ def test_worked_example_end_to_end(golden):
     assert us == [[3], [1]]
     w = destination_solve(rho, us, 5)
     assert w == [[2], [3]]
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 2), (2, 1, 1)])
+def test_decode_refuses_an_observation_of_the_wrong_shape(golden, shape):
+    f, _, pair = golden
+    with pytest.raises(CodecError, match=r"^observation must be 2 x 1$"):
+        decode_equation(pair, np.zeros(shape), [1.0, 1.0], [f.one()])
 
 
 def test_decode_zero_input(golden):

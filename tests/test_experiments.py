@@ -26,6 +26,14 @@ def test_config_validation():
         run_sweep(SweepConfig(fields=["quad-5"], trials=1, metrics=("nope",)))
 
 
+def test_sweep_metrics_checks_the_names_once():
+    assert experiments.sweep_metrics(RATE_METRICS, ()) == RATE_METRICS
+    assert experiments.sweep_metrics(IF_METRICS, ["ml", "if_rate"]) == ("ml", "if_rate")
+    with pytest.raises(ValueError, match=r"^unknown metrics: bogus, rate1 "
+                                         r"\(valid: if_rate, z_if, ml\)$"):
+        experiments.sweep_metrics(IF_METRICS, ["rate1", "ml", "bogus"])
+
+
 def test_config_from_json():
     cfg = SweepConfig.from_json('{"fields": ["quad-5"], "trials": 3, "seed": 9}')
     assert cfg.trials == 3 and cfg.seed == 9 and cfg.users == 2

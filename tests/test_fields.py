@@ -1,6 +1,7 @@
 """Number field arithmetic: catalog, embeddings, exact invariants."""
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,29 @@ def test_rank_dependent_rows():
             assert checked_rank(g, [r3, r1]) == 2
 
 
+def test_rank_equals_inline_layout_reference():
+    # rank_over_K reads rows through psi_inverse; a KSpan fed the layout
+    # written out (entry k*L + l: coordinate k of entry l) gives the same
+    # ranks, on matrices with K-dependent and zero rows
+    rng = np.random.default_rng(20)
+    ranks = set()
+    for name in ("rational", "quad-5", "cubic-49", "quartic-1600", "quintic-14641"):
+        f = catalog_field(name)
+        for L in range(1, 5):
+            for t in range(6):
+                rows = [[f.element(rng.integers(-2, 3, size=f.degree)) for _ in range(L)]
+                        for _ in range(L)]
+                a = f.element(rng.integers(-2, 3, size=f.degree))
+                rows.insert(t % (L + 1), [a * x + y for x, y in zip(rows[0], rows[-1])])
+                rows.append([f.zero()] * L)
+                span = KSpan(f)
+                want = sum(span.add([x.coords[k] for k in range(f.degree) for x in row])
+                           for row in rows)
+                assert rank_over_K(f, rows) == want
+                ranks.add(want)
+    assert ranks == {1, 2, 3, 4}
+
+
 def test_rank_identity_and_example_matrix():
     f = catalog_field("quad-5")
     eye = [[f.one(), f.zero()], [f.zero(), f.one()]]
@@ -231,12 +255,22 @@ def test_catalog_field_built_once_per_name():
 
 def test_field_matrices_built_once_on_first_use():
     f = NumberField("quad-5-copy", [-1, -1, 1], [[1], [0, 1]])
-    assert "_omega_matrices" not in vars(f) and not f._psi_embeddings
+    assert "_omega_matrices" not in vars(f)
     assert KSpan(f).times is KSpan(f).times
     assert KSpan(f).times == (f.element([0, 1]).mul_matrix(),)
-    kron = f._psi_embedding(3)
-    assert kron is f._psi_embedding(3) and not kron.flags.writeable
-    assert np.array_equal(kron, np.kron(f.embeddings, np.eye(3)))
+
+
+def test_float_basis_coefficients():
+    # quartic-1600's half-integral basis given as JSON floats: -0.5 and 0.5
+    # read as -1/2 and 1/2; a float that is no small rational is refused
+    want = catalog_field("quartic-1600")
+    doc = field_to_json(want)
+    doc["basis"] = [[float(Fraction(c)) for c in row] for row in doc["basis"]]
+    assert doc["basis"][2] == [-0.5, -1.0, 0.5, 0.0]
+    assert field_from_json(json.dumps(doc)).basis_polys == want.basis_polys
+    doc["basis"][2][0] = -0.5 + 1e-7
+    with pytest.raises(ValueError, match=r"basis coefficient -0\.4999999 is not exactly rational"):
+        field_from_json(doc)
 
 
 def test_json_round_trip():

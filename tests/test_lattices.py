@@ -121,6 +121,26 @@ def test_lll_terminates_when_a_fresh_mu_ties_at_one_half():
     assert_lll_reduced(b)
 
 
+@pytest.mark.parametrize("name,n,L", [("quintic-14641", 5, 2), ("quartic-725", 4, 3)])
+def test_lll_resumes_when_the_closing_check_finds_the_basis_unreduced(name, n, L,
+                                                                        monkeypatch):
+    # at 140 dB float drift leaves these Humbert bases (the second (n, L) draw
+    # of default_rng(0)) unreduced when the loop ends: the fresh Gram-Schmidt
+    # finds some k < m, the loop resumes from it, and the output is reduced
+    rng = np.random.default_rng(0)
+    rng.normal(size=(n, L))
+    channel = ChannelRealization(h=rng.normal(size=(n, L)), snr=10.0 ** 14)
+    basis = build_humbert(catalog_field(name), channel).phi_M
+    first_unreduced, seen = lattices._first_unreduced, []
+
+    def recording(norms, mu, delta):
+        seen.append((first_unreduced(norms, mu, delta), len(norms)))
+        return seen[-1][0]
+    monkeypatch.setattr(lattices, "_first_unreduced", recording)
+    assert_lll_reduced(basis)
+    assert any(k < m for k, m in seen[:-1]) and seen[-1] == (n * L, n * L)
+
+
 def test_lll_output_is_reduced_on_scaled_integer_bases():
     # small integer entries put many mu values exactly on +-1/2
     rng = np.random.default_rng(14)

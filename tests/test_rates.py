@@ -9,15 +9,16 @@ import sys
 import numpy as np
 import pytest
 
+import ringcf
 from ringcf import (ChannelRealization, EnumerationError,
                     PathologicalChannelError, ZLattice, best_coefficients,
-                    build_humbert, catalog_field, dof_estimate, if_rate,
+                    build_humbert, catalog_field, catalog_names, dof_estimate, if_rate,
                     integer_baseline, integer_if_rate, mac_capacity,
                     minkowski_rate_bounds, ml_capacity, psi_inverse, psi_map,
                     rank_over_K, rate_am, rate_gm, successive_minima)
-from ringcf import lattices, rates
+from ringcf import fields, lattices, rates
 from ringcf.lattices import hermite_constant
-from ringcf.rates import (ChannelFormatError, _block_basis, _embed_vector,
+from ringcf.rates import (ChannelFormatError, _block_basis, _embedded_terms,
                           log2_plus, mmse_scaling)
 
 
@@ -162,9 +163,50 @@ def test_embeddings_match_kronecker_rows():
     rng = np.random.default_rng(3)
     a_tilde = rng.integers(-4, 5, size=4)
     coeffs = psi_map(f, a_tilde)
-    sigma = _embed_vector(f, coeffs)
+    sigma, _ = _embedded_terms(build_humbert(f, random_channel(rng, 2, 2, 10.0)), coeffs)
     kron = (np.kron(f.embeddings, np.eye(2)) @ a_tilde).reshape(2, 2)
     assert np.allclose(sigma, kron)
+
+
+def test_psi_layout_is_defined_once_in_fields():
+    # one definition, still bound where rates' callers and the benchmark's
+    # layer tracer ("rates", "psi_map") look for it
+    assert rates.psi_map is fields.psi_map is ringcf.psi_map
+    assert rates.psi_inverse is fields.psi_inverse is ringcf.psi_inverse
+
+
+def kron_block_basis(field, factors):
+    """diag(F_1, .., F_n) @ (embeddings kron I_L): the block basis written as
+    the matrix product it stands for, the reference for _block_basis."""
+    n, L = len(factors), factors[0].shape[0]
+    blocks = np.zeros((n * L, n * L))
+    for j, Fj in enumerate(factors):
+        blocks[j * L:(j + 1) * L, j * L:(j + 1) * L] = Fj
+    return blocks @ np.kron(field.embeddings, np.eye(L))
+
+
+def test_block_basis_equals_kron_reference_bytes():
+    # every catalog field of degree <= 5, L = 1-4, -30 to 140 dB, the CF
+    # factors and IF whiteners of a 2-D channel and the whiteners of a 3-D
+    # one. The corpus holds -0.0 products (a zero of an upper Cholesky factor
+    # times a negative embedding), which the reference's sums make +0.0.
+    cases = signed_zeros = 0
+    for f in map(catalog_field, catalog_names()):
+        if f.degree > 5:
+            continue
+        rng = np.random.default_rng(f.discriminant)
+        for L in range(1, 5):
+            for snr_db in (-30.0, 0.0, 30.0, 80.0, 140.0):
+                P = rates._snr_power(snr_db)
+                cf = ChannelRealization(h=rng.normal(size=(f.degree, L)), snr=P)
+                mimo = ChannelRealization(h=rng.normal(size=(f.degree, L, L)), snr=P)
+                for factors in (cf._mmse_factors, cf._if_whiteners, mimo._if_whiteners):
+                    got, want = _block_basis(f, factors), kron_block_basis(f, factors)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    raw = np.array(factors)[:, :, None, :] * f.embeddings[:, None, :, None]
+                    signed_zeros += int(np.sum(np.signbit(raw[raw == 0])))
+                    cases += 1
+    assert cases == 18 * 4 * 5 * 3 and signed_zeros > 0
 
 
 def test_rate_clamps_and_sign_symmetry():
