@@ -73,11 +73,11 @@ def _snr_db(text, window=0.0):
     return value
 
 
-def _metrics(known, text):
-    """--metrics of a sweep with valid metrics `known`: a comma list (empty
-    means all); experiments.sweep_metrics refuses a bad one, a usage error."""
+def _names(check, text):
+    """A comma list (empty: none) that `check`, experiments.sweep_fields or
+    sweep_metrics, returns as a sweep reads it; a ValueError is a usage error."""
     try:
-        return experiments.sweep_metrics(known, text.split(",") if text else ())
+        return check(text.split(",") if text else ())
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -179,7 +179,7 @@ def cmd_rate(args):
 
 def cmd_sweep(args):
     cfg = experiments.SweepConfig(
-        fields=args.fields.split(","), users=args.users,
+        fields=args.fields, users=args.users,
         snr_db_grid=args.snr_grid_db, trials=args.trials,
         seed=args.seed, metrics=args.metrics)
     points = args.runner(cfg, workers=args.workers)
@@ -288,11 +288,13 @@ def build_parser():
                                 ("if-sweep", experiments.run_if_sweep, experiments.IF_METRICS)):
         p = sub.add_parser(name, help="Monte Carlo %s over an SNR grid"
                            % ("rate sweep" if name == "sweep" else "integer-forcing sweep"))
-        p.add_argument("--fields", required=True, help="comma-separated catalog names")
+        p.add_argument("--fields", type=functools.partial(_names, experiments.sweep_fields),
+                       required=True, help="comma-separated catalog names of one degree")
         p.add_argument("--users", type=_positive_int, default=2)
         p.add_argument("--trials", type=_positive_int, default=2000)
         p.add_argument("--snr-grid-db", type=_parse_grid, default="0:5:50")
-        p.add_argument("--metrics", type=functools.partial(_metrics, known), default=known,
+        metrics = functools.partial(experiments.sweep_metrics, known)
+        p.add_argument("--metrics", type=functools.partial(_names, metrics), default=known,
                        help="comma-separated subset of: " + ", ".join(known))
         p.add_argument("--workers", type=_positive_int, default=1)
         common(p, formats=("csv", "json"))
@@ -323,8 +325,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     # with subclasses: LinAlgError, PathologicalChannelError, CodecError, EnumerationError
-    except (ValueError, RuntimeError, FloatingPointError, AssertionError, KeyError,
-            OSError) as e:
+    except (ValueError, RuntimeError, AssertionError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
 

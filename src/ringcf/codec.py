@@ -166,14 +166,6 @@ class NestedLatticePair:
         return (exact.mat_vec_mod(self.G_fine.tolist(), symbols[:self.k_fine], p)
                 == [s % p for s in symbols])
 
-    def fine_coords_of(self, ring_vec):
-        """Exact generator coordinates of a ring vector lying in the fine lattice."""
-        flat = [c for a in ring_vec for c in a.coords]
-        sol = exact.mat_solve(list(zip(*self.gen_fine)), [flat])[0]
-        if any(z.denominator != 1 for z in sol):
-            raise CodecError("vector is not a fine lattice point")
-        return [int(z) for z in sol]
-
 
 def build_nested_pair(field, ideal, G_coarse, G_fine, T):
     """Assemble the nested pair and verify volumes and nesting exactly."""

@@ -110,19 +110,14 @@ class IntEchelon:
     """Q-span of integer rows in echelon form. Each kept row is zero in the
     pivot columns of the rows kept before it, so one pass in that order
     reduces a new row, by fraction-free steps p*r - r[c]*e as in Bareiss
-    (Math. Comp. 1968), dividing out the gcd (when above 1) after each step.
-
-    `add` takes any integer row; `_add` takes a row of Python ints as it is
-    (a tuple or a list, kept without a copy when no step changes it)."""
+    (Math. Comp. 1968), dividing out the gcd (when above 1) after each step."""
 
     def __init__(self):
         self.rows = []
 
-    def add(self, row):
-        """Keep row if it raises the rank; return whether it did."""
-        return self._add([int(x) for x in row])
-
-    def _add(self, r):
+    def add(self, r):
+        """Keep the row of Python ints (a tuple or a list, kept without a
+        copy when no step changes it) if it raises the rank; say if it did."""
         for c, e in self.rows:
             f = r[c]
             if f:
@@ -136,12 +131,6 @@ class IntEchelon:
                 self.rows.append((c, r))
                 return True
         return False
-
-
-def int_rank(rows):
-    """Rank over Q of an integer matrix given as a list of rows."""
-    echelon = IntEchelon()
-    return sum(echelon.add(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import contextlib
 import csv
 import functools
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -44,21 +43,11 @@ class SweepConfig:
             raise ValueError("users must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        self.fields = list(self.fields)
-        degrees = {catalog_field(name).degree for name in self.fields}
-        if len(degrees) > 1:
-            raise ValueError("all sweep fields must share one degree, got %s"
-                             % sorted(degrees))
+        self.fields = sweep_fields(self.fields)
         self.snr_db_grid = tuple(float(s) for s in self.snr_db_grid)
         for s in self.snr_db_grid:
             _snr_power(s)
         self.metrics = tuple(self.metrics)
-
-    @classmethod
-    def from_json(cls, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        return cls(**doc)
 
 
 @dataclass
@@ -82,7 +71,8 @@ def _trial(cfg, block_shape, point, trial):
     """Metric values of one trial, keyed (snr_db, field, metric) in CSV order.
 
     One channel is drawn per trial, block by block with the given per-block
-    shape, and `point` adds the metrics of its channel at each SNR of the grid.
+    shape; `point` gives its (field, metric) values at each SNR of the grid,
+    and a refused channel or a failed check names the trial, seed and SNR.
     """
     fields = [catalog_field(name) for name in cfg.fields]
     rng = _trial_rng(cfg.seed, trial)
@@ -91,48 +81,64 @@ def _trial(cfg, block_shape, point, trial):
     for snr_db in cfg.snr_db_grid:
         ch = ChannelRealization(h=h, snr=_snr_power(snr_db))
         try:
-            point(cfg, fields, ch, snr_db, trial, out)
-        except PathologicalChannelError as e:
-            raise PathologicalChannelError("%s (trial=%d, seed=%d, snr_db=%g)"
-                                           % (e, trial, cfg.seed, snr_db)) from e
+            values = point(cfg, fields, ch)
+        except (PathologicalChannelError, AssertionError) as e:
+            raise type(e)("%s (trial=%d, seed=%d, snr_db=%g)"
+                          % (e, trial, cfg.seed, snr_db)) from e
+        out.update(((snr_db,) + key, value) for key, value in values.items())
     return out
 
 
-def _rate_point(cfg, fields, ch, snr_db, trial, out):
+def _rate_point(cfg, fields, ch):
     mac = mac_capacity(ch)
+    out = {}
     for f in fields:
         rep = best_coefficients(f, ch)
         lb, slb = rep.lower_bounds
         if not (rep.best_rate >= lb - 1e-9 and rep.sum_rate >= slb - 1e-9
                 and mac >= rep.sum_rate - 1e-9):
-            raise AssertionError(
-                "per-trial sanity chain failed: trial=%d field=%s snr=%g"
-                % (trial, f.name, snr_db))
+            raise AssertionError("per-trial sanity chain failed: field=%s" % f.name)
         if "rate1" in cfg.metrics:
-            out[(snr_db, f.name, "rate1")] = rep.best_rate
+            out[(f.name, "rate1")] = rep.best_rate
         if "sumrate" in cfg.metrics:
-            out[(snr_db, f.name, "sumrate")] = rep.sum_rate
+            out[(f.name, "sumrate")] = rep.sum_rate
     if "mac" in cfg.metrics:
-        out[(snr_db, "-", "mac")] = mac
+        out[("-", "mac")] = mac
     if "z_baseline" in cfg.metrics:
         rates, _ = integer_baseline(ch, k=1)
-        out[(snr_db, "Z", "z_baseline")] = rates[0]
+        out[("Z", "z_baseline")] = rates[0]
+    return out
 
 
-def _if_point(cfg, fields, ch, snr_db, trial, out):
+def _if_point(cfg, fields, ch):
+    out = {}
     for f in fields:
         rep = if_rate(f, ch)
         if rep.rate > rep.ml_capacity + 1e-9:
-            raise AssertionError(
-                "IF rate exceeded ML benchmark: trial=%d field=%s snr=%g"
-                % (trial, f.name, snr_db))
+            raise AssertionError("IF rate exceeded ML benchmark: field=%s" % f.name)
         if "if_rate" in cfg.metrics:
-            out[(snr_db, f.name, "if_rate")] = rep.rate
+            out[(f.name, "if_rate")] = rep.rate
     if "z_if" in cfg.metrics:
-        out[(snr_db, "Z", "z_if")] = integer_if_rate(ch)
+        out[("Z", "z_if")] = integer_if_rate(ch)
     if "ml" in cfg.metrics:
         # every field's report carries the same ML benchmark of the channel
-        out[(snr_db, "-", "ml")] = rep.ml_capacity
+        out[("-", "ml")] = rep.ml_capacity
+    return out
+
+
+def sweep_fields(names):
+    """The catalog field names of a sweep as a list, at least one and all of
+    one degree; ValueError names an unknown field, or each field's degree."""
+    names = list(names)
+    try:
+        degrees = [catalog_field(name).degree for name in names]
+    except KeyError as e:
+        raise ValueError(e.args[0]) from None
+    if len(set(degrees)) != 1:
+        raise ValueError("a sweep needs fields of one degree, got %s"
+                         % (", ".join("%s (degree %d)" % p for p in zip(names, degrees))
+                            or "none"))
+    return names
 
 
 def sweep_metrics(known, metrics):

@@ -102,9 +102,6 @@ class AlgebraicInt:
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
     def embed(self):
         """Vector of real embeddings, ascending root order."""
         return self.field.embeddings @ np.array(self.coords, dtype=float)
@@ -249,6 +246,8 @@ class KSpan(exact.IntEchelon):
     next `add`, which is the first to read them: the rows and their order are
     those of an eager extension, and a last accepted row is never extended."""
 
+    q_add = exact.IntEchelon.add  # the Q-span's own add, which `add` overrides
+
     def __init__(self, field):
         super().__init__()
         self.n = field.degree
@@ -263,8 +262,8 @@ class KSpan(exact.IntEchelon):
             entries = [self._pending[l::L] for l in range(L)]
             self._pending = None
             for m in self.times:
-                self._add([sum(map(operator.mul, row, a)) for row in m for a in entries])
-        if not self._add(coords):
+                self.q_add([sum(map(operator.mul, row, a)) for row in m for a in entries])
+        if not self.q_add(coords):
             return False
         self._pending = coords
         return True
@@ -347,7 +346,7 @@ def _parse_rational(x):
         return Fraction(x)
     if isinstance(x, float):
         f = Fraction(x).limit_denominator(10**6)
-        if abs(float(f) - x) > 1e-12 * max(1.0, abs(x)):
+        if float(f) != x:
             raise ValueError("basis coefficient %r is not exactly rational" % x)
         return f
     return Fraction(x)
@@ -370,7 +369,7 @@ def field_from_json(doc):
     try:
         min_poly = [int(c) for c in doc["min_poly"]]
         basis = [[_parse_rational(c) for c in row] for row in doc["basis"]]
-    except TypeError as e:
+    except (TypeError, OverflowError) as e:  # OverflowError: an infinite number
         raise ValueError("field min_poly and basis must be lists of numbers: %s" % e) from None
     return NumberField(doc["name"], min_poly, basis)
 

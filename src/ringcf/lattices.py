@@ -352,7 +352,7 @@ def successive_minima(lat, k):
     if not (1 <= k <= lat.dim):
         raise ValueError("k must satisfy 1 <= k <= dim")
     # integer coordinates in a nonsingular basis: R-independence is Q-independence
-    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon()._add)
+    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon().add)
     return MinimaResult(vectors=vectors, lengths=lengths)
 
 

@@ -211,9 +211,6 @@ class HumbertForm:
         """Quadratic form of a coefficient vector (length-L AlgebraicInts)."""
         return float(sum(_embedded_terms(self, coeffs)[1]))
 
-    def chol_det(self):
-        return float(np.prod([np.prod(np.diag(c)) for c in self.M_chol]))
-
 
 def _embedded_terms(humbert, coeffs):
     """(sigma, per-block terms sigma_j^T M_j sigma_j) of a coefficient vector,
@@ -250,14 +247,19 @@ def _read_only(stack):
     return tuple(stack)
 
 
+def _check_blocks(field, n_blocks):
+    """The one check that a channel has a block per embedding of the field."""
+    if n_blocks != field.degree:
+        raise ValueError("channel has %d blocks but field degree is %d" % (n_blocks, field.degree))
+
+
 def _block_basis(field, factors):
     """nL x nL basis of the lattice whose squared lengths give the form
     sum_j |F_j sigma_j(a)|^2 in psi_map coordinates: entry (j*L + a, k*L + l)
     is F_j[a, l] * sigma_j(omega_k), one broadcast product. The channel must
     have one block per embedding."""
     n, L = len(factors), factors[0].shape[0]
-    if n != field.degree:
-        raise ValueError("channel has %d blocks but field degree is %d" % (n, field.degree))
+    _check_blocks(field, n)
     F, E = np.array(factors), field.embeddings
     # + 0.0 makes a -0.0 product +0.0, the bits of diag(F_j) @ (E kron I_L),
     # whose entries add exact +0.0 terms to one product (-0.0 + 0.0 is +0.0)
@@ -291,11 +293,6 @@ def rate_gm(humbert, coeffs):
     return _rate_gm(_embedded_terms(humbert, coeffs)[1])
 
 
-def mmse_scaling(humbert, coeffs):
-    """Optimal per-block receiver scaling for a coefficient vector."""
-    return _mmse_scaling(humbert.channel, _embedded_terms(humbert, coeffs)[0])
-
-
 def minkowski_rate_bounds(field, channel):
     """Coefficient-independent lower bounds on best and sum computation rate.
 
@@ -305,10 +302,8 @@ def minkowski_rate_bounds(field, channel):
     n, L = field.degree, channel.users
     disc = float(field.discriminant)
     kappa = hermite_constant(n * L)
-    terms = channel._capacity_terms
-    if len(terms) < n:
-        raise ValueError("channel has %d blocks but field degree is %d" % (len(terms), n))
-    cap = _left_sum(terms[:n])
+    _check_blocks(field, channel.n_blocks)
+    cap = _left_sum(channel._capacity_terms)
     best = (cap / (2.0 * L)
             - (n / 2.0) * log2_plus((kappa / n) * disc ** (1.0 / n)))
     sum_lb = (0.5 * cap

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ringcf import catalog_field, cli, experiments, field_to_json
+from ringcf import catalog_field, cli, experiments, field_to_json, lattices
 from ringcf.cli import main
 
 
@@ -449,6 +449,20 @@ def test_unknown_metric_messages_agree(command, runner, capsys):
                                             % python_error.value)
 
 
+@pytest.mark.parametrize("names", ["nosuch", "quad-5,cubic-49", "quad-5,", ""])
+@pytest.mark.parametrize("command", ["sweep", "if-sweep"])
+def test_bad_fields_are_usage_errors_with_the_python_message(command, names, capsys):
+    # experiments.sweep_fields writes the one message that both report, and
+    # no trial runs
+    with pytest.raises(ValueError) as python_error:
+        experiments.SweepConfig(fields=names.split(",") if names else [])
+    with pytest.raises(SystemExit) as e:
+        main([command, "--fields", names, "--trials", "1", "--snr-grid-db", "0"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --fields: %s\n"
+                                            % python_error.value)
+
+
 @pytest.mark.parametrize("what", ["missing", "directory"])
 @pytest.mark.parametrize("flag", ["--field", "--channel"])
 @pytest.mark.parametrize("command", ["rate", "dof"])
@@ -538,8 +552,11 @@ def test_pathological_trial_names_its_trial_and_seed(capsys):
                    "in floating point (trial=1, seed=0, snr_db=160)\n")
 
 
-def test_numeric_failure_exit_code(capsys):
-    # unknown catalog field surfaces as a controlled failure, not a traceback
-    code, _, err = run_cli(capsys, "sweep", "--fields", "nope", "--trials", "1")
-    assert code == 3
-    assert "nope" in err or err
+def test_numeric_failure_exit_code(monkeypatch, capsys):
+    # a search that fails (here an enumeration forced to find nothing) is a
+    # controlled failure, not a traceback; an unknown field is a usage error
+    # (test_bad_fields_are_usage_errors_with_the_python_message)
+    monkeypatch.setattr(lattices, "_enumerate_all", lambda r_mat, radius2: [])
+    code, out, err = run_cli(capsys, "rate", "--field", "quad-5")
+    assert code == 3 and out == ""
+    assert err.startswith("error: dimension 4: fewer than 2 vectors independent over quad-5")

@@ -10,7 +10,7 @@ from ringcf import (build_nested_pair, catalog_field, closest_vector,
                     extract_ff_equation, lattices, prime_ideal, sample_dither,
                     scale_by_ring)
 from ringcf.codec import CodecError, LatticeEquation
-from ringcf.exact import int_mat_det, mat_vec_mod
+from ringcf.exact import int_mat_det, mat_solve, mat_vec_mod
 from ringcf.lattices import ZLattice
 
 
@@ -110,7 +110,15 @@ def test_nested_pair_coded_volumes():
     assert abs(pair.coarse_lattice().volume() - 125 * disc ** 1.5) < 1e-5
     # nesting: each coarse generator solves to integer fine coordinates
     for col in pair.gen_coarse:
-        pair.fine_coords_of(pair.ring_vector(col))
+        assert_in_fine_lattice(pair, col)
+
+
+def assert_in_fine_lattice(pair, flat):
+    """Exact membership of the ring vector with coordinates `flat` (position
+    by position): integer coordinates in the fine generators, solved as
+    build_nested_pair solves the nesting."""
+    sol = mat_solve(list(zip(*pair.gen_fine)), [list(flat)])[0]
+    assert all(z.denominator == 1 for z in sol), sol
 
 
 def test_nesting_checked_with_one_solve(monkeypatch):
@@ -266,8 +274,7 @@ def test_scale_by_ring_closure(golden):
         a = f.element(rng.integers(-6, 7, size=2))
         cw = encode(pair, [w])
         S, ring = scale_by_ring(pair, a, cw)
-        # exact membership: integer coordinates in the fine generators
-        pair.fine_coords_of(ring)
+        assert_in_fine_lattice(pair, [c for a in ring for c in a.coords])
         assert np.allclose(S, np.diag(a.embed()) @ cw.X)
     one = f.one()
     cw = encode(pair, [4])
@@ -321,7 +328,7 @@ def test_decode_refuses_an_observation_of_the_wrong_shape(golden, shape):
 def test_decode_zero_input(golden):
     _, _, pair = golden
     eq = decode_equation(pair, np.zeros((2, 1)), [1.0, 1.0], [])
-    assert all(a.is_zero() for a in eq.ring_coords)
+    assert all(a.coords == (0,) * 2 for a in eq.ring_coords)
     assert extract_ff_equation(pair, eq) == [0]
 
 

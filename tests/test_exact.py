@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ringcf.exact import (IntEchelon, column_basis, int_mat_det, int_rank, mat_solve,
-                          poly_eval, poly_mod, poly_mul)
+from ringcf.exact import (IntEchelon, column_basis, int_mat_det, mat_solve, poly_eval,
+                          poly_mod, poly_mul)
 from ringcf.fields import NumberField, catalog_field, catalog_names
 
 
@@ -26,7 +26,7 @@ def fraction_rank(rows):
     return rank
 
 
-def test_int_rank_matches_fraction_reference():
+def test_echelon_rank_matches_fraction_reference():
     rng = np.random.default_rng(5)
     cases = [[], [[0, 0, 0]], [[0], [0]], [[3]], [[1, 2], [2, 4]]]
     for _ in range(60):
@@ -45,20 +45,22 @@ def test_int_rank_matches_fraction_reference():
     big = 10 ** 20
     cases.append([[big, big + 1, 7], [big + 1, big + 2, 7], [2 * big + 1, 2 * big + 3, 14]])
     for rows in cases:
-        assert int_rank(rows) == fraction_rank(rows), rows
-        # the incremental echelon has the prefix's rank after every row
+        # the incremental echelon has the prefix's rank after every row, and
+        # says whether each row raised it
         echelon = IntEchelon()
         for i, row in enumerate(rows, 1):
-            echelon.add(row)
+            raised = echelon.add(row)
             assert len(echelon.rows) == fraction_rank(rows[:i]), rows[:i]
+            assert raised == (fraction_rank(rows[:i]) > fraction_rank(rows[:i - 1])), rows[:i]
 
 
-def test_int_rank_large_entries_stay_exact():
+def test_echelon_large_entries_stay_exact():
     # entries past float precision: row 3 = row 1 + row 2 exactly
     big = 10 ** 20
     rows = [[big, big + 1, 7], [big + 1, big + 2, 7], [2 * big + 1, 2 * big + 3, 14]]
-    assert int_rank(rows) == fraction_rank(rows) == 2
-    assert int_rank(rows[:2]) == 2
+    echelon = IntEchelon()
+    assert [echelon.add(row) for row in rows] == [True, True, False]
+    assert len(echelon.rows) == fraction_rank(rows) == 2
 
 
 def reference_echelon_rows(rows):
@@ -79,35 +81,14 @@ def reference_echelon_rows(rows):
 
 def test_echelon_rows_equal_gcd_every_step_reference():
     rng = np.random.default_rng(6)
-    for _ in range(80):
-        rows, cols = rng.integers(1, 9, size=2)
-        m = rng.integers(-4, 5, size=(rows, cols)) * rng.choice([1, 2, 6], size=(rows, 1))
-        echelon = IntEchelon()
-        for row in m.tolist():
-            echelon.add(row)
-        assert echelon.rows == reference_echelon_rows(m.tolist())
-
-
-def test_private_add_equals_add_on_int_rows():
-    rng = np.random.default_rng(7)
-    big = 10 ** 20
     for trial in range(80):
         rows, cols = rng.integers(1, 9, size=2)
         m = rng.integers(-4, 5, size=(rows, cols)) * rng.choice([1, 2, 6], size=(rows, 1))
-        m[rng.random(rows) < 0.2] = 0
-        int_rows = [[int(x) * (big if trial % 4 == 0 else 1) for x in row] for row in m]
-        public, private = IntEchelon(), IntEchelon()
-        for row in int_rows:
-            # tuples as _greedy_minima passes them, lists as KSpan builds them
-            arg = tuple(row) if trial % 2 else row
-            assert private._add(arg) == public.add(row)
-            assert [(c, list(r)) for c, r in private.rows] == public.rows
-        # add still takes numpy-int rows and keeps Python ints
-        from_numpy = IntEchelon()
-        for row in m:
-            from_numpy.add(row)
-        assert from_numpy.rows == reference_echelon_rows(m.tolist())
-        assert all(type(x) is int for _, r in from_numpy.rows for x in r)
+        echelon = IntEchelon()
+        # tuples as the minima pass them, lists as KSpan builds them
+        for row in m.tolist():
+            echelon.add(tuple(row) if trial % 2 else row)
+        assert [(c, list(r)) for c, r in echelon.rows] == reference_echelon_rows(m.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Sweep harness: determinism, CSV contract, worker independence."""
 import csv
+import dataclasses
 import functools
 import io
+import json
 import math
 import re
 
@@ -35,8 +37,36 @@ def test_sweep_metrics_checks_the_names_once():
 
 
 def test_config_from_json():
-    cfg = SweepConfig.from_json('{"fields": ["quad-5"], "trials": 3, "seed": 9}')
+    cfg = SweepConfig(**json.loads('{"fields": ["quad-5"], "trials": 3, "seed": 9}'))
     assert cfg.trials == 3 and cfg.seed == 9 and cfg.users == 2
+
+
+def test_sweep_fields_checks_the_names_once():
+    assert experiments.sweep_fields(("quad-5", "quad-8")) == ["quad-5", "quad-8"]
+    with pytest.raises(ValueError, match=r"^unknown field 'nosuch'; known: rational, "):
+        SweepConfig(fields=["quad-5", "nosuch"])
+    with pytest.raises(ValueError, match=r"^a sweep needs fields of one degree, got quad-5 "
+                                         r"\(degree 2\), cubic-49 \(degree 3\)$"):
+        SweepConfig(fields=["quad-5", "cubic-49"])
+    with pytest.raises(ValueError, match=r"^a sweep needs fields of one degree, got none$"):
+        SweepConfig(fields=[])
+
+
+@pytest.mark.parametrize("runner, name", [(run_sweep, "mac_capacity"),
+                                          (run_if_sweep, "if_rate")])
+def test_failed_sanity_check_names_trial_seed_and_snr(runner, name, monkeypatch):
+    # a MAC capacity below the sum rate, or an IF rate above the ML benchmark,
+    # fails the trial's sanity check; the message must replay it
+    real = getattr(experiments, name)
+    if name == "mac_capacity":
+        broken = lambda ch: -1.0 if ch.snr > 50 else real(ch)
+    else:
+        broken = lambda f, ch: (dataclasses.replace(real(f, ch), ml_capacity=-1.0)
+                                if ch.snr > 50 else real(f, ch))
+    monkeypatch.setattr(experiments, name, broken)
+    cfg = SweepConfig(fields=["quad-5"], snr_db_grid=[0, 20], trials=3, seed=42)
+    with pytest.raises(AssertionError, match=r": field=quad-5 \(trial=0, seed=42, snr_db=20\)$"):
+        runner(cfg)
 
 
 def test_determinism_byte_identical():
@@ -97,11 +127,13 @@ def test_if_channel_work_once_per_snr_point(monkeypatch):
     assert len(ml) == 2
 
 
-def mixed_scale_point(cfg, fields, ch, snr_db, trial, out):
+def mixed_scale_point(cfg, fields, ch):
     """One value per metric from the trial's channel draw, with scales from
-    1e-6 to 1e8 across metrics and a factor 1, 10 or 100 across trials."""
-    for i, metric in enumerate(cfg.metrics):
-        out[(snr_db, "-", metric)] = float(ch.h.flat[i]) * 10.0 ** (4 * i - 6 + trial % 3) + snr_db
+    1e-6 to 1e8 across metrics and a factor 1, 10 or 100 that the draw picks
+    for each trial."""
+    scale = int(abs(ch.h.flat[-1]) * 30) % 3
+    return {("-", metric): float(ch.h.flat[i]) * 10.0 ** (4 * i - 6 + scale) + ch.snr
+            for i, metric in enumerate(cfg.metrics)}
 
 
 @pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 16, 17, 128, 129, 2000])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ringcf import (FieldMismatchError, NotTotallyRealError, catalog_field,
                     catalog_names, field_from_json, field_to_json,
                     rank_over_K, real_roots)
+from ringcf import fields
 from ringcf.exact import IntEchelon
 from ringcf.fields import KSpan, NumberField
 
@@ -271,6 +272,14 @@ def test_float_basis_coefficients():
     doc["basis"][2][0] = -0.5 + 1e-7
     with pytest.raises(ValueError, match=r"basis coefficient -0\.4999999 is not exactly rational"):
         field_from_json(doc)
+    # 0.1 and 1/3 read back as the floats they are; pi lies within 1e-12 of
+    # 3126535/995207 but is no such float, so it is refused as well
+    for x, q in ((0.5, Fraction(1, 2)), (0.1, Fraction(1, 10)), (1 / 3, Fraction(1, 3))):
+        assert fields._parse_rational(x) == q
+    doc = {"name": "x", "min_poly": [-1, -1, 1], "basis": [[1], [0, math.pi]]}
+    with pytest.raises(ValueError, match=r"basis coefficient 3\.141592653589793 is not "
+                                         r"exactly rational"):
+        field_from_json(doc)
 
 
 def test_json_round_trip():
@@ -288,6 +297,11 @@ def test_json_round_trip():
     ({"name": "x", "min_poly": [-1, -1, 1]}, "has no 'basis'"),
     ({"name": "x", "min_poly": 5, "basis": [[1]]}, "must be lists of numbers"),
     ({"name": "x", "min_poly": [-1, -1, 1], "basis": [1, 2]}, "must be lists of numbers"),
+    # JSON's Infinity (or a number past the float range) is no rational
+    ('{"name": "x", "min_poly": [-1, -1, 1], "basis": [[1], [0, Infinity]]}',
+     "must be lists of numbers: cannot convert Infinity"),
+    ('{"name": "x", "min_poly": [-1, 1e400, 1], "basis": [[1], [0, 1]]}',
+     "must be lists of numbers: cannot convert float infinity"),
 ])
 def test_loader_errors_are_value_errors(doc, message):
     # never a KeyError or TypeError, so a caller can refuse the document

@@ -915,7 +915,7 @@ def test_cvp_equals_reference_on_benchmark_codec_pair():
 
 
 class ReferenceEchelon:
-    """IntEchelon as it was before `_add`: every row through int() first."""
+    """IntEchelon with every row through int() first, as its add once took them."""
 
     def __init__(self):
         self.rows = []

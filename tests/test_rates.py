@@ -18,8 +18,7 @@ from ringcf import (ChannelRealization, EnumerationError,
                     rank_over_K, rate_am, rate_gm, successive_minima)
 from ringcf import fields, lattices, rates
 from ringcf.lattices import hermite_constant
-from ringcf.rates import (ChannelFormatError, _block_basis, _embedded_terms,
-                          log2_plus, mmse_scaling)
+from ringcf.rates import ChannelFormatError, _block_basis, _embedded_terms, log2_plus
 
 
 def random_channel(rng, n, L, P):
@@ -118,7 +117,8 @@ def test_humbert_determinant_identity():
         ch = random_channel(rng, 3, 2, float(10 ** rng.uniform(-1, 3)))
         hf = build_humbert(f, ch)
         expect = np.prod([(1 + ch.snr * float(hj @ hj)) ** -0.5 for hj in ch.h])
-        assert abs(hf.chol_det() - expect) < 1e-9 * expect
+        chol_det = np.prod([np.prod(np.diag(c)) for c in hf.M_chol])
+        assert abs(chol_det - expect) < 1e-9 * expect
         for Mj in hf.M:
             w = np.linalg.eigvalsh(Mj)
             assert np.all(w > 0) and np.all(w <= 1 + 1e-12)
@@ -153,7 +153,7 @@ def test_psi_map_examples_and_round_trip():
     assert psi_inverse(a) == [1, 2, 1, 1]
     g = catalog_field("quartic-725")
     e1 = psi_map(g, [1] + [0] * 7)
-    assert e1[0].coords == (1, 0, 0, 0) and e1[1].is_zero()
+    assert e1[0].coords == (1, 0, 0, 0) and e1[1].coords == (0,) * 4
     with pytest.raises(ValueError):
         psi_map(g, [1, 2, 3])
 
@@ -332,8 +332,7 @@ def test_report_invariants_and_json():
     assert rank_over_K(f, rep.coeffs) == len(rep.coeffs)
     doc = rep.to_json()
     assert doc["field"] == "quad-5" and len(doc["coeffs"]) == 2
-    hf = build_humbert(f, ch)
-    assert np.allclose(rep.b_opt, mmse_scaling(hf, rep.coeffs[0]))
+    assert np.allclose(rep.b_opt, reference_mmse_scaling(build_humbert(f, ch), rep.coeffs[0]))
 
 
 def reference_sigma(hf, coeffs):
@@ -377,7 +376,30 @@ def test_report_forms_equal_one_embedding_per_call_reference(name):
             for v in rep.coeffs:
                 assert hf.value(v) == reference_value(hf, v)
                 assert rate_gm(hf, v) == reference_rate_gm(hf, v)
-                assert mmse_scaling(hf, v) == reference_mmse_scaling(hf, v)
+                sigma = _embedded_terms(hf, v)[0]
+                assert rates._mmse_scaling(ch, sigma) == reference_mmse_scaling(hf, v)
+
+
+@pytest.mark.parametrize("name, users", [("quad-5", 2), ("quad-5", 3), ("cubic-49", 2),
+                                         ("quartic-725", 2)])
+def test_user_permutation_permutes_the_coefficients(name, users):
+    # relabelling the users (the columns of h) leaves the form values and
+    # rates of the best vectors unchanged, and permutes each vector's
+    # entries the same way, up to the sign the search picks
+    f = catalog_field(name)
+    rng = np.random.default_rng(61)
+    for P in (1.0, 100.0, 1e4):
+        for _ in range(15):
+            h = rng.normal(size=(f.degree, users))
+            rep = best_coefficients(f, ChannelRealization(h=h, snr=P))
+            for perm in list(itertools.permutations(range(users)))[1:]:
+                moved = best_coefficients(f, ChannelRealization(h=h[:, perm], snr=P))
+                for a, b in zip(rep.f_values + rep.rates_am, moved.f_values + moved.rates_am):
+                    assert math.isclose(a, b, rel_tol=1e-9), (P, perm, a, b)
+                for vec, got in zip(rep.coeffs, moved.coeffs):
+                    want = [vec[l].coords for l in perm]
+                    got = [a.coords for a in got]
+                    assert got in (want, [tuple(-c for c in x) for x in want]), (P, perm)
 
 
 def test_lower_bounds_and_mac():
@@ -419,8 +441,8 @@ def expression_minkowski_rate_bounds(field, channel):
 
 def test_capacity_terms_equal_per_call_expressions():
     # the per-channel terms are computed once; every read must equal the
-    # expressions that computed them on each call, blocks beyond the field
-    # degree included
+    # expressions that computed them on each call. The MAC capacity reads
+    # every block; the bounds need one block per embedding and refuse others
     rng = np.random.default_rng(44)
     names = ("quad-5", "cubic-49", "quartic-725", "quintic-14641")
     for trial in range(120):
@@ -431,13 +453,21 @@ def test_capacity_terms_equal_per_call_expressions():
         fresh = ChannelRealization(h=ch.h, snr=P)
         if trial % 2:
             assert mac_capacity(ch) == expression_mac_capacity(fresh)
-        assert minkowski_rate_bounds(f, ch) == expression_minkowski_rate_bounds(f, fresh)
+        if n_blocks == f.degree:
+            assert minkowski_rate_bounds(f, ch) == expression_minkowski_rate_bounds(f, fresh)
+        else:
+            with pytest.raises(ValueError, match="%d blocks but field degree is %d"
+                                                 % (n_blocks, f.degree)):
+                minkowski_rate_bounds(f, ch)
         assert mac_capacity(ch) == expression_mac_capacity(fresh)
-    with pytest.raises(ValueError, match="2 blocks but field degree is 3"):
-        minkowski_rate_bounds(catalog_field("cubic-49"), random_channel(rng, 2, 2, 10.0))
-    for search in (best_coefficients, if_rate):
-        with pytest.raises(ValueError, match="2 blocks but field degree is 3"):
-            search(catalog_field("cubic-49"), random_channel(rng, 2, 2, 10.0))
+    # the bounds, the CF search and integer forcing refuse the same channels,
+    # with the one message
+    for name, n_blocks in (("cubic-49", 2), ("quad-5", 3)):
+        f = catalog_field(name)
+        for call in (minkowski_rate_bounds, best_coefficients, if_rate):
+            with pytest.raises(ValueError, match=r"^channel has %d blocks but field degree "
+                                                 r"is %d$" % (n_blocks, f.degree)):
+                call(f, random_channel(rng, n_blocks, 2, 10.0))
 
 
 def test_integer_baseline_saturates():
