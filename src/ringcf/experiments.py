@@ -6,7 +6,6 @@ worker processes run the trials.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import csv
 import functools
@@ -18,9 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import catalog_field
-from .rates import (ChannelRealization, PathologicalChannelError, _snr_power,
-                    best_coefficients, if_rate, integer_baseline,
-                    integer_if_rate, mac_capacity)
+from .rates import (PathologicalChannelError, _channels, _snr_power, best_coefficients,
+                    if_rate, integer_baseline, integer_if_rate, mac_capacity)
 
 RATE_METRICS = ("rate1", "sumrate", "mac", "z_baseline")
 IF_METRICS = ("if_rate", "z_if", "ml")
@@ -71,15 +69,16 @@ def _trial(cfg, block_shape, point, trial):
     """Metric values of one trial, keyed (snr_db, field, metric) in CSV order.
 
     One channel is drawn per trial, block by block with the given per-block
-    shape; `point` gives its (field, metric) values at each SNR of the grid,
-    and a refused channel or a failed check names the trial, seed and SNR.
+    shape, and its channels at the SNRs of the grid share one stack of
+    channel data; `point` gives each one's (field, metric) values, and a
+    refused channel or a failed check names the trial, seed and SNR.
     """
     fields = [catalog_field(name) for name in cfg.fields]
     rng = _trial_rng(cfg.seed, trial)
     h = rng.normal(size=(fields[0].degree,) + block_shape)
+    channels = _channels(h, [_snr_power(snr_db) for snr_db in cfg.snr_db_grid])
     out = {}
-    for snr_db in cfg.snr_db_grid:
-        ch = ChannelRealization(h=h, snr=_snr_power(snr_db))
+    for snr_db, ch in zip(cfg.snr_db_grid, channels):
         try:
             values = point(cfg, fields, ch)
         except (PathologicalChannelError, AssertionError) as e:
@@ -157,6 +156,8 @@ def _run(cfg, known, block_shape, point, workers):
     if workers <= 1:
         results = [trial_fn(t) for t in range(cfg.trials)]
     else:
+        import concurrent.futures  # 9-12 ms of every import when done at the top
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(trial_fn, range(cfg.trials),
                                     chunksize=max(1, cfg.trials // (8 * workers))))

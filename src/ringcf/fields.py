@@ -341,7 +341,20 @@ def catalog_field(name):
     return NumberField(name, min_poly, basis)
 
 
+def _parse_int(x):
+    """A min_poly coefficient: an int, or a float of integral value (int()
+    of an infinite one overflows). A bool, a string or any other number
+    raises ValueError naming it."""
+    if isinstance(x, float) and x == x and int(x) == x:
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError("field min_poly coefficient %r is not an integer" % (x,))
+
+
 def _parse_rational(x):
+    if isinstance(x, bool):
+        raise ValueError("basis coefficient %r is not a number" % x)
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
@@ -355,7 +368,8 @@ def _parse_rational(x):
 def field_from_json(doc):
     """Build a field from a JSON document {name, min_poly, basis}.
 
-    min_poly lists monic integer coefficients low degree first; basis lists
+    min_poly lists monic integer coefficients low degree first (ints, or
+    floats of integral value; never bools or strings); basis lists
     each integral basis element as rational coefficients in theta (numbers
     or strings like "1/2"). A malformed document raises ValueError.
     """
@@ -367,7 +381,7 @@ def field_from_json(doc):
         if key not in doc:
             raise ValueError("field document has no %r" % key)
     try:
-        min_poly = [int(c) for c in doc["min_poly"]]
+        min_poly = [_parse_int(c) for c in doc["min_poly"]]
         basis = [[_parse_rational(c) for c in row] for row in doc["basis"]]
     except (TypeError, OverflowError) as e:  # OverflowError: an infinite number
         raise ValueError("field min_poly and basis must be lists of numbers: %s" % e) from None

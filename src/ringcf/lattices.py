@@ -48,7 +48,8 @@ class ZLattice:
         copy and checks: LLL output, a unimodular image of a checked basis
         whose Gram-Schmidt norms `_gso` has just found finite and positive, or
         a block basis built from checked channel factors (`_gso` still raises
-        on a collapsed norm). The basis is a fresh float array no one else holds."""
+        on a collapsed norm). The basis is a fresh float array no one else
+        holds, or a channel's read-only Z factor."""
         lat = object.__new__(cls)
         basis.flags.writeable = False
         object.__setattr__(lat, "basis", basis)
@@ -207,7 +208,7 @@ def lll_reduce(lat, delta=0.99):
     return ZLattice._checked(np.array(b).T.copy()), [list(row) for row in zip(*u)]
 
 
-def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
+def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000, shrink=False):
     """All integer x with ||R x - t||^2 <= radius2 (R upper triangular, given
     as rows of Python floats).
 
@@ -216,6 +217,12 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
     coordinate is 0 a level walks only xi >= 0, so -x is never visited and
     the zero vector is skipped. Such a leaf counts 2 against the limit (the
     zero leaf 1), as if both signs were walked. Returns (x tuple, dist2).
+
+    With shrink=True a leaf at d lowers radius2 to d + 1e-9 * (1 + d) when
+    that is smaller, so only the closest points and those within the 1e-9
+    tie band of the closest are sure to be returned: the band's bound is
+    this same float expression of the closest d. The visiting order stays
+    ascending at every level.
     """
     m = len(r_rows)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their
@@ -229,7 +236,7 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
 
     def rec(level, dist, free):
         # free: no sign chosen yet (target None and x[level+1:] all 0)
-        nonlocal count
+        nonlocal count, radius2
         # residual target coordinate at this level given x[level+1:]
         row = r_rows[level]
         s = 0
@@ -259,6 +266,8 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
                                            "%d, radius^2 %.6g, limit %d" % (m, radius2, limit))
                 if not zero:
                     out.append((tuple(x), d))
+                    if shrink and d + 1e-9 * (1 + d) < radius2:
+                        radius2 = d + 1e-9 * (1 + d)
             else:
                 rec(level - 1, d, free and not xi)
         x[level] = 0
@@ -388,7 +397,7 @@ def closest_vector(lat, target):
         x_babai[i] = round((t_list[i] - s) / row[i])
     babai_pt = red_basis @ np.array(x_babai, dtype=float)
     radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
-    cands = _enumerate_all(r_rows, radius2, target=t)
+    cands = _enumerate_all(r_rows, radius2, target=t, shrink=True)
     if not cands:
         raise EnumerationError("CVP enumeration found no candidates")
     best_d = min(d for _, d in cands)

@@ -58,6 +58,35 @@ def _snr_power(snr_db):
     return _usable_power(P, snr_db)
 
 
+def _db(P):
+    """SNR in dB of a power, as the messages and channel documents write it."""
+    return 10.0 * math.log10(P)
+
+
+def _gains(h):
+    """Channel gains as a read-only float copy; 2-D or 3-D and finite."""
+    h = np.atleast_2d(np.array(h, dtype=float))
+    if h.ndim > 3:
+        raise PathologicalChannelError("channel gains must be 2-D or 3-D, got "
+                                       "shape %s" % (h.shape,))
+    if not np.all(np.isfinite(h)):
+        raise PathologicalChannelError("channel gains must be finite")
+    h.flags.writeable = False
+    return h
+
+
+def _stacked(name, convert=None):
+    """Channel property: the channel's entry of the _SnrStack quantity
+    `name` (converted by `convert`), kept on first read. An entry that is its
+    power's failure is raised on each read and never kept."""
+    def read(self):
+        value = getattr(self._stack, name)[self._at]
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)
+        return value if convert is None else convert(value)
+    return functools.cached_property(read)
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """Real block-fading channel. A 2-D h, shape (blocks, users), has one
@@ -66,22 +95,29 @@ class ChannelRealization:
     serves integer forcing only.
 
     The gains are copied and made read-only, so the data cached on first use
-    always describes them.
+    always describes them. That data is read from an _SnrStack: a channel
+    built alone is a stack of one power, and the channels that `_channels`
+    makes of one draw at a grid of powers share one stack.
     """
 
     h: np.ndarray
     snr: float
 
     def __post_init__(self):
-        h = np.atleast_2d(np.array(self.h, dtype=float))
-        if h.ndim > 3:
-            raise PathologicalChannelError("channel gains must be 2-D or 3-D, got "
-                                           "shape %s" % (h.shape,))
-        if not np.all(np.isfinite(h)):
-            raise PathologicalChannelError("channel gains must be finite")
-        _usable_power(self.snr)
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
+        self._share(_SnrStack(_gains(self.h), (_usable_power(self.snr),)), 0)
+
+    def _share(self, stack, at):
+        """Make this the channel of power stack.powers[at]."""
+        for name, value in (("h", stack.h), ("snr", stack.powers[at]),
+                            ("_stack", stack), ("_at", at)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, stack, at):
+        """The channel of power stack.powers[at], checked with the stack."""
+        channel = object.__new__(cls)
+        channel._share(stack, at)
+        return channel
 
     @property
     def n_blocks(self):
@@ -91,76 +127,14 @@ class ChannelRealization:
     def users(self):
         return self.h.shape[-1]
 
-    @functools.cached_property
-    def _mmse_gains(self):
-        """Per-block gains g_j = P |h_j|^2 + 1, computed on first use and kept.
-        The MMSE blocks, the capacity terms and the MMSE scalings read them
-        first, so this is where CF and its bounds require a 2-D h, one
-        receive antenna per block."""
-        if self.h.ndim != 2:
-            raise ValueError("compute-and-forward needs one receive antenna per "
-                             "block, got channel gains of shape %s" % (self.h.shape,))
-        P = self.snr
-        return tuple(P * float(hj @ hj) + 1.0 for hj in self.h)
-
-    @functools.cached_property
-    def _mmse_blocks(self):
-        """Per-block MMSE matrices I - (P/g_j) h_j h_j^T, views of one stack
-        kept on first use (all fields and the Z baseline)."""
-        h, P = self.h, self.snr
-        scale = np.array([P / g for g in self._mmse_gains])[:, None, None]
-        return _read_only(np.eye(h.shape[1]) - scale * (h[:, :, None] * h[:, None, :]))
-
-    @functools.cached_property
-    def _mmse_factors(self):
-        """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks,
-        from one stacked call, kept on first success; a failure is not kept
-        and leaves the blocks usable."""
-        try:
-            lower = np.linalg.cholesky(np.array(self._mmse_blocks))
-        except np.linalg.LinAlgError as e:
-            raise PathologicalChannelError("MMSE matrix not positive definite") from e
-        return _read_only(lower.swapaxes(1, 2))
-
-    @functools.cached_property
-    def _capacity_terms(self):
-        """Per-block terms log2(g_j), computed on first use and kept (the MAC
-        capacity and every field's Minkowski bounds read them)."""
-        return tuple(log2_plus(g) for g in self._mmse_gains)
-
-    @functools.cached_property
-    def _if_whiteners(self):
-        """Per-block integer-forcing whiteners F_j = (P^-1 I + H_j^T H_j)^(-1/2)
-        from one stacked eigh, read-only; a 2-D h gives 1 x users blocks H_j."""
-        H = self.h.reshape(self.n_blocks, -1, self.users)
-        w, v = np.linalg.eigh(np.diag([1.0 / self.snr] * self.users)
-                              + H.swapaxes(1, 2) @ H)
-        d = np.maximum(w, 1e-300) ** -0.5
-        return _read_only((v * d[:, None, :]) @ v.swapaxes(1, 2))
-
-    @functools.cached_property
-    def _ml_capacity(self):
-        """Joint ML benchmark, kept for every field of an IF sweep point: one
-        slogdet over the (subsets, blocks) stack, summed in that order. Each
-        H_S is C-ordered, as a per-subset copy was, so BLAS reads the same
-        layout and returns the same bits."""
-        P, L, n = self.snr, self.users, self.n_blocks
-        H = self.h.reshape(n, -1, L)
-        grams, sizes = [], []
-        for size in range(1, L + 1):
-            subsets = list(itertools.combinations(range(L), size))
-            Hs = np.ascontiguousarray(H[:, :, subsets].transpose(2, 0, 1, 3))
-            grams.append((P * Hs) @ Hs.swapaxes(2, 3))
-            sizes += [size] * len(subsets)
-        sign, logdet = np.linalg.slogdet(np.eye(H.shape[1]) + np.concatenate(grams))
-        if any(s <= 0 for s in sign.ravel().tolist()):
-            raise PathologicalChannelError(
-                "ML capacity at %g dB: I + P H_S H_S^T is not positive "
-                "definite in floating point" % (10.0 * math.log10(P)))
-        best = math.inf
-        for size, row in zip(sizes, logdet.tolist()):
-            best = min(best, _left_sum(x / math.log(2.0) for x in row) / (2.0 * n * size))
-        return best
+    _mmse_gains = _stacked("mmse_gains")
+    _mmse_blocks = _stacked("mmse_blocks", tuple)
+    _mmse_factors = _stacked("mmse_factors", tuple)
+    _capacity_terms = _stacked("capacity_terms")
+    _if_whiteners = _stacked("if_whiteners", tuple)
+    _ml_capacity = _stacked("ml_capacity")
+    _z_factor = _stacked("z_factor")
+    _z_if_factor = _stacked("z_if_factor")
 
     @classmethod
     def from_json(cls, doc):
@@ -175,7 +149,7 @@ class ChannelRealization:
         return cls(h=_json_number(doc, "h", lambda v: np.array(v, dtype=float)), snr=snr)
 
     def to_json(self):
-        return {"h": self.h.tolist(), "snr_db": 10.0 * math.log10(self.snr)}
+        return {"h": self.h.tolist(), "snr_db": _db(self.snr)}
 
 
 def _json_number(doc, key, convert):
@@ -190,6 +164,148 @@ def _json_number(doc, key, convert):
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float
         raise ChannelFormatError("channel %r must be numeric, got %r"
                                  % (key, doc[key])) from None
+
+
+def _channels(h, powers):
+    """One ChannelRealization of the gains h per power, all reading one
+    _SnrStack: a sweep trial's draw, or a DoF fit's h, over its SNR grid."""
+    stack = _SnrStack(_gains(h), tuple(_usable_power(P) for P in powers))
+    return [ChannelRealization._of(stack, at) for at in range(len(stack.powers))]
+
+
+def _read_only(stack):
+    stack.flags.writeable = False
+    return stack
+
+
+def _upper_cholesky(stack, error):
+    """Read-only upper factors F (F^T F = A) of the matrices of stack[i] for
+    every power i, from one stacked call. If that fails each power is
+    factored alone, and a power that fails gets error(i), caused by its
+    LinAlgError, in place of its factors."""
+    try:
+        return list(_read_only(np.linalg.cholesky(stack).swapaxes(-1, -2)))
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for i, A in enumerate(stack):
+        try:
+            out.append(_read_only(np.linalg.cholesky(A).swapaxes(-1, -2)))
+        except np.linalg.LinAlgError as e:
+            out.append(error(i))
+            out[-1].__cause__ = e
+    return out
+
+
+class _SnrStack:
+    """The gains h of one draw at every power of an SNR grid.
+
+    Each quantity is computed for all powers in one stacked numpy call on
+    first read and kept; entry i belongs to powers[i]. Work that does not
+    depend on the power (h_j . h_j, H_j^T H_j, the subset matrices H_S) is
+    done once. The gufuncs run the same LAPACK/BLAS routine on each matrix
+    as a stack of one power does, and elementwise IEEE arithmetic rounds the
+    same in numpy as in Python floats, so a channel of the stack has the
+    bits and strides of the channel built alone. A power whose factor or ML
+    determinant fails holds the PathologicalChannelError in its entry, which
+    only its own channel raises.
+    """
+
+    def __init__(self, h, powers):
+        self.h, self.powers = h, powers
+
+    @functools.cached_property
+    def mmse_gains(self):
+        """Gains g_j = P |h_j|^2 + 1, one tuple of Python floats per power.
+        The MMSE blocks, the capacity terms and the MMSE scalings read them
+        first, so this is where CF and its bounds require a 2-D h, one
+        receive antenna per block."""
+        if self.h.ndim != 2:
+            raise ValueError("compute-and-forward needs one receive antenna per "
+                             "block, got channel gains of shape %s" % (self.h.shape,))
+        norms2 = [float(hj @ hj) for hj in self.h]
+        return [tuple([P * x + 1.0 for x in norms2]) for P in self.powers]
+
+    @functools.cached_property
+    def mmse_blocks(self):
+        """MMSE matrices I - (P/g_j) h_j h_j^T, shape (powers, blocks, L, L),
+        read-only (all fields and the Z baseline)."""
+        h = self.h
+        scale = np.array([[P / g for g in gains]
+                          for P, gains in zip(self.powers, self.mmse_gains)])[:, :, None, None]
+        return _read_only(np.eye(h.shape[1]) - scale * (h[:, :, None] * h[:, None, :]))
+
+    @functools.cached_property
+    def mmse_factors(self):
+        """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks."""
+        return _upper_cholesky(self.mmse_blocks, lambda i: PathologicalChannelError(
+            "MMSE matrix not positive definite"))
+
+    @functools.cached_property
+    def capacity_terms(self):
+        """Per-block terms log2(g_j) (the MAC capacity and every field's
+        Minkowski bounds read them)."""
+        return [tuple(map(log2_plus, gains)) for gains in self.mmse_gains]
+
+    @functools.cached_property
+    def if_whiteners(self):
+        """Integer-forcing whiteners F_j = (P^-1 I + H_j^T H_j)^(-1/2) from one
+        eigh, shape (powers, blocks, L, L), read-only; a 2-D h gives
+        1 x users blocks H_j. H_j^T H_j is formed once."""
+        n, L = self.h.shape[0], self.h.shape[-1]
+        H = self.h.reshape(n, -1, L)
+        inverse = (1.0 / np.array(self.powers, dtype=float))[:, None, None, None] * np.eye(L)
+        w, v = np.linalg.eigh(inverse + H.swapaxes(1, 2) @ H)
+        d = np.maximum(w, 1e-300) ** -0.5
+        return _read_only((v * d[..., None, :]) @ v.swapaxes(-1, -2))
+
+    @functools.cached_property
+    def ml_capacity(self):
+        """Joint ML benchmark of each power: one slogdet over the (powers,
+        subsets, blocks) stack, each power's terms summed in that order. Each
+        H_S is C-ordered, as a per-subset copy was, so BLAS reads the same
+        layout and returns the same bits."""
+        P, L, n = np.array(self.powers, dtype=float), self.h.shape[-1], self.h.shape[0]
+        H = self.h.reshape(n, -1, L)
+        grams, sizes = [], []
+        for size in range(1, L + 1):
+            subsets = list(itertools.combinations(range(L), size))
+            Hs = np.ascontiguousarray(H[:, :, subsets].transpose(2, 0, 1, 3))
+            grams.append((P[:, None, None, None, None] * Hs) @ Hs.swapaxes(2, 3))
+            sizes += [size] * len(subsets)
+        sign, logdet = np.linalg.slogdet(np.eye(H.shape[1]) + np.concatenate(grams, axis=1))
+        lost = (sign <= 0).any(axis=(1, 2)).tolist()
+        out = []
+        for power, bad, rows in zip(self.powers, lost, logdet.tolist()):
+            if bad:
+                out.append(PathologicalChannelError(
+                    "ML capacity at %g dB: I + P H_S H_S^T is not positive "
+                    "definite in floating point" % _db(power)))
+                continue
+            best = math.inf
+            for size, row in zip(sizes, rows):
+                best = min(best, _left_sum(x / math.log(2.0) for x in row) / (2.0 * n * size))
+            out.append(best)
+        return out
+
+    @functools.cached_property
+    def z_factor(self):
+        """Upper Cholesky factor of sum_j M_j, the Z baseline's Gram matrix."""
+        return self._z_factors(self.mmse_blocks)
+
+    @functools.cached_property
+    def z_if_factor(self):
+        """Upper Cholesky factor of sum_j F_j F_j over the IF whiteners, the
+        Gram matrix of the integer-forcing Z baseline."""
+        return self._z_factors(self.if_whiteners @ self.if_whiteners)
+
+    def _z_factors(self, blocks):
+        # the blocks summed left to right from 0, as the builtin sum() adds them
+        gram = np.zeros(blocks.shape[:1] + blocks.shape[2:])
+        for block in blocks.swapaxes(0, 1):
+            gram += block
+        return _upper_cholesky(gram, lambda i: PathologicalChannelError(
+            "Z baseline Gram matrix not positive definite at %g dB" % _db(self.powers[i])))
 
 
 @dataclass
@@ -241,12 +357,6 @@ def build_humbert(field, channel):
                        M_chol=list(M_chol), phi_M=_block_basis(field, M_chol))
 
 
-def _read_only(stack):
-    """A stack of matrices as a tuple of read-only views."""
-    stack.flags.writeable = False
-    return tuple(stack)
-
-
 def _check_blocks(field, n_blocks):
     """The one check that a channel has a block per embedding of the field."""
     if n_blocks != field.degree:
@@ -273,11 +383,6 @@ def _select_independent(field, basis, k):
     vectors, lengths = _greedy_minima(ZLattice._checked(basis), k, lambda: KSpan(field).add,
                                       "vectors independent over " + field.name)
     return [psi_map(field, v) for v in vectors], lengths
-
-
-def _z_minima(gram, k):
-    """First k successive minima of Z^L under the positive-definite Gram matrix."""
-    return successive_minima(ZLattice._checked(np.linalg.cholesky(gram).T), k)
 
 
 def rate_am(field, f_value):
@@ -404,7 +509,7 @@ def integer_baseline(channel, k=None):
     n = channel.n_blocks
     if k is None:
         k = channel.users
-    minima = _z_minima(sum(channel._mmse_blocks), k)
+    minima = successive_minima(ZLattice._checked(channel._z_factor), k)
     f_values = [l * l for l in minima.lengths]
     rates = [(n / 2.0) * log2_plus(n / f) for f in f_values]
     return rates, minima.vectors
@@ -456,7 +561,7 @@ def if_rate(field, channel):
 def integer_if_rate(channel):
     """Plain-integer integer-forcing baseline over the same blocks."""
     n, P = channel.n_blocks, channel.snr
-    minima = _z_minima(sum(f @ f for f in channel._if_whiteners), channel.users)
+    minima = successive_minima(ZLattice._checked(channel._z_if_factor), channel.users)
     rates = [0.5 * log2_plus(n * P / (l * l)) for l in minima.lengths]
     return min(rates)
 
@@ -476,8 +581,7 @@ def dof_estimate(field, h, snr_db_grid, z_baseline=False):
     if len(snr_db_grid) < 2 or max(snr_db_grid) - min(snr_db_grid) < 30.0 - 1e-9:
         raise ValueError("SNR grid must span at least 30 dB")
     xs, ys = [], []
-    for P in powers:
-        ch = ChannelRealization(h=h, snr=P)
+    for P, ch in zip(powers, _channels(h, powers)):
         if z_baseline:
             rates, _ = integer_baseline(ch, k=1)
             r = rates[0]

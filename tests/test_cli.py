@@ -174,6 +174,17 @@ def test_dof_z_baseline_flag(capsys):
     assert json.loads(out)["slope"] < 0.2
 
 
+def test_dof_z_baseline_failure_names_its_snr(tmp_path, capsys):
+    # unit gains make the Z Gram matrix singular at 160 dB: a numeric failure
+    # (exit 3) naming the SNR, where a bare LinAlgError named none
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps({"h": [[1, 1], [1, 1]]}))
+    code, out, err = run_cli(capsys, "dof", "--field", "quad-5", "--channel", str(path),
+                             "--snr-top-db", "160", "--z-baseline")
+    assert (code, out) == (3, "")
+    assert err == "error: Z baseline Gram matrix not positive definite at 160 dB\n"
+
+
 SNR_REFUSED = "snr must be positive and finite, a normal float, got "
 
 
@@ -347,7 +358,14 @@ def test_unparsable_json_files_are_usage_errors(tmp_path, capsys):
     ({"name": "f", "min_poly": 5, "basis": [[1]]},
      "field min_poly and basis must be lists of numbers"),
     ({"name": "f", "min_poly": [1, 2], "basis": [[1]]}, "monic"),
-], ids=["not-object", "no-min_poly", "no-name", "min_poly-number", "not-monic"])
+    ({"name": "f", "min_poly": [-1.5, -1, 1], "basis": [[1], [0, 1]]},
+     "field min_poly coefficient -1.5 is not an integer"),
+    ({"name": "f", "min_poly": [True, -1, 1], "basis": [[1], [0, 1]]},
+     "field min_poly coefficient True is not an integer"),
+    ({"name": "f", "min_poly": ["-1", -1, 1], "basis": [[1], [0, 1]]},
+     "field min_poly coefficient '-1' is not an integer"),
+], ids=["not-object", "no-min_poly", "no-name", "min_poly-number", "not-monic",
+        "min_poly-fraction", "min_poly-bool", "min_poly-string"])
 def test_bad_field_files_are_usage_errors(doc, message, tmp_path, capsys):
     path = tmp_path / "field.json"
     path.write_text(json.dumps(doc))

@@ -106,25 +106,44 @@ def test_ml_capacity_once_per_snr_point(monkeypatch):
     assert len(calls) == 2
 
 
-def count_builds(monkeypatch, name):
-    """Count the first reads of the cached property name of every channel."""
-    real, builds = vars(rates.ChannelRealization)[name], []
-    counted = functools.cached_property(lambda ch: builds.append(1) or real.func(ch))
-    counted.__set_name__(rates.ChannelRealization, name)
-    monkeypatch.setattr(rates.ChannelRealization, name, counted)
+def count_stack_builds(monkeypatch, name):
+    """Grid lengths of the channel stacks that compute their quantity name."""
+    real, builds = vars(rates._SnrStack)[name], []
+    counted = functools.cached_property(lambda s: builds.append(len(s.powers)) or real.func(s))
+    counted.__set_name__(rates._SnrStack, name)
+    monkeypatch.setattr(rates._SnrStack, name, counted)
     return builds
 
 
 def test_if_channel_work_once_per_snr_point(monkeypatch):
-    # three fields and the Z baseline share one whitener build and one ML
-    # computation per channel, and a sweep builds one channel per SNR point
-    whiteners = count_builds(monkeypatch, "_if_whiteners")
-    ml = count_builds(monkeypatch, "_ml_capacity")
-    cfg = SweepConfig(fields=["quad-5", "quad-8", "quad-12"], snr_db_grid=[0, 10],
-                      trials=1, seed=13, metrics=IF_METRICS)
-    run_if_sweep(cfg, workers=1)
-    assert len(whiteners) == 2
-    assert len(ml) == 2
+    # three fields and the Z baseline share the channel data of each SNR
+    # point, and the channels of one trial's draw share one stack: one
+    # whitener, ML and Z factor computation per trial covers every point
+    builds = {name: count_stack_builds(monkeypatch, name)
+              for name in ("if_whiteners", "ml_capacity", "z_if_factor")}
+    for grid in ([0], [0, 10, 20], range(0, 55, 5)):
+        cfg = SweepConfig(fields=["quad-5", "quad-8", "quad-12"], snr_db_grid=grid,
+                          trials=2, seed=13, metrics=IF_METRICS)
+        run_if_sweep(cfg, workers=1)
+    assert builds == {name: [1, 1, 3, 3, 11, 11] for name in builds}
+
+
+def test_failed_z_baseline_names_trial_seed_and_snr(monkeypatch):
+    # unit gains: at 160 dB the summed MMSE matrices round to a singular
+    # matrix, which only that SNR's channel refuses, naming the trial
+    class UnitGains:
+        def normal(self, size):
+            return np.ones(size)
+
+    monkeypatch.setattr(experiments, "_trial_rng", lambda seed, trial: UnitGains())
+    z_point = lambda cfg, fields, ch: {("Z", "z_baseline"): rates.integer_baseline(ch, k=1)[0][0]}
+    cfg = SweepConfig(fields=["quad-5"], snr_db_grid=[0, 20], trials=1, seed=7)
+    assert len(experiments._trial(cfg, (2,), z_point, 0)) == 2
+    cfg = SweepConfig(fields=["quad-5"], snr_db_grid=[0, 160, 20], trials=1, seed=7)
+    with pytest.raises(rates.PathologicalChannelError,
+                       match=r"^Z baseline Gram matrix not positive definite at 160 dB "
+                             r"\(trial=3, seed=7, snr_db=160\)$"):
+        experiments._trial(cfg, (2,), z_point, 3)
 
 
 def mixed_scale_point(cfg, fields, ch):

@@ -1,6 +1,7 @@
 """Number field arithmetic: catalog, embeddings, exact invariants."""
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -307,6 +308,23 @@ def test_loader_errors_are_value_errors(doc, message):
     # never a KeyError or TypeError, so a caller can refuse the document
     with pytest.raises(ValueError, match=message):
         field_from_json(doc)
+
+
+def test_min_poly_takes_exact_integers():
+    # int() truncated -1.5 to -1 and read true and "-1" as -1 and 1, so each
+    # of these built the golden-ratio field without a word; integral floats
+    # are the integers they hold
+    golden = {"name": "x", "basis": [[1], [0, 1]]}
+    for bad in (-1.5, True, "-1", math.nan):
+        with pytest.raises(ValueError, match=r"^field min_poly coefficient %s is not an "
+                                             r"integer$" % re.escape(repr(bad))):
+            field_from_json(dict(golden, min_poly=[bad, -1, 1]))
+    with pytest.raises(ValueError, match=r"^field min_poly coefficient False is not"):
+        field_from_json(dict(golden, min_poly=[-1, -1, False]))
+    assert field_from_json(dict(golden, min_poly=[-1.0, -1, 1.0])).min_poly == (-1, -1, 1)
+    # a JSON true among the basis coefficients is no number either
+    with pytest.raises(ValueError, match=r"^basis coefficient True is not a number$"):
+        field_from_json({"name": "x", "min_poly": [-1, -1, 1], "basis": [[1], [0, True]]})
 
 
 def test_loader_rejects_non_monic_and_bad_basis():

@@ -914,6 +914,30 @@ def test_cvp_equals_reference_on_benchmark_codec_pair():
     assert multi > 30
 
 
+def test_cvp_shrinks_its_radius_on_a_mixed_scale_basis():
+    # Babai's radius^2 72.75 holds millions of points of this basis and the
+    # fixed-radius walk hit the node limit after seconds; lowering the radius
+    # to each closer leaf finds the closest point (distance^2 41.1729), the
+    # one a fixed-radius walk just above it finds
+    B = [[6.02, -0.11, 0.02, -0.94, 0.11, 0.46, 0.0, -13.4],
+         [1.16, -0.08, 0.07, -0.12, -0.08, 0.93, 0.07, -5.93],
+         [11.62, -0.03, -0.03, 0.12, -0.08, -0.44, -0.02, 15.3],
+         [15.0, -0.03, 0.16, -0.04, 0.04, 0.88, 0.03, 24.15],
+         [2.43, -0.12, 0.13, -0.41, -0.03, -2.99, 0.1, 8.18],
+         [7.99, 0.1, 0.17, -0.05, 0.09, -0.74, -0.04, 10.57],
+         [3.91, -0.13, 0.04, -0.18, -0.08, 0.43, -0.04, -15.7],
+         [-11.11, 0.18, -0.15, 0.22, 0.06, 0.64, -0.12, -3.22]]
+    T = np.array([69.97, 26.15, -23.03, -44.82, -23.62, -15.19, 70.49, -21.38])
+    lat = ZLattice(np.array(B))
+    coeffs, point, dist = closest_vector(lat, T)
+    assert coeffs == (3, -4, 18, 6, 22, 0, 11, -4)
+    assert dist ** 2 == pytest.approx(41.1729, abs=1e-9)
+    _, u_cols, r_rows, _ = lat._reduction
+    cands = lattices._enumerate_all(r_rows, 41.25, target=(lat._q.T @ T).tolist())
+    x, d = min(cands, key=lambda c: c[1])
+    assert lattices._apply_transform(u_cols, x) == coeffs and math.sqrt(d) == dist
+
+
 class ReferenceEchelon:
     """IntEchelon with every row through int() first, as its add once took them."""
 

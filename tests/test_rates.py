@@ -787,6 +787,104 @@ def test_stacked_channel_algebra_equals_per_block_calls():
     assert factor_failures >= 1 and sign_losses >= 2
 
 
+STACK_QUANTITIES = ("_mmse_gains", "_capacity_terms", "_mmse_blocks", "_mmse_factors",
+                    "_if_whiteners", "_ml_capacity", "_z_factor", "_z_if_factor")
+
+
+def channel_quantities(ch, order=STACK_QUANTITIES):
+    """Every stacked quantity of a channel: (strides, bytes, writeable) of
+    each matrix, the repr of a number or tuple of numbers, or the type and
+    message of the error that refuses it."""
+    out = {}
+    for name in order:
+        try:
+            value = getattr(ch, name)
+        except ValueError as e:  # PathologicalChannelError, or a 3-D h for CF
+            out[name] = (type(e), str(e))
+            continue
+        matrices = (value,) if isinstance(value, np.ndarray) else value
+        if isinstance(value, (np.ndarray, tuple)) and isinstance(matrices[0], np.ndarray):
+            out[name] = [(a.strides, a.tobytes(), a.flags.writeable) for a in matrices]
+        else:
+            out[name] = repr(value)
+    return out
+
+
+def stacked_algebra_corpus():
+    """(h, power) pairs: the 1e8 channel, whose factor fails; unit gains and
+    trial 1 of an if-sweep with seed 0 at 160 dB, whose ML determinants lose
+    their sign (the unit gains' Z Gram matrix is singular there too); and
+    300 random channels of 1-5 blocks, 2-D and 3-D."""
+    rng = np.random.default_rng(47)
+    corpus = [([[1e8, 1], [1, 1]], 1e4), (np.ones((2, 2)), 1e16), (np.ones((2, 2, 2)), 1e16),
+              (np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,))).normal(
+                  size=(2, 2, 2)), 1e16)]
+    for trial in range(300):
+        n, L = 1 + trial % 5, 2 + trial % 3
+        shape = (n, L) if trial % 2 else (n, 1 + (trial // 2) % L, L)
+        corpus.append((rng.normal(size=shape) * 10.0 ** rng.uniform(-1, 1),
+                       10.0 ** rng.uniform(-3, 12)))
+    return corpus
+
+
+def test_snr_stack_equals_channels_built_alone():
+    # each corpus power sits in a grid beside healthy powers; every channel
+    # of the stack has the bits and strides of the channel built alone, and
+    # a power that fails raises on its own channel only, with its message
+    rng = np.random.default_rng(49)
+    failures = dict.fromkeys(STACK_QUANTITIES, 0)
+    for h, P in stacked_algebra_corpus():
+        grid = list(10.0 ** rng.uniform(-2, 6, size=int(rng.integers(1, 5))))
+        grid.insert(int(rng.integers(0, len(grid) + 1)), P)
+        # read the stack in a random order, so the failing power is
+        # sometimes the first to compute a quantity and sometimes the last
+        order = [STACK_QUANTITIES[i] for i in rng.permutation(len(STACK_QUANTITIES))]
+        stacked = rates._channels(h, grid)
+        for at in rng.permutation(len(grid)):
+            got = channel_quantities(stacked[at], order)
+            alone = ChannelRealization(h=h, snr=grid[at])
+            assert got == channel_quantities(alone)
+            assert (stacked[at].snr, stacked[at].h.tobytes()) == (alone.snr, alone.h.tobytes())
+            for name, value in got.items():
+                if isinstance(value, tuple) and value[0] is PathologicalChannelError:
+                    failures[name] += 1
+                    # a failure is not kept: each read raises it again
+                    assert name not in vars(stacked[at])
+                    assert channel_quantities(stacked[at], [name])[name] == value
+    assert failures["_mmse_factors"] >= 1 and failures["_ml_capacity"] >= 2
+    assert failures["_z_factor"] >= 1
+
+
+def test_z_baseline_failure_names_its_snr():
+    # unit gains: sum_j M_j = 2I - 2P/(2P+1) J rounds to a singular matrix at
+    # 160 dB. It was a bare LinAlgError naming no SNR; now it is refused at
+    # that power only, and a DoF fit or the Z baseline names it
+    h = np.ones((2, 2))
+    low, high = rates._channels(h, [1e4, 1e16])
+    assert integer_baseline(low, k=1) == integer_baseline(ChannelRealization(h=h, snr=1e4), k=1)
+    for channel in (high, ChannelRealization(h=h, snr=1e16)):
+        with pytest.raises(PathologicalChannelError,
+                           match=r"^Z baseline Gram matrix not positive definite at 160 dB$"):
+            integer_baseline(channel)
+    with pytest.raises(PathologicalChannelError, match="not positive definite at 160 dB$"):
+        dof_estimate(catalog_field("quad-5"), h, [120, 130, 140, 150, 160], z_baseline=True)
+
+
+def test_dof_estimate_factors_its_grid_once(monkeypatch):
+    built = []
+    real = vars(rates._SnrStack)["mmse_factors"]
+    counted = functools.cached_property(lambda s: built.append(len(s.powers)) or real.func(s))
+    counted.__set_name__(rates._SnrStack, "mmse_factors")
+    monkeypatch.setattr(rates._SnrStack, "mmse_factors", counted)
+    h = np.array([[0.3, -1.2], [0.7, 0.4]])
+    slope, ys = dof_estimate(catalog_field("quad-5"), h, range(40, 85, 5))
+    assert built == [9]
+    monkeypatch.undo()
+    alone = [best_coefficients(catalog_field("quad-5"), ChannelRealization(
+        h=h, snr=rates._snr_power(float(s))), k=1).best_rate for s in range(40, 85, 5)]
+    assert ys == alone
+
+
 def left_sum(terms):
     s = 0.0
     for t in terms:
