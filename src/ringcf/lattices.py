@@ -208,21 +208,21 @@ def lll_reduce(lat, delta=0.99):
     return ZLattice._checked(np.array(b).T.copy()), [list(row) for row in zip(*u)]
 
 
-def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000, shrink=False):
-    """All integer x with ||R x - t||^2 <= radius2 (R upper triangular, given
-    as rows of Python floats).
+def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
+    """Integer x with ||R x - t||^2 <= radius2 (R upper triangular, given as
+    rows of Python floats), as (x tuple, dist2) pairs.
 
-    With target=None only canonical-sign nonzero vectors are returned (the
+    With target=None these are all the canonical-sign nonzero vectors (the
     highest-index nonzero coordinate is positive): while every higher
     coordinate is 0 a level walks only xi >= 0, so -x is never visited and
     the zero vector is skipped. Such a leaf counts 2 against the limit (the
-    zero leaf 1), as if both signs were walked. Returns (x tuple, dist2).
+    zero leaf 1), as if both signs were walked.
 
-    With shrink=True a leaf at d lowers radius2 to d + 1e-9 * (1 + d) when
-    that is smaller, so only the closest points and those within the 1e-9
-    tie band of the closest are sure to be returned: the band's bound is
-    this same float expression of the closest d. The visiting order stays
-    ascending at every level.
+    With a target the walk seeks the closest points: a leaf at d lowers
+    radius2 to d + 1e-9 * (1 + d) when that is smaller, so only the closest
+    points and those within the 1e-9 tie band of the closest are sure to be
+    returned: the band's bound is this same float expression of the closest
+    d. The visiting order stays ascending at every level.
     """
     m = len(r_rows)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their
@@ -266,7 +266,7 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000, shrink=False):
                                            "%d, radius^2 %.6g, limit %d" % (m, radius2, limit))
                 if not zero:
                     out.append((tuple(x), d))
-                    if shrink and d + 1e-9 * (1 + d) < radius2:
+                    if target is not None and d + 1e-9 * (1 + d) < radius2:
                         radius2 = d + 1e-9 * (1 + d)
             else:
                 rec(level - 1, d, free and not xi)
@@ -397,7 +397,7 @@ def closest_vector(lat, target):
         x_babai[i] = round((t_list[i] - s) / row[i])
     babai_pt = red_basis @ np.array(x_babai, dtype=float)
     radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
-    cands = _enumerate_all(r_rows, radius2, target=t, shrink=True)
+    cands = _enumerate_all(r_rows, radius2, target=t)
     if not cands:
         raise EnumerationError("CVP enumeration found no candidates")
     best_d = min(d for _, d in cands)

@@ -75,16 +75,20 @@ def _gains(h):
     return h
 
 
-def _stacked(name, convert=None):
+def _stacked(name):
     """Channel property: the channel's entry of the _SnrStack quantity
-    `name` (converted by `convert`), kept on first read. An entry that is its
-    power's failure is raised on each read and never kept."""
+    `name`. When a stack of several powers refuses it, the channel moves to
+    a stack of its own power alone and reads it there, so only a power that
+    fails raises, with its own message, and on each read."""
     def read(self):
-        value = getattr(self._stack, name)[self._at]
-        if isinstance(value, Exception):
-            raise value.with_traceback(None)
-        return value if convert is None else convert(value)
-    return functools.cached_property(read)
+        try:
+            return getattr(self._stack, name)[self._at]
+        except PathologicalChannelError:
+            if len(self._stack.powers) == 1:
+                raise
+        self._share(_SnrStack(self.h, (self.snr,)), 0)
+        return getattr(self._stack, name)[0]
+    return property(read)
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,10 @@ class ChannelRealization:
     h, shape (blocks, antennas, users), holds one MIMO matrix per block and
     serves integer forcing only.
 
-    The gains are copied and made read-only, so the data cached on first use
-    always describes them. That data is read from an _SnrStack: a channel
-    built alone is a stack of one power, and the channels that `_channels`
-    makes of one draw at a grid of powers share one stack.
+    The gains are copied and made read-only, so the data computed from them
+    always describes them. That data is kept by an _SnrStack, not by the
+    channel: a channel built alone is a stack of one power, and the channels
+    that `_channels` makes of one draw at a grid of powers share one stack.
     """
 
     h: np.ndarray
@@ -128,10 +132,10 @@ class ChannelRealization:
         return self.h.shape[-1]
 
     _mmse_gains = _stacked("mmse_gains")
-    _mmse_blocks = _stacked("mmse_blocks", tuple)
-    _mmse_factors = _stacked("mmse_factors", tuple)
+    _mmse_blocks = _stacked("mmse_blocks")
+    _mmse_factors = _stacked("mmse_factors")
     _capacity_terms = _stacked("capacity_terms")
-    _if_whiteners = _stacked("if_whiteners", tuple)
+    _if_whiteners = _stacked("if_whiteners")
     _ml_capacity = _stacked("ml_capacity")
     _z_factor = _stacked("z_factor")
     _z_if_factor = _stacked("z_if_factor")
@@ -168,8 +172,9 @@ def _json_number(doc, key, convert):
 
 def _channels(h, powers):
     """One ChannelRealization of the gains h per power, all reading one
-    _SnrStack: a sweep trial's draw, or a DoF fit's h, over its SNR grid."""
-    stack = _SnrStack(_gains(h), tuple(_usable_power(P) for P in powers))
+    _SnrStack: a sweep trial's draw, or a DoF fit's h, over its SNR grid.
+    The powers come from _snr_power, which has checked them."""
+    stack = _SnrStack(_gains(h), tuple(powers))
     return [ChannelRealization._of(stack, at) for at in range(len(stack.powers))]
 
 
@@ -178,23 +183,14 @@ def _read_only(stack):
     return stack
 
 
-def _upper_cholesky(stack, error):
+def _upper_cholesky(stack, message):
     """Read-only upper factors F (F^T F = A) of the matrices of stack[i] for
-    every power i, from one stacked call. If that fails each power is
-    factored alone, and a power that fails gets error(i), caused by its
-    LinAlgError, in place of its factors."""
+    every power i, from one stacked call. A failure raises
+    PathologicalChannelError(message), caused by its LinAlgError."""
     try:
         return list(_read_only(np.linalg.cholesky(stack).swapaxes(-1, -2)))
-    except np.linalg.LinAlgError:
-        pass
-    out = []
-    for i, A in enumerate(stack):
-        try:
-            out.append(_read_only(np.linalg.cholesky(A).swapaxes(-1, -2)))
-        except np.linalg.LinAlgError as e:
-            out.append(error(i))
-            out[-1].__cause__ = e
-    return out
+    except np.linalg.LinAlgError as e:
+        raise PathologicalChannelError(message) from e
 
 
 class _SnrStack:
@@ -206,9 +202,8 @@ class _SnrStack:
     done once. The gufuncs run the same LAPACK/BLAS routine on each matrix
     as a stack of one power does, and elementwise IEEE arithmetic rounds the
     same in numpy as in Python floats, so a channel of the stack has the
-    bits and strides of the channel built alone. A power whose factor or ML
-    determinant fails holds the PathologicalChannelError in its entry, which
-    only its own channel raises.
+    bits and strides of the channel built alone. A quantity holds an entry
+    for every power or raises PathologicalChannelError and keeps nothing.
     """
 
     def __init__(self, h, powers):
@@ -238,8 +233,7 @@ class _SnrStack:
     @functools.cached_property
     def mmse_factors(self):
         """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks."""
-        return _upper_cholesky(self.mmse_blocks, lambda i: PathologicalChannelError(
-            "MMSE matrix not positive definite"))
+        return _upper_cholesky(self.mmse_blocks, "MMSE matrix not positive definite")
 
     @functools.cached_property
     def capacity_terms(self):
@@ -275,13 +269,12 @@ class _SnrStack:
             sizes += [size] * len(subsets)
         sign, logdet = np.linalg.slogdet(np.eye(H.shape[1]) + np.concatenate(grams, axis=1))
         lost = (sign <= 0).any(axis=(1, 2)).tolist()
+        if True in lost:
+            raise PathologicalChannelError(
+                "ML capacity at %g dB: I + P H_S H_S^T is not positive definite "
+                "in floating point" % _db(self.powers[lost.index(True)]))
         out = []
-        for power, bad, rows in zip(self.powers, lost, logdet.tolist()):
-            if bad:
-                out.append(PathologicalChannelError(
-                    "ML capacity at %g dB: I + P H_S H_S^T is not positive "
-                    "definite in floating point" % _db(power)))
-                continue
+        for rows in logdet.tolist():
             best = math.inf
             for size, row in zip(sizes, rows):
                 best = min(best, _left_sum(x / math.log(2.0) for x in row) / (2.0 * n * size))
@@ -304,8 +297,10 @@ class _SnrStack:
         gram = np.zeros(blocks.shape[:1] + blocks.shape[2:])
         for block in blocks.swapaxes(0, 1):
             gram += block
-        return _upper_cholesky(gram, lambda i: PathologicalChannelError(
-            "Z baseline Gram matrix not positive definite at %g dB" % _db(self.powers[i])))
+        # a stack of several powers cannot tell which one failed; its channels
+        # move to stacks of one, whose message names the power
+        where = " at %g dB" % _db(self.powers[0]) if len(self.powers) == 1 else ""
+        return _upper_cholesky(gram, "Z baseline Gram matrix not positive definite" + where)
 
 
 @dataclass

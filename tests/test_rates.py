@@ -552,15 +552,19 @@ def test_ml_capacity_subset_minimum():
     assert f1 == 0.0 or f1 < 0.1
 
 
-def test_if_data_kept_on_the_channel():
+def test_if_data_kept_on_the_channel(monkeypatch):
     # the whiteners and the ML benchmark are computed once per channel from
-    # its blocks; a 2-D h is the one-antenna case of a 3-D h, bit for bit
+    # its blocks, by the channel's stack; a 2-D h is the one-antenna case of
+    # a 3-D h, bit for bit
+    built = counted_builds(monkeypatch, ("if_whiteners", "ml_capacity"))
     rng = np.random.default_rng(42)
     h1 = rng.normal(size=(2, 2, 2))
     for h, P in ((h1, 10.0), (list(h1), 20.0), (h1[:, :1], 20.0), (h1[:, 0], 20.0)):
         ch = ChannelRealization(h=h, snr=P)
+        del built[:]
         whiteners, ml = ch._if_whiteners, ml_capacity(ch)
-        assert ch._if_whiteners is whiteners and "_ml_capacity" in vars(ch)
+        assert ch._if_whiteners.tobytes() == whiteners.tobytes() and ml_capacity(ch) == ml
+        assert sorted(built) == [("if_whiteners", 1), ("ml_capacity", 1)]
         blocks = np.array(h).reshape(2, -1, 2)
         for F, H in zip(whiteners, blocks):
             assert not F.flags.writeable
@@ -646,28 +650,29 @@ def test_failed_factor_leaves_z_baseline_intact():
 
 
 def counted_builds(monkeypatch, names):
-    """Names of the ChannelRealization cached properties among names, one
-    entry each time one is computed."""
+    """(name, powers in the stack) each time a stack computes (or fails to
+    compute) one of the _SnrStack quantities names."""
     built = []
     for name in names:
-        func = vars(ChannelRealization)[name].func
+        func = vars(rates._SnrStack)[name].func
         prop = functools.cached_property(
-            lambda self, func=func, name=name: built.append(name) or func(self))
-        prop.__set_name__(ChannelRealization, name)
-        monkeypatch.setattr(ChannelRealization, name, prop)
+            lambda stack, func=func, name=name:
+            built.append((name, len(stack.powers))) or func(stack))
+        prop.__set_name__(rates._SnrStack, name)
+        monkeypatch.setattr(rates._SnrStack, name, prop)
     return built
 
 
 def test_mmse_blocks_and_factors_built_once_per_channel(monkeypatch):
-    built = counted_builds(monkeypatch, ("_mmse_blocks", "_mmse_factors"))
+    built = counted_builds(monkeypatch, ("mmse_blocks", "mmse_factors"))
     ch = random_channel(np.random.default_rng(43), 2, 2, 100.0)
     reports = [best_coefficients(catalog_field(name), ch)
                for name in ("quad-5", "quad-8", "quad-12")]
     integer_baseline(ch, k=1)
     # one stack of MMSE matrices and one of factors per channel
-    assert sorted(built) == ["_mmse_blocks", "_mmse_factors"]
+    assert sorted(built) == [("mmse_blocks", 1), ("mmse_factors", 1)]
     hf = build_humbert(catalog_field("quad-5"), ch)
-    assert hf.M_chol[0] is build_humbert(catalog_field("quad-8"), ch).M_chol[0]
+    assert np.shares_memory(hf.M_chol[0], build_humbert(catalog_field("quad-8"), ch).M_chol[0])
     assert not hf.M[0].flags.writeable and not hf.M_chol[0].flags.writeable
     fresh = ChannelRealization(h=ch.h, snr=ch.snr)
     assert [r.to_json() for r in reports] == [
@@ -849,10 +854,36 @@ def test_snr_stack_equals_channels_built_alone():
                 if isinstance(value, tuple) and value[0] is PathologicalChannelError:
                     failures[name] += 1
                     # a failure is not kept: each read raises it again
-                    assert name not in vars(stacked[at])
+                    assert name.lstrip("_") not in vars(stacked[at]._stack)
                     assert channel_quantities(stacked[at], [name])[name] == value
     assert failures["_mmse_factors"] >= 1 and failures["_ml_capacity"] >= 2
     assert failures["_z_factor"] >= 1
+
+
+def test_failed_stack_leaves_each_channel_a_stack_of_one(monkeypatch):
+    # a stack of several powers refuses a quantity for all of them; each of
+    # its channels then reads from a stack of its own power alone, where a
+    # healthy power computes each quantity once however often it is read,
+    # and the failing power raises its own message on each read
+    built = counted_builds(monkeypatch, [name.lstrip("_") for name in STACK_QUANTITIES])
+    for h, grid, name, message in (
+            ([[1e8, 1], [1, 1]], [1e-8, 1e4, 1e-4], "_mmse_factors",
+             r"^MMSE matrix not positive definite$"),
+            (np.ones((2, 2)), [1.0, 1e16, 1e2], "_z_factor",
+             r"^Z baseline Gram matrix not positive definite at 160 dB$"),
+            (np.ones((2, 2, 2)), [1.0, 1e16, 1e2], "_ml_capacity",
+             r"^ML capacity at 160 dB: I \+ P H_S H_S\^T is not positive definite")):
+        low, failing, high = rates._channels(h, grid)
+        for healthy in (low, high):
+            del built[:]
+            got = [channel_quantities(healthy, (name,) + STACK_QUANTITIES) for _ in range(2)]
+            assert healthy._stack.powers == (healthy.snr,) and (name.lstrip("_"), 3) in built
+            read = [n.lstrip("_") for n, v in got[0].items() if not isinstance(v, tuple)]
+            assert sorted(n for n, size in built if size == 1 and n in read) == sorted(read)
+            assert got == [channel_quantities(ChannelRealization(h=h, snr=healthy.snr))] * 2
+        for _ in range(2):
+            with pytest.raises(PathologicalChannelError, match=message):
+                getattr(failing, name)
 
 
 def test_z_baseline_failure_names_its_snr():
@@ -871,14 +902,10 @@ def test_z_baseline_failure_names_its_snr():
 
 
 def test_dof_estimate_factors_its_grid_once(monkeypatch):
-    built = []
-    real = vars(rates._SnrStack)["mmse_factors"]
-    counted = functools.cached_property(lambda s: built.append(len(s.powers)) or real.func(s))
-    counted.__set_name__(rates._SnrStack, "mmse_factors")
-    monkeypatch.setattr(rates._SnrStack, "mmse_factors", counted)
+    built = counted_builds(monkeypatch, ["mmse_factors"])
     h = np.array([[0.3, -1.2], [0.7, 0.4]])
     slope, ys = dof_estimate(catalog_field("quad-5"), h, range(40, 85, 5))
-    assert built == [9]
+    assert built == [("mmse_factors", 9)]
     monkeypatch.undo()
     alone = [best_coefficients(catalog_field("quad-5"), ChannelRealization(
         h=h, snr=rates._snr_power(float(s))), k=1).best_rate for s in range(40, 85, 5)]
