@@ -268,11 +268,10 @@ class _SnrStack:
             grams.append((P[:, None, None, None, None] * Hs) @ Hs.swapaxes(2, 3))
             sizes += [size] * len(subsets)
         sign, logdet = np.linalg.slogdet(np.eye(H.shape[1]) + np.concatenate(grams, axis=1))
-        lost = (sign <= 0).any(axis=(1, 2)).tolist()
-        if True in lost:
+        if (sign <= 0).any():
             raise PathologicalChannelError(
-                "ML capacity at %g dB: I + P H_S H_S^T is not positive definite "
-                "in floating point" % _db(self.powers[lost.index(True)]))
+                "ML capacity%s: I + P H_S H_S^T is not positive definite "
+                "in floating point" % self._where)
         out = []
         for rows in logdet.tolist():
             best = math.inf
@@ -297,10 +296,14 @@ class _SnrStack:
         gram = np.zeros(blocks.shape[:1] + blocks.shape[2:])
         for block in blocks.swapaxes(0, 1):
             gram += block
-        # a stack of several powers cannot tell which one failed; its channels
-        # move to stacks of one, whose message names the power
-        where = " at %g dB" % _db(self.powers[0]) if len(self.powers) == 1 else ""
-        return _upper_cholesky(gram, "Z baseline Gram matrix not positive definite" + where)
+        return _upper_cholesky(gram, "Z baseline Gram matrix not positive definite"
+                               + self._where)
+
+    @property
+    def _where(self):
+        """The " at <SNR> dB" of a failure message. A stack of several powers
+        names none: its channels read again from stacks of one, whose is shown."""
+        return " at %g dB" % _db(self.powers[0]) if len(self.powers) == 1 else ""
 
 
 @dataclass

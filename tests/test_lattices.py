@@ -653,13 +653,18 @@ def reference_qr(basis):
 
 
 def numpy_scalar_enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
-    """Reference enumeration indexing R and the target as numpy scalars."""
+    """Reference enumeration of the fixed ball of radius2, indexing R and the
+    target as numpy scalars. With no target it walks both signs and keeps
+    the canonical one at the leaf. Every leaf walked counts 1 against the
+    limit, whose excess raises the EnumerationError of _enumerate_all."""
     m = r_mat.shape[0]
     t = np.zeros(m) if target is None else np.asarray(target, dtype=float)
     x = [0] * m
     out = []
+    count = 0
 
     def rec(level, dist):
+        nonlocal count
         c = t[level] - sum(r_mat[level, j] * x[j] for j in range(level + 1, m))
         rr = r_mat[level, level]
         rem = radius2 - dist
@@ -675,6 +680,10 @@ def numpy_scalar_enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
                 continue
             x[level] = xi
             if level == 0:
+                count += 1
+                if count > limit:
+                    raise EnumerationError("enumeration exceeded node limit: dimension "
+                                           "%d, radius^2 %.6g, limit %d" % (m, radius2, limit))
                 vec = tuple(x)
                 if target is None and next((v for v in reversed(vec) if v), 0) <= 0:
                     continue
@@ -684,7 +693,6 @@ def numpy_scalar_enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
         x[level] = 0
 
     rec(m - 1, 0.0)
-    assert len(out) <= limit
     return out
 
 
@@ -821,9 +829,10 @@ def test_sparse_transform_equals_dense_product():
         assert lattices._apply_transform(list(zip(*u)), (0,) * m) == (0,) * m
 
 
-def numpy_scalar_closest_vector(lat, target):
+def numpy_scalar_closest_vector(lat, target, limit=2_000_000):
     """Reference CVP: numpy QR of the reduced basis, Babai nearest-plane on
-    numpy scalars and a residual key for every tie. Returns the
+    numpy scalars, the fixed ball of Babai's radius (closest_vector shrinks
+    it, but keeps every tie) and a residual key for every tie. Returns the
     (coefficients, point, distance) triple and the number of ties."""
     target = np.asarray(target, dtype=float)
     red_basis, u_cols, _, _ = lat._reduction
@@ -836,7 +845,7 @@ def numpy_scalar_closest_vector(lat, target):
         x_babai[i] = round(c / r_mat[i, i])
     babai_pt = red_basis @ np.array(x_babai, dtype=float)
     radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
-    cands = lattices._enumerate_all(r_mat.tolist(), radius2, target=t)
+    cands = numpy_scalar_enumerate_all(r_mat, radius2, target=t, limit=limit)
     if not cands:
         raise EnumerationError("CVP enumeration found no candidates")
     best_d = min(d for _, d in cands)
@@ -851,11 +860,11 @@ def numpy_scalar_closest_vector(lat, target):
     return (coeffs, point, math.sqrt(max(best_d, 0.0))), len(ties)
 
 
-def assert_cvp_equals_reference(lat, target):
+def assert_cvp_equals_reference(lat, target, limit=2_000_000):
     """closest_vector equals the reference exactly, or both raise the same
     EnumerationError. Returns the reference's tie count (0 if it raised)."""
     try:
-        (coeffs, point, dist), ties = numpy_scalar_closest_vector(lat, target)
+        (coeffs, point, dist), ties = numpy_scalar_closest_vector(lat, target, limit)
     except EnumerationError as e:
         with pytest.raises(EnumerationError) as got:
             closest_vector(lat, target)
@@ -904,7 +913,7 @@ def test_cvp_equals_reference_when_the_node_limit_is_hit(monkeypatch):
                         lambda *a, **kw: enumerate_all(*a, **kw, limit=1))
     rng = np.random.default_rng(34)
     outcomes = [assert_cvp_equals_reference(ZLattice(integer_basis(rng, m)),
-                                            rng.integers(-6, 7, size=m) / 2)
+                                            rng.integers(-6, 7, size=m) / 2, limit=1)
                 for m in rng.integers(2, 6, size=60)]
     assert outcomes.count(0) > 10 and len(outcomes) - outcomes.count(0) > 10
 
@@ -944,7 +953,7 @@ def test_cvp_shrinks_its_radius_on_a_mixed_scale_basis():
     assert coeffs == (3, -4, 18, 6, 22, 0, 11, -4)
     assert dist ** 2 == pytest.approx(41.1729, abs=1e-9)
     _, u_cols, r_rows, _ = lat._reduction
-    cands = lattices._enumerate_all(r_rows, 41.25, target=(lat._q.T @ T).tolist())
+    cands = numpy_scalar_enumerate_all(np.array(r_rows), 41.25, target=lat._q.T @ T)
     x, d = min(cands, key=lambda c: c[1])
     assert lattices._apply_transform(u_cols, x) == coeffs and math.sqrt(d) == dist
 
