@@ -97,7 +97,7 @@ def _embed(field, cols):
     return np.vstack([field.embeddings @ X[t:t + n] for t in range(0, len(X), n)])
 
 
-@dataclass
+@dataclass(eq=False)
 class NestedLatticePair:
     """Fine/coarse lattice pair from nested linear codes over F_p.
 
@@ -205,7 +205,7 @@ def build_nested_pair(field, ideal, G_coarse, G_fine, T):
     return pair
 
 
-@dataclass
+@dataclass(eq=False)
 class Codeword:
     """Transmitted signal matrix with its exact ring coordinates."""
 
@@ -272,7 +272,7 @@ def scale_by_ring(pair, a, codeword):
     return D @ codeword.X, ring
 
 
-@dataclass
+@dataclass(eq=False)
 class LatticeEquation:
     """Decoded fine-lattice point reduced modulo the coarse lattice."""
 

@@ -20,7 +20,7 @@ class EnumerationError(RuntimeError):
     """Raised when lattice enumeration cannot certify its result."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZLattice:
     """Full-rank lattice given by a square basis matrix (columns generate).
 
@@ -385,21 +385,21 @@ def closest_vector(lat, target):
     red_basis, u_cols, r_rows, _ = lat._reduction
     t = lat._q.T @ target
     m = lat.dim
-    # Babai nearest-plane gives a certified initial radius. It runs on Python
-    # floats with += sums, like _enumerate_all, so it rounds as numpy would.
+    # Babai nearest-plane gives the initial radius. Its distance d is summed
+    # with _enumerate_all's own float operations in the walk's order, so the
+    # walk reaches the Babai leaf at this d: the ball holds it by construction
     t_list = t.tolist()
     x_babai = [0] * m
+    d = 0.0
     for i in range(m - 1, -1, -1):
         row = r_rows[i]
         s = 0
         for j in range(i + 1, m):
             s += row[j] * x_babai[j]
-        x_babai[i] = round((t_list[i] - s) / row[i])
-    babai_pt = red_basis @ np.array(x_babai, dtype=float)
-    radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
-    cands = _enumerate_all(r_rows, radius2, target=t)
-    if not cands:
-        raise EnumerationError("CVP enumeration found no candidates")
+        c = t_list[i] - s
+        x_babai[i] = round(c / row[i])
+        d += (c - row[i] * x_babai[i]) ** 2
+    cands = _enumerate_all(r_rows, d * (1 + 1e-9) + 1e-12, target=t)
     best_d = min(d for _, d in cands)
     ties = [x for x, d in cands if d <= best_d + 1e-9 * (1 + best_d)]
     x = ties[0]

@@ -76,22 +76,11 @@ def _gains(h):
 
 
 def _stacked(name):
-    """Channel property: the channel's entry of the _SnrStack quantity
-    `name`. When a stack of several powers refuses it, the channel moves to
-    a stack of its own power alone and reads it there, so only a power that
-    fails raises, with its own message, and on each read."""
-    def read(self):
-        try:
-            return getattr(self._stack, name)[self._at]
-        except PathologicalChannelError:
-            if len(self._stack.powers) == 1:
-                raise
-        self._share(_SnrStack(self.h, (self.snr,)), 0)
-        return getattr(self._stack, name)[0]
-    return property(read)
+    """Channel property: the channel's entry of the _SnrStack quantity `name`."""
+    return property(lambda self: self._stack.entry(name, self._at))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Real block-fading channel. A 2-D h, shape (blocks, users), has one
     receive antenna per block: row j holds the user gains of block j. A 3-D
@@ -111,17 +100,11 @@ class ChannelRealization:
         self._share(_SnrStack(_gains(self.h), (_usable_power(self.snr),)), 0)
 
     def _share(self, stack, at):
-        """Make this the channel of power stack.powers[at]."""
+        """Make this the channel of power stack.powers[at]; returns it."""
         for name, value in (("h", stack.h), ("snr", stack.powers[at]),
                             ("_stack", stack), ("_at", at)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of(cls, stack, at):
-        """The channel of power stack.powers[at], checked with the stack."""
-        channel = object.__new__(cls)
-        channel._share(stack, at)
-        return channel
+        return self
 
     @property
     def n_blocks(self):
@@ -134,7 +117,6 @@ class ChannelRealization:
     _mmse_gains = _stacked("mmse_gains")
     _mmse_blocks = _stacked("mmse_blocks")
     _mmse_factors = _stacked("mmse_factors")
-    _capacity_terms = _stacked("capacity_terms")
     _if_whiteners = _stacked("if_whiteners")
     _ml_capacity = _stacked("ml_capacity")
     _z_factor = _stacked("z_factor")
@@ -175,7 +157,8 @@ def _channels(h, powers):
     _SnrStack: a sweep trial's draw, or a DoF fit's h, over its SNR grid.
     The powers come from _snr_power, which has checked them."""
     stack = _SnrStack(_gains(h), tuple(powers))
-    return [ChannelRealization._of(stack, at) for at in range(len(stack.powers))]
+    return [object.__new__(ChannelRealization)._share(stack, at)
+            for at in range(len(stack.powers))]
 
 
 def _read_only(stack):
@@ -207,12 +190,27 @@ class _SnrStack:
     """
 
     def __init__(self, h, powers):
-        self.h, self.powers = h, powers
+        self.h, self.powers, self._alone = h, powers, None
+
+    def entry(self, name, at):
+        """Entry `at` (of power powers[at]) of the quantity `name`. The first
+        time a stack of several powers refuses a quantity, it splits once
+        into a stack of one per power; this read and every later read of its
+        channels go there, so the refused call never runs again and only a
+        power that fails raises, with its own message, on each read."""
+        if self._alone is None:
+            try:
+                return getattr(self, name)[at]
+            except PathologicalChannelError:
+                if len(self.powers) == 1:
+                    raise
+                self._alone = [_SnrStack(self.h, (P,)) for P in self.powers]
+        return getattr(self._alone[at], name)[0]
 
     @functools.cached_property
     def mmse_gains(self):
         """Gains g_j = P |h_j|^2 + 1, one tuple of Python floats per power.
-        The MMSE blocks, the capacity terms and the MMSE scalings read them
+        The MMSE blocks, the MAC capacity and the MMSE scalings read them
         first, so this is where CF and its bounds require a 2-D h, one
         receive antenna per block."""
         if self.h.ndim != 2:
@@ -234,12 +232,6 @@ class _SnrStack:
     def mmse_factors(self):
         """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks."""
         return _upper_cholesky(self.mmse_blocks, "MMSE matrix not positive definite")
-
-    @functools.cached_property
-    def capacity_terms(self):
-        """Per-block terms log2(g_j) (the MAC capacity and every field's
-        Minkowski bounds read them)."""
-        return [tuple(map(log2_plus, gains)) for gains in self.mmse_gains]
 
     @functools.cached_property
     def if_whiteners(self):
@@ -302,11 +294,11 @@ class _SnrStack:
     @property
     def _where(self):
         """The " at <SNR> dB" of a failure message. A stack of several powers
-        names none: its channels read again from stacks of one, whose is shown."""
+        names none: its channels read from its stacks of one, whose is shown."""
         return " at %g dB" % _db(self.powers[0]) if len(self.powers) == 1 else ""
 
 
-@dataclass
+@dataclass(eq=False)
 class HumbertForm:
     """Block-diagonal quadratic form of the relay's effective noise.
 
@@ -406,11 +398,9 @@ def minkowski_rate_bounds(field, channel):
     disc = float(field.discriminant)
     kappa = hermite_constant(n * L)
     _check_blocks(field, channel.n_blocks)
-    cap = _left_sum(channel._capacity_terms)
-    best = (cap / (2.0 * L)
-            - (n / 2.0) * log2_plus((kappa / n) * disc ** (1.0 / n)))
-    sum_lb = (0.5 * cap
-              - 0.5 * log2_plus((kappa / n) ** (n * L) * disc ** L))
+    mac = mac_capacity(channel)
+    best = mac / L - (n / 2.0) * log2_plus((kappa / n) * disc ** (1.0 / n))
+    sum_lb = mac - 0.5 * log2_plus((kappa / n) ** (n * L) * disc ** L)
     return best, sum_lb
 
 
@@ -424,11 +414,12 @@ def _left_sum(terms):
 
 
 def mac_capacity(channel):
-    """Sum capacity of the multiple-access channel across the fading blocks."""
-    return 0.5 * _left_sum(channel._capacity_terms)
+    """Sum capacity of the multiple-access channel across the fading blocks
+    (the Minkowski bounds share it among the users, less a lattice gap)."""
+    return 0.5 * _left_sum(map(log2_plus, channel._mmse_gains))
 
 
-@dataclass
+@dataclass(eq=False)
 class RateReport:
     """Best ring coefficient vectors for one channel realization."""
 

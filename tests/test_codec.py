@@ -57,6 +57,11 @@ def test_prime_ideal_rejects_inert_prime():
     for r in range(2):
         with pytest.raises(CodecError):
             prime_ideal(f, 2, r)
+    # 2 has a root of the quartic's minimal polynomial but is not of degree
+    # one: the ideal above it has norm 4
+    with pytest.raises(CodecError,
+                       match="^ideal above 2 has norm 4; inertial degree must be one$"):
+        prime_ideal(catalog_field("quartic-1600"), 2, 1)
 
 
 def test_rho_is_ring_homomorphism(golden):

@@ -22,6 +22,8 @@ SMALL = SweepConfig(fields=["quad-5"], users=2, snr_db_grid=[0, 10, 20],
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(fields=["quad-5"], trials=0)
+    with pytest.raises(ValueError, match="^users must be positive$"):
+        SweepConfig(fields=["quad-5"], users=0)
     with pytest.raises(ValueError):
         SweepConfig(fields=["quad-5", "cubic-49"], trials=1)  # mixed degrees
     with pytest.raises(ValueError):

@@ -334,6 +334,12 @@ def test_loader_rejects_non_monic_and_bad_basis():
         # power basis of Q(sqrt 5) misses (1+sqrt 5)/2: not the listed basis,
         # but a basis whose first element is not 1 must be rejected
         NumberField("bad", [-1, -1, 1], [[0, 1], [1]])
+    with pytest.raises(ValueError, match="^integral basis must have 2 elements$"):
+        NumberField("x", [-1, -1, 1], [[1]])
+    with pytest.raises(ValueError, match="^minimal polynomial must be monic$"):
+        real_roots([-1, 0, 2])
+    with pytest.raises(ValueError, match="^coordinate length does not match field degree$"):
+        catalog_field("quad-5").element([1, 2, 3])
 
 
 @settings(max_examples=60, deadline=None)

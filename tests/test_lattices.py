@@ -478,6 +478,12 @@ def test_lll_rejects_bad_delta_and_singular():
         lll_reduce(ZLattice(np.eye(2)), delta=0.1)
     with pytest.raises(ValueError):
         ZLattice(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(ValueError, match="^basis must be a square matrix$"):
+        ZLattice(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^basis entries must be finite$"):
+        ZLattice([[np.inf, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k <= dim$"):
+        successive_minima(ZLattice(np.eye(2)), 0)
 
 
 def test_shortest_vector_trivial_cases():
@@ -725,6 +731,11 @@ def test_enumeration_equals_numpy_scalar_reference():
         assert tie_set(got) == tie_set(numpy_scalar_enumerate_all(r_mat, radius2, target=target))
         checked += len(got) > 0
     assert checked > 20
+    # a radius just below the unit vector's norm^2 passes its leaf within the
+    # 1e-12 slack, and the walk below it finds no room left (rem < 0)
+    unit, radius2 = [[1.0, 0.0], [0.0, 1.0]], 1 - 5e-13
+    got = lattices._enumerate_all(unit, radius2)
+    assert got == numpy_scalar_enumerate_all(np.array(unit), radius2) == [((1, 0), 1.0)]
 
 
 def leaf_filter_enumerate_all(r_rows, radius2, limit):

@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import re
 import sys
@@ -217,6 +218,10 @@ def test_rate_clamps_and_sign_symmetry():
     hf = build_humbert(f, ch)
     a = psi_map(f, [1, 0, -1, 2])
     assert abs(hf.value(a) - hf.value([-x for x in a])) < 1e-12
+    with pytest.raises(ValueError, match="^quadratic form value must be positive$"):
+        rate_am(f, 0.0)
+    with pytest.raises(ValueError, match="^degenerate per-block form$"):
+        rate_gm(hf, [f.zero(), f.zero()])
 
 
 def test_gm_rate_dominates_am_rate():
@@ -332,6 +337,9 @@ def test_report_invariants_and_json():
     assert rank_over_K(f, rep.coeffs) == len(rep.coeffs)
     doc = rep.to_json()
     assert doc["field"] == "quad-5" and len(doc["coeffs"]) == 2
+    for k in (0, ch.users + 1):
+        with pytest.raises(ValueError, match="^need 1 <= k <= users$"):
+            best_coefficients(f, ch, k=k)
     assert np.allclose(rep.b_opt, reference_mmse_scaling(build_humbert(f, ch), rep.coeffs[0]))
 
 
@@ -440,9 +448,10 @@ def expression_minkowski_rate_bounds(field, channel):
 
 
 def test_capacity_terms_equal_per_call_expressions():
-    # the per-channel terms are computed once; every read must equal the
-    # expressions that computed them on each call. The MAC capacity reads
-    # every block; the bounds need one block per embedding and refuse others
+    # the MAC capacity sums its terms from the channel's kept gains, and the
+    # bounds read the MAC capacity; both must equal the expressions that
+    # compute every term on each call. The MAC capacity reads every block;
+    # the bounds need one block per embedding and refuse others
     rng = np.random.default_rng(44)
     names = ("quad-5", "cubic-49", "quartic-725", "quintic-14641")
     for trial in range(120):
@@ -499,6 +508,11 @@ def test_if_rate_below_ml_and_above_integer():
         rep = if_rate(f, ch)
         assert rep.rate <= rep.ml_capacity + 1e-9
         assert len(rep.coeffs) == 2 and len(rep.rates) == 2
+        doc = rep.to_json()
+        assert sorted(doc) == ["coeffs", "field", "ml_capacity", "rate", "rates"]
+        assert (doc["rate"], doc["rates"], doc["ml_capacity"]) == (rep.rate, rep.rates,
+                                                                   rep.ml_capacity)
+        assert json.loads(json.dumps(doc)) == doc
         if rep.rate >= integer_if_rate(ch) - 1e-9:
             wins += 1
     assert wins >= 90  # ring IF dominates the integer baseline almost always
@@ -792,8 +806,8 @@ def test_stacked_channel_algebra_equals_per_block_calls():
     assert factor_failures >= 1 and sign_losses >= 2
 
 
-STACK_QUANTITIES = ("_mmse_gains", "_capacity_terms", "_mmse_blocks", "_mmse_factors",
-                    "_if_whiteners", "_ml_capacity", "_z_factor", "_z_if_factor")
+STACK_QUANTITIES = ("_mmse_gains", "_mmse_blocks", "_mmse_factors", "_if_whiteners",
+                    "_ml_capacity", "_z_factor", "_z_if_factor")
 
 
 def channel_quantities(ch, order=STACK_QUANTITIES):
@@ -853,18 +867,21 @@ def test_snr_stack_equals_channels_built_alone():
             for name, value in got.items():
                 if isinstance(value, tuple) and value[0] is PathologicalChannelError:
                     failures[name] += 1
-                    # a failure is not kept: each read raises it again
-                    assert name.lstrip("_") not in vars(stacked[at]._stack)
+                    # a failure is not kept by the stack of its own power,
+                    # to which the refused grid has split: each read raises it
+                    assert name.lstrip("_") not in vars(stacked[at]._stack._alone[at])
                     assert channel_quantities(stacked[at], [name])[name] == value
     assert failures["_mmse_factors"] >= 1 and failures["_ml_capacity"] >= 2
     assert failures["_z_factor"] >= 1
 
 
 def test_failed_stack_leaves_each_channel_a_stack_of_one(monkeypatch):
-    # a stack of several powers refuses a quantity for all of them; each of
-    # its channels then reads from a stack of its own power alone, where a
-    # healthy power computes each quantity once however often it is read,
-    # and the failing power raises its own message on each read
+    # a stack of several powers refuses a quantity for all of them and splits
+    # once into stacks of one power: the refused call runs once per grid, and
+    # every quantity a channel reads afterwards is built on the stack of its
+    # own power, once however often it is read. No channel is rebound; a
+    # healthy power gets the values of the channel built alone, and the
+    # failing power raises its own message on each read
     built = counted_builds(monkeypatch, [name.lstrip("_") for name in STACK_QUANTITIES])
     for h, grid, name, message in (
             ([[1e8, 1], [1, 1]], [1e-8, 1e4, 1e-4], "_mmse_factors",
@@ -873,17 +890,23 @@ def test_failed_stack_leaves_each_channel_a_stack_of_one(monkeypatch):
              r"^Z baseline Gram matrix not positive definite at 160 dB$"),
             (np.ones((2, 2, 2)), [1.0, 1e16, 1e2], "_ml_capacity",
              r"^ML capacity at 160 dB: I \+ P H_S H_S\^T is not positive definite")):
-        low, failing, high = rates._channels(h, grid)
-        for healthy in (low, high):
-            del built[:]
-            got = [channel_quantities(healthy, (name,) + STACK_QUANTITIES) for _ in range(2)]
-            assert healthy._stack.powers == (healthy.snr,) and (name.lstrip("_"), 3) in built
-            read = [n.lstrip("_") for n, v in got[0].items() if not isinstance(v, tuple)]
-            assert sorted(n for n, size in built if size == 1 and n in read) == sorted(read)
-            assert got == [channel_quantities(ChannelRealization(h=h, snr=healthy.snr))] * 2
+        del built[:]
+        channels = rates._channels(h, grid)
         for _ in range(2):
             with pytest.raises(PathologicalChannelError, match=message):
-                getattr(failing, name)
+                getattr(channels[1], name)
+        assert built.count((name.lstrip("_"), 3)) == 1
+        # the failing channel's own stack of one has built these so far
+        split = [entry for entry in built if entry[1] == 1]
+        got = []
+        for ch in channels:
+            built[:] = split if ch is channels[1] else []
+            got.append([channel_quantities(ch, (name,) + STACK_QUANTITIES) for _ in range(2)])
+            read = [n.lstrip("_") for n, v in got[-1][0].items() if not isinstance(v, tuple)]
+            assert {size for _, size in built} == {1}
+            assert sorted(n for n, _ in built if n in read) == sorted(read)
+        assert all(ch._stack is channels[0]._stack for ch in channels)
+        assert got == [[channel_quantities(ChannelRealization(h=h, snr=P))] * 2 for P in grid]
 
 
 def test_z_baseline_failure_names_its_snr():
