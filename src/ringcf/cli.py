@@ -49,16 +49,21 @@ def _parse_grid(text):
     return values
 
 
-def _positive_int(text):
-    """A count of at least 1 (users, trials, k, workers); anything else is a
+def _int_at_least(low, text):
+    """An integer of at least `low`: 1 for a count (users, trials, k,
+    workers), 0 for a seed, as numpy's generators need; anything else is a
     usage error."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError("expected a %s integer, got %r"
+                                         % ("positive" if low else "non-negative", text))
     return value
+
+
+_positive_int = functools.partial(_int_at_least, 1)
 
 
 def _snr_db(text, window=0.0):
@@ -263,7 +268,7 @@ def build_parser():
 
     def common(p, formats=("json",)):
         # csv exists only for sweeps; argparse rejects it elsewhere (exit 2)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=functools.partial(_int_at_least, 0), default=0)
         p.add_argument("--out", type=_out_path, default=None, help="write output to a file")
         p.add_argument("--format", choices=formats, default=formats[0])
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import catalog_field
-from .rates import (PathologicalChannelError, _channels, _snr_power, best_coefficients,
+from .rates import (PathologicalChannelError, _over_grid, _snr_power, best_coefficients,
                     if_rate, integer_baseline, integer_if_rate, mac_capacity)
 
 RATE_METRICS = ("rate1", "sumrate", "mac", "z_baseline")
@@ -41,6 +41,8 @@ class SweepConfig:
             raise ValueError("users must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         self.fields = sweep_fields(self.fields)
         self.snr_db_grid = tuple(float(s) for s in self.snr_db_grid)
         for s in self.snr_db_grid:
@@ -69,21 +71,24 @@ def _trial(cfg, block_shape, point, trial):
     """Metric values of one trial, keyed (snr_db, field, metric) in CSV order.
 
     One channel is drawn per trial, block by block with the given per-block
-    shape, and its channels at the SNRs of the grid share one stack of
-    channel data; `point` gives each one's (field, metric) values, and a
-    refused channel or a failed check names the trial, seed and SNR.
+    shape, and rates._over_grid evaluates it at the SNRs of the grid; `point`
+    gives each SNR's (field, metric) values, and a refused channel or a
+    failed check names the trial, seed and SNR.
     """
     fields = [catalog_field(name) for name in cfg.fields]
     rng = _trial_rng(cfg.seed, trial)
     h = rng.normal(size=(fields[0].degree,) + block_shape)
-    channels = _channels(h, [_snr_power(snr_db) for snr_db in cfg.snr_db_grid])
-    out = {}
-    for snr_db, ch in zip(cfg.snr_db_grid, channels):
+
+    grid = cfg.snr_db_grid
+
+    def point_at(at, ch):
         try:
-            values = point(cfg, fields, ch)
+            return point(cfg, fields, ch)
         except (PathologicalChannelError, AssertionError) as e:
             raise type(e)("%s (trial=%d, seed=%d, snr_db=%g)"
-                          % (e, trial, cfg.seed, snr_db)) from e
+                          % (e, trial, cfg.seed, grid[at])) from e
+    out = {}
+    for snr_db, values in zip(grid, _over_grid(h, [_snr_power(s) for s in grid], point_at)):
         out.update(((snr_db,) + key, value) for key, value in values.items())
     return out
 

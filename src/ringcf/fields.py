@@ -43,14 +43,14 @@ def real_roots(min_poly, tol=1e-10):
     if np.max(np.abs(raw.imag)) > tol * scale:
         raise NotTotallyRealError("minimal polynomial has complex roots")
     roots = np.sort(raw.real)
-    if deg > 1 and np.min(np.diff(roots)) < 1e-8 * scale:
+    if np.min(np.diff(roots)) < 1e-8 * scale:
         raise NotTotallyRealError("minimal polynomial has repeated roots")
     dp = [i * coeffs[i] for i in range(1, deg + 1)]
     for _ in range(4):
         num = np.array([exact.poly_eval(coeffs, float(x)) for x in roots])
         den = np.array([exact.poly_eval(dp, float(x)) for x in roots])
         roots = roots - num / den
-    if deg > 1 and np.min(np.diff(roots)) < 1e-8 * scale:
+    if np.min(np.diff(roots)) < 1e-8 * scale:
         raise NotTotallyRealError("minimal polynomial has repeated roots")
     return roots
 
@@ -140,6 +140,9 @@ class NumberField:
         self.min_poly = tuple(int(c) for c in min_poly)
         n = len(self.min_poly) - 1
         self.degree = n
+        if n < 1:
+            raise ValueError("minimal polynomial must have degree at least 1, got %r"
+                             % (list(self.min_poly),))
         if self.min_poly[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
         if len(basis_polys) != n:
@@ -380,6 +383,8 @@ def field_from_json(doc):
     for key in ("name", "min_poly", "basis"):
         if key not in doc:
             raise ValueError("field document has no %r" % key)
+    if not isinstance(doc["name"], str):
+        raise ValueError("field name must be a string, got %r" % (doc["name"],))
     try:
         min_poly = [_parse_int(c) for c in doc["min_poly"]]
         basis = [[_parse_rational(c) for c in row] for row in doc["basis"]]

@@ -64,11 +64,12 @@ def _db(P):
 
 
 def _gains(h):
-    """Channel gains as a read-only float copy; 2-D or 3-D and finite."""
+    """Channel gains as a read-only float copy; 2-D or 3-D, with no empty
+    axis, and finite."""
     h = np.atleast_2d(np.array(h, dtype=float))
-    if h.ndim > 3:
-        raise PathologicalChannelError("channel gains must be 2-D or 3-D, got "
-                                       "shape %s" % (h.shape,))
+    if h.ndim > 3 or 0 in h.shape:
+        raise PathologicalChannelError("channel gains must be 2-D or 3-D with no "
+                                       "empty axis, got shape %s" % (h.shape,))
     if not np.all(np.isfinite(h)):
         raise PathologicalChannelError("channel gains must be finite")
     h.flags.writeable = False
@@ -77,7 +78,7 @@ def _gains(h):
 
 def _stacked(name):
     """Channel property: the channel's entry of the _SnrStack quantity `name`."""
-    return property(lambda self: self._stack.entry(name, self._at))
+    return property(lambda self: getattr(self._stack, name)[self._at])
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +91,7 @@ class ChannelRealization:
     The gains are copied and made read-only, so the data computed from them
     always describes them. That data is kept by an _SnrStack, not by the
     channel: a channel built alone is a stack of one power, and the channels
-    that `_channels` makes of one draw at a grid of powers share one stack.
+    that `_over_grid` makes of one draw at a grid of powers share one stack.
     """
 
     h: np.ndarray
@@ -125,17 +126,28 @@ class ChannelRealization:
     @classmethod
     def from_json(cls, doc):
         """Channel of a document {h, snr_db}. A document that is not an
-        object, or whose h or snr_db is missing, not numeric or (snr_db)
-        refused by _snr_power, raises ChannelFormatError naming the key."""
+        object, or whose h or snr_db is missing, not numeric (a JSON bool or
+        string is not) or refused by _gains or _snr_power, raises
+        ChannelFormatError naming the key."""
         if isinstance(doc, str):
             doc = json.loads(doc)
         if not isinstance(doc, dict):
             raise ChannelFormatError("channel document must be an object {h, snr_db}")
-        snr = _json_number(doc, "snr_db", lambda v: _snr_power(float(v)))
-        return cls(h=_json_number(doc, "h", lambda v: np.array(v, dtype=float)), snr=snr)
+        snr = _json_number(doc, "snr_db", lambda v: _snr_power(_number(v)))
+        h = _json_number(doc, "h", lambda v: _gains(np.vectorize(_number, otypes=[float])(
+            np.array(v, dtype=object))))
+        return cls(h=h, snr=snr)
 
     def to_json(self):
         return {"h": self.h.tolist(), "snr_db": _db(self.snr)}
+
+
+def _number(v):
+    """float(v); a bool or a string, which float() reads as a number, raises
+    TypeError."""
+    if isinstance(v, (bool, str)):
+        raise TypeError("not a number: %r" % (v,))
+    return float(v)
 
 
 def _json_number(doc, key, convert):
@@ -152,13 +164,20 @@ def _json_number(doc, key, convert):
                                  % (key, doc[key])) from None
 
 
-def _channels(h, powers):
-    """One ChannelRealization of the gains h per power, all reading one
-    _SnrStack: a sweep trial's draw, or a DoF fit's h, over its SNR grid.
-    The powers come from _snr_power, which has checked them."""
+def _over_grid(h, powers, each):
+    """[each(at, channel)] for the channel of the gains h at each power
+    powers[at], in order: a sweep trial's draw, or a DoF fit's h, over its
+    SNR grid. The channels share one _SnrStack, so each quantity is one
+    stacked call. If anything raises PathologicalChannelError, the grid runs
+    again on channels built alone, so the first SNR that fails raises its own
+    message. The powers come from _snr_power, which has checked them."""
     stack = _SnrStack(_gains(h), tuple(powers))
-    return [object.__new__(ChannelRealization)._share(stack, at)
-            for at in range(len(stack.powers))]
+    try:
+        return [each(at, object.__new__(ChannelRealization)._share(stack, at))
+                for at in range(len(powers))]
+    except PathologicalChannelError:
+        pass  # leave the except block, so the rerun's error chains no other
+    return [each(at, ChannelRealization(h, P)) for at, P in enumerate(powers)]
 
 
 def _read_only(stack):
@@ -190,22 +209,7 @@ class _SnrStack:
     """
 
     def __init__(self, h, powers):
-        self.h, self.powers, self._alone = h, powers, None
-
-    def entry(self, name, at):
-        """Entry `at` (of power powers[at]) of the quantity `name`. The first
-        time a stack of several powers refuses a quantity, it splits once
-        into a stack of one per power; this read and every later read of its
-        channels go there, so the refused call never runs again and only a
-        power that fails raises, with its own message, on each read."""
-        if self._alone is None:
-            try:
-                return getattr(self, name)[at]
-            except PathologicalChannelError:
-                if len(self.powers) == 1:
-                    raise
-                self._alone = [_SnrStack(self.h, (P,)) for P in self.powers]
-        return getattr(self._alone[at], name)[0]
+        self.h, self.powers = h, powers
 
     @functools.cached_property
     def mmse_gains(self):
@@ -294,7 +298,8 @@ class _SnrStack:
     @property
     def _where(self):
         """The " at <SNR> dB" of a failure message. A stack of several powers
-        names none: its channels read from its stacks of one, whose is shown."""
+        names none: _over_grid then runs its grid again on channels built
+        alone, whose message is shown."""
         return " at %g dB" % _db(self.powers[0]) if len(self.powers) == 1 else ""
 
 
@@ -569,15 +574,12 @@ def dof_estimate(field, h, snr_db_grid, z_baseline=False):
     powers = [_snr_power(s) for s in snr_db_grid]
     if len(snr_db_grid) < 2 or max(snr_db_grid) - min(snr_db_grid) < 30.0 - 1e-9:
         raise ValueError("SNR grid must span at least 30 dB")
-    xs, ys = [], []
-    for P, ch in zip(powers, _channels(h, powers)):
+
+    def best_rate(at, ch):
         if z_baseline:
-            rates, _ = integer_baseline(ch, k=1)
-            r = rates[0]
-        else:
-            r = best_coefficients(field, ch, k=1).best_rate
-        xs.append(0.5 * math.log2(1.0 + P))
-        ys.append(r)
-    xs, ys = np.array(xs), np.array(ys)
+            return integer_baseline(ch, k=1)[0][0]
+        return best_coefficients(field, ch, k=1).best_rate
+    ys = np.array(_over_grid(h, powers, best_rate))
+    xs = np.array([0.5 * math.log2(1.0 + P) for P in powers])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return slope, list(ys)

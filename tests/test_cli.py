@@ -234,12 +234,19 @@ def test_snr_grid_point_limit(monkeypatch, capsys):
     ["if-sweep", "--fields", "quad-5", "--trials", "-1"],
     ["sweep", "--fields", "quad-5", "--workers", "0"],
     ["if-sweep", "--fields", "quad-5", "--workers", "-1"],
+    # numpy's generators take no negative seed
+    ["rate", "--field", "quad-5", "--seed", "-1"],
+    ["sweep", "--fields", "quad-5", "--seed", "-1"],
+    ["if-sweep", "--fields", "quad-5", "--seed", "-1"],
+    ["dof", "--field", "quad-5", "--seed", "-1"],
 ])
 def test_counts_below_one_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
-    assert "expected a positive integer" in capsys.readouterr().err
+    expected = "non-negative" if argv[-2] == "--seed" else "positive"
+    assert ("argument %s: expected a %s integer, got %r" % (argv[-2], expected, argv[-1])
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -323,7 +330,12 @@ def test_channel_file_snr_without_power_is_usage_error(text, message, tmp_path, 
     ("[[[[1.0]]]]", "channel gains must be 2-D or 3-D"),
     ("[[1e999, 1.0]]", "channel gains must be finite"),
     ("[[%s, 1.0]]" % (10 ** 400), "'h' must be numeric"),
-], ids=["h-nan", "h-4d", "h-inf", "h-huge-int"])
+    ("[]", "no empty axis, got shape (1, 0)"),
+    ("[[]]", "no empty axis, got shape (1, 0)"),
+    ("[[true, 1], [1, 0]]", "'h' must be numeric, got [[True, 1], [1, 0]]"),
+    ('[["1", 1], [1, 0]]', "'h' must be numeric, got [['1', 1], [1, 0]]"),
+], ids=["h-nan", "h-4d", "h-inf", "h-huge-int", "h-empty", "h-empty-row", "h-bool",
+        "h-string"])
 def test_channel_file_gains_refused_as_usage_errors(h, message, tmp_path, capsys):
     # every ValueError of the channel reader names the file and exits 2
     path = tmp_path / "gains.json"
@@ -364,8 +376,17 @@ def test_unparsable_json_files_are_usage_errors(tmp_path, capsys):
      "field min_poly coefficient True is not an integer"),
     ({"name": "f", "min_poly": ["-1", -1, 1], "basis": [[1], [0, 1]]},
      "field min_poly coefficient '-1' is not an integer"),
+    ({"name": "f", "min_poly": [], "basis": []},
+     "minimal polynomial must have degree at least 1, got []"),
+    ({"name": "f", "min_poly": [1], "basis": []},
+     "minimal polynomial must have degree at least 1, got [1]"),
+    ({"name": None, "min_poly": [-1, -1, 1], "basis": [[1], [0, 1]]},
+     "field name must be a string, got None"),
+    ({"name": 7, "min_poly": [-1, -1, 1], "basis": [[1], [0, 1]]},
+     "field name must be a string, got 7"),
 ], ids=["not-object", "no-min_poly", "no-name", "min_poly-number", "not-monic",
-        "min_poly-fraction", "min_poly-bool", "min_poly-string"])
+        "min_poly-fraction", "min_poly-bool", "min_poly-string", "min_poly-empty",
+        "min_poly-degree-0", "name-null", "name-number"])
 def test_bad_field_files_are_usage_errors(doc, message, tmp_path, capsys):
     path = tmp_path / "field.json"
     path.write_text(json.dumps(doc))
@@ -389,11 +410,14 @@ def test_field_file_runs(tmp_path, capsys):
 @pytest.mark.parametrize("doc,message", [
     ({"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": [20]}, "'snr_db' must be numeric"),
     ({"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": "loud"}, "'snr_db' must be numeric"),
+    ({"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": "20"}, "'snr_db' must be numeric, got '20'"),
+    ({"h": [[0.3, -1.2], [0.7, 0.4]], "snr_db": True}, "'snr_db' must be numeric, got True"),
     ({"h": [[0.3, -1.2], [0.7, 0.4]]}, "has no 'snr_db'"),
     ({"snr_db": 20.0}, "has no 'h'"),
     ({"h": [[0.3, "x"], [0.7, 0.4]], "snr_db": 20.0}, "'h' must be numeric"),
     ([[0.3, -1.2], [0.7, 0.4]], "must be an object"),
-], ids=["snr_db-list", "snr_db-text", "no-snr_db", "no-h", "h-text", "not-object"])
+], ids=["snr_db-list", "snr_db-text", "snr_db-number-text", "snr_db-bool", "no-snr_db",
+        "no-h", "h-text", "not-object"])
 def test_bad_channel_files_are_usage_errors(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

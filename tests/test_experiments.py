@@ -24,6 +24,8 @@ def test_config_validation():
         SweepConfig(fields=["quad-5"], trials=0)
     with pytest.raises(ValueError, match="^users must be positive$"):
         SweepConfig(fields=["quad-5"], users=0)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        SweepConfig(fields=["quad-5"], seed=-1)
     with pytest.raises(ValueError):
         SweepConfig(fields=["quad-5", "cubic-49"], trials=1)  # mixed degrees
     with pytest.raises(ValueError):

@@ -303,6 +303,15 @@ def test_json_round_trip():
      "must be lists of numbers: cannot convert Infinity"),
     ('{"name": "x", "min_poly": [-1, 1e400, 1], "basis": [[1], [0, 1]]}',
      "must be lists of numbers: cannot convert float infinity"),
+    # an IndexError in NumberField, or a TypeError when a rate names the field
+    ({"name": "x", "min_poly": [], "basis": []},
+     r"^minimal polynomial must have degree at least 1, got \[\]$"),
+    ({"name": "x", "min_poly": [1], "basis": []},
+     r"^minimal polynomial must have degree at least 1, got \[1\]$"),
+    ({"name": None, "min_poly": [-1, -1, 1], "basis": [[1], [0, 1]]},
+     "^field name must be a string, got None$"),
+    ({"name": 7, "min_poly": [-1, -1, 1], "basis": [[1], [0, 1]]},
+     "^field name must be a string, got 7$"),
 ])
 def test_loader_errors_are_value_errors(doc, message):
     # never a KeyError or TypeError, so a caller can refuse the document

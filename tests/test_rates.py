@@ -39,6 +39,12 @@ def test_channel_validation():
     assert ChannelRealization(h=np.ones((1, 2)), snr=sys.float_info.max).snr < math.inf
     with pytest.raises(PathologicalChannelError, match="2-D or 3-D"):
         ChannelRealization(h=np.ones((2, 1, 2, 2)), snr=1.0)
+    # no blocks, users or antennas: "need 1 <= k <= users" came only later
+    for h in ([], [[]], np.ones((2, 0)), np.ones((2, 0, 2))):
+        with pytest.raises(PathologicalChannelError,
+                           match=re.escape("no empty axis, got shape %s"
+                                           % (np.atleast_2d(np.array(h)).shape,))):
+            ChannelRealization(h=h, snr=1.0)
 
 
 def test_cf_needs_one_antenna_per_block():
@@ -73,9 +79,17 @@ def test_channel_json_round_trip():
     ({"h": [[10 ** 400, 2.0]], "snr_db": 20}, "'h' must be numeric"),
     ({"h": [[1.0, 2.0]], "snr_db": -4000}, "'snr_db': snr must be positive and finite"),
     ('{"h": [[1.0, 2.0]], "snr_db": NaN}', "'snr_db': snr must be positive and finite"),
+    # float() and numpy read these as numbers; JSON does not
+    ({"h": [[1.0, 2.0]], "snr_db": "20"}, "'snr_db' must be numeric, got '20'"),
+    ({"h": [[1.0, 2.0]], "snr_db": True}, "'snr_db' must be numeric, got True"),
+    ({"h": [[True, 1], [1, 0]], "snr_db": 20}, r"'h' must be numeric, got \[\[True"),
+    ({"h": [["1.5", 1], [1, 0]], "snr_db": 20}, r"'h' must be numeric, got \[\['1\.5'"),
+    ({"h": [], "snr_db": 20}, r"no empty axis, got shape \(1, 0\)"),
+    ({"h": [[]], "snr_db": 20}, r"no empty axis, got shape \(1, 0\)"),
 ], ids=["no-snr_db", "no-h", "snr_db-list", "snr_db-null", "snr_db-text", "h-text",
         "h-ragged", "h-object", "not-object", "snr_db-huge-int", "h-huge-int",
-        "snr_db-underflow", "snr_db-nan"])
+        "snr_db-underflow", "snr_db-nan", "snr_db-number-text", "snr_db-bool", "h-bool",
+        "h-number-text", "h-empty", "h-empty-row"])
 def test_channel_json_errors_name_the_key(doc, message):
     # a ValueError subclass, never a KeyError or TypeError
     with pytest.raises(ChannelFormatError, match=message) as e:
@@ -846,42 +860,64 @@ def stacked_algebra_corpus():
     return corpus
 
 
+def refused(value):
+    """Whether a channel_quantities value is a PathologicalChannelError."""
+    return isinstance(value, tuple) and value[0] is PathologicalChannelError
+
+
+def outcome(call):
+    """call(), or the message of the PathologicalChannelError it raises."""
+    try:
+        return call()
+    except PathologicalChannelError as e:
+        return str(e)
+
+
 def test_snr_stack_equals_channels_built_alone():
-    # each corpus power sits in a grid beside healthy powers; every channel
-    # of the stack has the bits and strides of the channel built alone, and
-    # a power that fails raises on its own channel only, with its message
+    # each corpus power sits in a grid beside healthy powers. On a grid whose
+    # stack computes every quantity, every channel has the bits and strides
+    # of the channel built alone; on a grid whose stack refuses one,
+    # _over_grid returns or raises what the loop over channels built alone does
     rng = np.random.default_rng(49)
     failures = dict.fromkeys(STACK_QUANTITIES, 0)
     for h, P in stacked_algebra_corpus():
         grid = list(10.0 ** rng.uniform(-2, 6, size=int(rng.integers(1, 5))))
         grid.insert(int(rng.integers(0, len(grid) + 1)), P)
-        # read the stack in a random order, so the failing power is
-        # sometimes the first to compute a quantity and sometimes the last
+        # read the quantities in a random order, so the failing one is
+        # sometimes the first to be computed and sometimes the last
         order = [STACK_QUANTITIES[i] for i in rng.permutation(len(STACK_QUANTITIES))]
-        stacked = rates._channels(h, grid)
-        for at in rng.permutation(len(grid)):
-            got = channel_quantities(stacked[at], order)
-            alone = ChannelRealization(h=h, snr=grid[at])
-            assert got == channel_quantities(alone)
-            assert (stacked[at].snr, stacked[at].h.tobytes()) == (alone.snr, alone.h.tobytes())
-            for name, value in got.items():
-                if isinstance(value, tuple) and value[0] is PathologicalChannelError:
-                    failures[name] += 1
-                    # a failure is not kept by the stack of its own power,
-                    # to which the refused grid has split: each read raises it
-                    assert name.lstrip("_") not in vars(stacked[at]._stack._alone[at])
-                    assert channel_quantities(stacked[at], [name])[name] == value
+        calls = []
+
+        def each(at, ch):
+            got = channel_quantities(ch, order)
+            calls.append((len(ch._stack.powers), [n for n, v in got.items() if refused(v)]))
+            for value in got.values():
+                if refused(value):
+                    raise PathologicalChannelError(value[1])
+            return got, ch.snr, ch.h.tobytes()
+
+        stacked = outcome(lambda: rates._over_grid(h, grid, each))
+        over_grid, calls[:] = calls[:], []
+        alone = outcome(lambda: [each(at, ChannelRealization(h=h, snr=Q))
+                                 for at, Q in enumerate(grid)])
+        assert stacked == alone
+        if isinstance(alone, str):
+            # the stack refused at its first channel, and the grid ran again
+            # on channels built alone, as the loop above did
+            assert over_grid[0][0] == len(grid) and over_grid[1:] == calls
+            for name in calls[-1][1]:
+                failures[name] += 1
+        else:
+            assert over_grid == [(len(grid), [])] * len(grid)
     assert failures["_mmse_factors"] >= 1 and failures["_ml_capacity"] >= 2
     assert failures["_z_factor"] >= 1
 
 
-def test_failed_stack_leaves_each_channel_a_stack_of_one(monkeypatch):
-    # a stack of several powers refuses a quantity for all of them and splits
-    # once into stacks of one power: the refused call runs once per grid, and
-    # every quantity a channel reads afterwards is built on the stack of its
-    # own power, once however often it is read. No channel is rebound; a
-    # healthy power gets the values of the channel built alone, and the
-    # failing power raises its own message on each read
+def test_refused_grid_runs_again_on_channels_built_alone(monkeypatch):
+    # a stack of several powers refuses a quantity for all of them: the
+    # refused call runs once, and the grid runs again on channels built
+    # alone, which compute on stacks of one power only, so the failing power
+    # raises its own message, chained to no refusal of the stack
     built = counted_builds(monkeypatch, [name.lstrip("_") for name in STACK_QUANTITIES])
     for h, grid, name, message in (
             ([[1e8, 1], [1, 1]], [1e-8, 1e4, 1e-4], "_mmse_factors",
@@ -891,22 +927,36 @@ def test_failed_stack_leaves_each_channel_a_stack_of_one(monkeypatch):
             (np.ones((2, 2, 2)), [1.0, 1e16, 1e2], "_ml_capacity",
              r"^ML capacity at 160 dB: I \+ P H_S H_S\^T is not positive definite")):
         del built[:]
-        channels = rates._channels(h, grid)
-        for _ in range(2):
-            with pytest.raises(PathologicalChannelError, match=message):
-                getattr(channels[1], name)
+        calls = []
+
+        def each(at, ch):
+            calls.append((at, len(ch._stack.powers)))
+            return getattr(ch, name)
+
+        with pytest.raises(PathologicalChannelError, match=message) as e:
+            rates._over_grid(h, grid, each)
+        assert not isinstance(e.value.__context__, PathologicalChannelError)
+        assert calls == [(0, 3), (0, 1), (1, 1)]
         assert built.count((name.lstrip("_"), 3)) == 1
-        # the failing channel's own stack of one has built these so far
-        split = [entry for entry in built if entry[1] == 1]
-        got = []
-        for ch in channels:
-            built[:] = split if ch is channels[1] else []
-            got.append([channel_quantities(ch, (name,) + STACK_QUANTITIES) for _ in range(2)])
-            read = [n.lstrip("_") for n, v in got[-1][0].items() if not isinstance(v, tuple)]
-            assert {size for _, size in built} == {1}
-            assert sorted(n for n, _ in built if n in read) == sorted(read)
-        assert all(ch._stack is channels[0]._stack for ch in channels)
-        assert got == [[channel_quantities(ChannelRealization(h=h, snr=P))] * 2 for P in grid]
+        sizes = [size for _, size in built]
+        rerun = sizes.index(1)
+        assert set(sizes[:rerun]) == {3} and set(sizes[rerun:]) == {1}
+        with pytest.raises(PathologicalChannelError) as own:
+            getattr(ChannelRealization(h=h, snr=grid[1]), name)
+        assert str(e.value) == str(own.value)
+    # a healthy grid calls `each` once per power and builds each quantity
+    # once, on the stack of all its powers
+    del built[:], calls[:]
+    h, grid = np.random.default_rng(50).normal(size=(2, 2)), [1.0, 1e2, 1e4]
+
+    def read_all(at, ch):
+        calls.append((at, len(ch._stack.powers)))
+        return channel_quantities(ch)
+
+    got = rates._over_grid(h, grid, read_all)
+    assert calls == [(0, 3), (1, 3), (2, 3)]
+    assert sorted(built) == sorted((name.lstrip("_"), 3) for name in STACK_QUANTITIES)
+    assert got == [channel_quantities(ChannelRealization(h=h, snr=P)) for P in grid]
 
 
 def test_z_baseline_failure_names_its_snr():
@@ -914,12 +964,17 @@ def test_z_baseline_failure_names_its_snr():
     # 160 dB. It was a bare LinAlgError naming no SNR; now it is refused at
     # that power only, and a DoF fit or the Z baseline names it
     h = np.ones((2, 2))
-    low, high = rates._channels(h, [1e4, 1e16])
-    assert integer_baseline(low, k=1) == integer_baseline(ChannelRealization(h=h, snr=1e4), k=1)
-    for channel in (high, ChannelRealization(h=h, snr=1e16)):
+
+    def baseline(at, ch):
+        return integer_baseline(ch, k=1)
+
+    assert rates._over_grid(h, [1e4, 1e8], baseline) == [
+        integer_baseline(ChannelRealization(h=h, snr=P), k=1) for P in (1e4, 1e8)]
+    for call in (lambda: integer_baseline(ChannelRealization(h=h, snr=1e16)),
+                 lambda: rates._over_grid(h, [1e4, 1e16], baseline)):
         with pytest.raises(PathologicalChannelError,
                            match=r"^Z baseline Gram matrix not positive definite at 160 dB$"):
-            integer_baseline(channel)
+            call()
     with pytest.raises(PathologicalChannelError, match="not positive definite at 160 dB$"):
         dof_estimate(catalog_field("quad-5"), h, [120, 130, 140, 150, 160], z_baseline=True)
 
