@@ -48,12 +48,16 @@ class PrimeIdealData:
 
 
 def prime_ideal(field, p, root):
-    """Construct the degree-one prime ideal p*O + (theta - root)*O.
+    """Construct the degree-one prime ideal above p at `root`: the kernel of
+    the reduction map rho, which sends each integral basis element omega_i
+    to the value of its polynomial at `root` mod p.
 
-    `p` must be a prime and `root` must satisfy min_poly(root) = 0 mod p.
-    Coset representatives are minimal-norm lifts under the canonical
-    embedding; ties resolve to the lexicographically smallest embedded
-    representative.
+    `p` must be a prime and `root` a zero of min_poly mod p; rho must be
+    defined there (p divides no denominator) and a ring homomorphism. The
+    kernel's Z-basis is p*1 and omega_i - rho(omega_i)*1 for i >= 1. Coset
+    representatives are minimal-norm lifts under the canonical embedding
+    (c minus its closest ideal point, so rho maps it to c); ties resolve to
+    the lexicographically smallest embedded representative.
     """
     n = field.degree
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
@@ -61,18 +65,17 @@ def prime_ideal(field, p, root):
     if exact.poly_eval([int(c) for c in field.min_poly], root) % p != 0:
         raise CodecError("root %d is not a zero of the minimal polynomial mod %d"
                          % (root, p))
-    gen = field.theta() - root * field.one()
-    cols = []
-    for j, gen_j in enumerate(zip(*gen.mul_matrix())):
-        cols += [[p if i == j else 0 for i in range(n)], list(gen_j)]
-    basis_coords = exact.column_basis(cols)
-    norm = abs(exact.int_mat_det(basis_coords))
-    if norm != p:
-        raise CodecError("ideal above %d has norm %d; inertial degree must be one"
-                         % (p, norm))
-    # residue map: basis element -> value of its polynomial at `root` mod p
-    residues = [exact.rational_mod(exact.poly_eval(list(bp), Fraction(root)), p)
-                for bp in field.basis_polys]
+    values = [exact.poly_eval(list(bp), Fraction(root)) for bp in field.basis_polys]
+    if any(v.denominator % p == 0 for v in values):
+        raise CodecError("p = %d divides a denominator of the integral basis at root %d"
+                         % (p, root))
+    residues = [exact.rational_mod(v, p) for v in values]
+    if any((ri * rj - sum(m * r for m, r in zip(field.mult_table[i][j], residues))) % p
+           for i, ri in enumerate(residues) for j, rj in enumerate(residues)):
+        raise CodecError("reduction mod %d at root %d is not a ring homomorphism"
+                         % (p, root))
+    basis_coords = [[p] + [0] * (n - 1)] + [[-r] + [int(i == j) for j in range(1, n)]
+                                            for i, r in enumerate(residues) if i]
     ideal = PrimeIdealData(field=field, p=p, root=root, basis_coords=basis_coords,
                            residues=residues, coset_reps=[])
     lat = ZLattice(ideal.embedded_basis())
@@ -81,10 +84,7 @@ def prime_ideal(field, p, root):
         target = field.element([c] + [0] * (n - 1))
         coeffs, _, _ = closest_vector(lat, target.embed())
         shift = _apply_transform(basis_coords, coeffs)
-        rep = field.element([a - b for a, b in zip(target.coords, shift)])
-        if ideal.rho(rep) != c:
-            raise CodecError("coset representative reduction mismatch")
-        reps.append(rep)
+        reps.append(field.element([a - b for a, b in zip(target.coords, shift)]))
     ideal.coset_reps = reps
     return ideal
 

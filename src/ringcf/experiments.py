@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -37,6 +38,10 @@ class SweepConfig:
     metrics: tuple = ()
 
     def __post_init__(self):
+        for name in ("users", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.users < 1:
             raise ValueError("users must be positive")
         if self.trials < 1:

@@ -26,6 +26,17 @@ class FieldMismatchError(ValueError):
     """Raised when combining elements of different fields."""
 
 
+def _monic_degree(coeffs):
+    """Degree of a polynomial given low degree first, which must be monic
+    and of degree at least 1."""
+    if len(coeffs) < 2:
+        raise ValueError("minimal polynomial must have degree at least 1, got %r"
+                         % (list(coeffs),))
+    if coeffs[-1] != 1:
+        raise ValueError("minimal polynomial must be monic")
+    return len(coeffs) - 1
+
+
 def real_roots(min_poly, tol=1e-10):
     """All real roots of a monic squarefree integer polynomial, ascending.
 
@@ -33,9 +44,7 @@ def real_roots(min_poly, tol=1e-10):
     Raises NotTotallyRealError unless every root is real and simple.
     """
     coeffs = [int(c) for c in min_poly]
-    if coeffs[-1] != 1:
-        raise ValueError("minimal polynomial must be monic")
-    deg = len(coeffs) - 1
+    deg = _monic_degree(coeffs)
     if deg == 1:
         return np.array([-float(coeffs[0])])
     raw = np.roots(coeffs[::-1])
@@ -138,13 +147,7 @@ class NumberField:
     def __init__(self, name, min_poly, basis_polys):
         self.name = name
         self.min_poly = tuple(int(c) for c in min_poly)
-        n = len(self.min_poly) - 1
-        self.degree = n
-        if n < 1:
-            raise ValueError("minimal polynomial must have degree at least 1, got %r"
-                             % (list(self.min_poly),))
-        if self.min_poly[-1] != 1:
-            raise ValueError("minimal polynomial must be monic")
+        self.degree = n = _monic_degree(self.min_poly)
         if len(basis_polys) != n:
             raise ValueError("integral basis must have %d elements" % n)
         mp = [Fraction(c) for c in self.min_poly]

@@ -15,6 +15,8 @@ import numpy as np
 
 from . import exact
 
+_TIE = 1.0 + 1e-9  # a squared length ties with d when it is at most d * _TIE
+
 
 class EnumerationError(RuntimeError):
     """Raised when lattice enumeration cannot certify its result."""
@@ -219,10 +221,8 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
     zero leaf 1), as if both signs were walked.
 
     With a target the walk seeks the closest points: a leaf at d lowers
-    radius2 to d + 1e-9 * (1 + d) when that is smaller, so only the closest
-    points and those within the 1e-9 tie band of the closest are sure to be
-    returned: the band's bound is this same float expression of the closest
-    d. The visiting order stays ascending at every level.
+    radius2 to d * _TIE when smaller, so only the closest d and its ties (the
+    same float bound) are sure to be returned, in ascending order per level.
     """
     m = len(r_rows)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their
@@ -249,13 +249,14 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
             return
         half = math.sqrt(rem) / abs(rr)
         center = c / rr
-        lo = math.ceil(center - half - 1e-12)
-        hi = math.floor(center + half + 1e-12)
+        g = 1e-12 * (1 + abs(center))  # covers center's rounding, which grows with it
+        lo = math.ceil(center - half - g)
+        hi = math.floor(center + half + g)
         if free and lo < 0:
             lo = 0
         for xi in range(lo, hi + 1):
             d = dist + (c - rr * xi) ** 2
-            if d > radius2 + 1e-12:
+            if d > radius2:
                 continue
             x[level] = xi
             if level == 0:
@@ -266,8 +267,8 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
                                            "%d, radius^2 %.6g, limit %d" % (m, radius2, limit))
                 if not zero:
                     out.append((tuple(x), d))
-                    if target is not None and d + 1e-9 * (1 + d) < radius2:
-                        radius2 = d + 1e-9 * (1 + d)
+                    if target is not None and d * _TIE < radius2:
+                        radius2 = d * _TIE
             else:
                 rec(level - 1, d, free and not xi)
         x[level] = 0
@@ -313,11 +314,10 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
 
     The same greedy over the reduced columns, shortest first, finds k
     independent ones; the k-th pick's norm^2 r^2 bounds the k-th vector, so
-    the ball of r^2 plus the 1e-9 tie tolerance holds the picks and their tie
-    groups. The largest column caps it (the tolerance is absolute below 1).
+    the ball of r^2 * _TIE holds the picks and their tie groups.
 
-    Candidates are sorted by length once; a group of lengths within 1e-9 of
-    its first is mapped through U only when the loop reaches it, and a group
+    Candidates are sorted by length once; a group of lengths tied with its
+    first is mapped through U only when the loop reaches it, and a group
     of more than one is ordered lexicographically on canonical coefficients.
     """
     _, u_cols, r_rows, norms2 = lat._reduction
@@ -328,15 +328,15 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
             picks += 1
             if picks == k:
                 break
-    radius2 = min(max(norms2) * (1 + 1e-9), r2 + 1e-9 * (1 + r2))
+    radius2 = r2 * _TIE
     cands = _enumerate_all(r_rows, radius2)
     cands.sort(key=itemgetter(1))
     test, vectors, lengths = new_test(), [], []
     i, n = 0, len(cands)
     while i < n:
         x, d0 = cands[i]
-        j, tol = i + 1, 1e-9 * (1 + d0)
-        while j < n and cands[j][1] - d0 <= tol:
+        j, tie = i + 1, d0 * _TIE
+        while j < n and cands[j][1] <= tie:
             j += 1
         if j == i + 1:
             group = ((_canonical(_apply_transform(u_cols, x)), d0),)
@@ -355,7 +355,7 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
 
 def successive_minima(lat, k):
     """First k successive minima of the lattice: the greedy R-independent
-    picks in length order, ties within 1e-9 broken lexicographically on
+    picks in length order, ties (see _TIE) broken lexicographically on
     canonical coefficient vectors, from a certified radius (the k-th
     shortest LLL-reduced column)."""
     if not (1 <= k <= lat.dim):
@@ -385,7 +385,7 @@ def closest_vector(lat, target):
     red_basis, u_cols, r_rows, _ = lat._reduction
     t = lat._q.T @ target
     m = lat.dim
-    # Babai nearest-plane gives the initial radius. Its distance d is summed
+    # Babai nearest-plane gives the initial radius d * _TIE >= d. d is summed
     # with _enumerate_all's own float operations in the walk's order, so the
     # walk reaches the Babai leaf at this d: the ball holds it by construction
     t_list = t.tolist()
@@ -399,9 +399,9 @@ def closest_vector(lat, target):
         c = t_list[i] - s
         x_babai[i] = round(c / row[i])
         d += (c - row[i] * x_babai[i]) ** 2
-    cands = _enumerate_all(r_rows, d * (1 + 1e-9) + 1e-12, target=t)
+    cands = _enumerate_all(r_rows, d * _TIE, target=t)
     best_d = min(d for _, d in cands)
-    ties = [x for x, d in cands if d <= best_d + 1e-9 * (1 + best_d)]
+    ties = [x for x, d in cands if d <= best_d * _TIE]
     x = ties[0]
     if len(ties) > 1:
         # min() keeps the first of equal keys

@@ -1,4 +1,5 @@
 """Nested lattice codec: ideals, encoding, relay equations, destination."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from ringcf import (build_nested_pair, catalog_field, closest_vector,
                     scale_by_ring)
 from ringcf.codec import CodecError, LatticeEquation
 from ringcf.exact import int_mat_det, mat_solve, mat_vec_mod
+from ringcf.fields import field_from_json
 from ringcf.lattices import ZLattice
 
 
@@ -57,11 +59,68 @@ def test_prime_ideal_rejects_inert_prime():
     for r in range(2):
         with pytest.raises(CodecError):
             prime_ideal(f, 2, r)
-    # 2 has a root of the quartic's minimal polynomial but is not of degree
-    # one: the ideal above it has norm 4
+    # 2 has a root of the quartic's minimal polynomial, but evaluation there
+    # is no ring homomorphism of O: no prime of degree one lies at that root
     with pytest.raises(CodecError,
-                       match="^ideal above 2 has norm 4; inertial degree must be one$"):
+                       match="^reduction mod 2 at root 1 is not a ring homomorphism$"):
         prime_ideal(catalog_field("quartic-1600"), 2, 1)
+    # Q(sqrt 5) on theta = 2 sqrt 5, with the integral basis 1, (2 + theta)/4:
+    # 2 is inert here too, and at roots 0 and 2 of x^2 - 20 mod 2 the reduction
+    # is undefined or no homomorphism
+    f = field_from_json({"name": "f", "min_poly": [-20, 0, 1], "basis": [[1], ["1/2", "1/4"]]})
+    with pytest.raises(CodecError, match="^p = 2 divides a denominator of the integral "
+                                         "basis at root 0$"):
+        prime_ideal(f, 2, 0)
+    with pytest.raises(CodecError,
+                       match="^reduction mod 2 at root 2 is not a ring homomorphism$"):
+        prime_ideal(f, 2, 2)
+
+
+def test_prime_ideal_basis_is_the_kernel_of_rho():
+    # p * 1 and omega_i - rho(omega_i) * 1: a triangular basis of index p
+    f = catalog_field("quintic-24217")
+    ideal = prime_ideal(f, 37, 26)
+    res = _residues(f, 37, 26)
+    assert ideal.residues == res
+    assert ideal.basis_coords == [[37, 0, 0, 0, 0]] + [
+        [-res[i]] + [int(i == j) for j in range(1, 5)] for i in range(1, 5)]
+
+
+def oracle_coset_reps(field, p, root):
+    """Minimal lifts of 0..p-1, found without CVP: the least exact norm
+    Tr(x^2) = x^T T x (T the integer trace form) over the box |x_i| <= B, ties
+    broken by the lexicographically smallest embedding rounded to 12 digits.
+    B grows until every minimum N certifies the box: x^T T x <= N bounds |x_i|
+    by sqrt(N (T^-1)_ii)."""
+    n, table = field.degree, field.mult_table
+    traces = [sum(table[k][i][i] for i in range(n)) for k in range(n)]
+    T = np.array([[sum(m * t for m, t in zip(table[i][j], traces)) for j in range(n)]
+                  for i in range(n)])
+    bound = np.diag(np.linalg.inv(T))
+    res = np.array(_residues(field, p, root))
+    B = 1
+    while True:
+        box = np.array(list(itertools.product(range(-B, B + 1), repeat=n)))
+        norms = np.einsum("ki,ij,kj->k", box, T, box)
+        rho = box @ res % p
+        if all(np.any(rho == c) for c in range(p)):
+            mins = [norms[rho == c].min() for c in range(p)]
+            if all(np.all(N * bound < (B + 1) ** 2) for N in mins):
+                break
+        B += 1
+    reps = []
+    for c, N in enumerate(mins):
+        best = box[(rho == c) & (norms == N)]
+        reps.append(min(best.tolist(),
+                        key=lambda x: tuple(np.round(field.embeddings @ np.array(x, float), 12))))
+    return reps
+
+
+@pytest.mark.parametrize("name,p,root", [("quintic-24217", 37, 26), ("quartic-1957", 43, 32)])
+def test_coset_reps_equal_norm_oracle(name, p, root):
+    f = catalog_field(name)
+    ideal = prime_ideal(f, p, root)
+    assert [list(r.coords) for r in ideal.coset_reps] == oracle_coset_reps(f, p, root)
 
 
 def test_rho_is_ring_homomorphism(golden):

@@ -26,6 +26,13 @@ def test_config_validation():
         SweepConfig(fields=["quad-5"], users=0)
     with pytest.raises(ValueError, match="^seed must be non-negative$"):
         SweepConfig(fields=["quad-5"], seed=-1)
+    # a bool, a float or a string is not an integer; a numpy integer is
+    for field, value in (("seed", 1.5), ("users", 2.0), ("seed", True), ("trials", True),
+                         ("users", False), ("trials", "3")):
+        with pytest.raises(ValueError, match="^%s must be an integer, got %s$"
+                                             % (field, re.escape(repr(value)))):
+            SweepConfig(fields=["quad-5"], **{field: value})
+    assert SweepConfig(fields=["quad-5"], seed=np.int64(3), trials=1).seed == 3
     with pytest.raises(ValueError):
         SweepConfig(fields=["quad-5", "cubic-49"], trials=1)  # mixed degrees
     with pytest.raises(ValueError):

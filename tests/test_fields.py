@@ -54,6 +54,13 @@ def test_real_roots_rejects_complex():
         real_roots([1, 0, 1])  # x^2 + 1
 
 
+def test_real_roots_refuses_degree_below_one():
+    for poly in ([], [1], [5]):
+        with pytest.raises(ValueError, match=r"^minimal polynomial must have degree at "
+                                             r"least 1, got %s$" % re.escape(repr(poly))):
+            real_roots(poly)
+
+
 def test_real_roots_rejects_repeated():
     with pytest.raises(NotTotallyRealError):
         real_roots([1, -2, 1])  # (x-1)^2

@@ -16,6 +16,10 @@ from ringcf.rates import (ChannelRealization, _select_independent, best_coeffici
                           build_humbert, if_rate, integer_baseline, integer_if_rate)
 from test_exact import fraction_rank
 
+# the references' tie band, restated here: a squared length ties with d when
+# it is at most d * TIE
+TIE = 1.0 + 1e-9
+
 
 def random_basis(rng, m, min_det=0.1):
     while True:
@@ -349,8 +353,7 @@ def minima_radius2(monkeypatch, lat, k):
 
 def echelon_column_radius2(lat, k):
     """The radius^2 of a greedy IntEchelon pass over the reduced columns,
-    shortest first: the k-th pick's norm^2 plus the tie tolerance, capped by
-    the largest column."""
+    shortest first: the k-th pick's norm^2 widened by the tie band."""
     red_basis, u_cols, _, _ = lat._reduction
     norms2 = []
     for col in red_basis.T.tolist():
@@ -362,7 +365,7 @@ def echelon_column_radius2(lat, k):
     for i in sorted(range(lat.dim), key=norms2.__getitem__):
         if len(picks) < k and test(u_cols[i]):
             picks.append(norms2[i])
-    return min(max(norms2) * (1 + 1e-9), picks[-1] + 1e-9 * (1 + picks[-1]))
+    return picks[-1] * TIE
 
 
 def test_minima_radius_equals_echelon_column_pass(monkeypatch):
@@ -509,16 +512,16 @@ def test_minima_tie_break_lexicographic():
 
 def full_radius_minima(lat):
     """All successive minima, from every vector inside the largest
-    LLL-reduced column: by length, ties within 1e-9 in lexicographic order of
+    LLL-reduced column: by length, ties in lexicographic order of
     canonical coefficients, then a greedy with fraction_rank."""
     red_basis, u_cols, r_rows, _ = lat._reduction
-    radius2 = float(np.max(np.sum(red_basis ** 2, axis=0))) * (1 + 1e-9)
+    radius2 = float(np.max(np.sum(red_basis ** 2, axis=0))) * TIE
     cands = sorted(lattices._enumerate_all(r_rows, radius2), key=lambda e: e[1])
     u = np.array(u_cols, dtype=object).T
     vectors, lengths, i = [], [], 0
     while len(vectors) < lat.dim:
         j, d0 = i, cands[i][1]
-        while j < len(cands) and cands[j][1] - d0 <= 1e-9 * (1 + d0):
+        while j < len(cands) and cands[j][1] <= d0 * TIE:
             j += 1
         group = []
         for x, d in cands[i:j]:
@@ -549,6 +552,17 @@ def test_adaptive_radius_minima_match_full_radius_oracle():
         for k in range(1, m):
             res = successive_minima(lat, k)
             assert (res.vectors, res.lengths) == (vectors[:k], lengths[:k])
+
+
+def test_minima_do_not_depend_on_the_scale():
+    # scaling a basis by c scales every squared length, and so every tie band,
+    # by c^2: no tie decision may change
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        b = random_basis(rng, int(rng.integers(2, 6)))
+        want = successive_minima(ZLattice(b), len(b)).vectors
+        for c in (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 10, 1e3, 1e6, 1e8):
+            assert successive_minima(ZLattice(c * b), len(b)).vectors == want, (c, b)
 
 
 def test_enumeration_node_limit_names_dimension_radius_and_limit():
@@ -678,11 +692,12 @@ def numpy_scalar_enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
             return
         half = math.sqrt(rem) / abs(rr)
         center = c / rr
-        lo = math.ceil(center - half - 1e-12)
-        hi = math.floor(center + half + 1e-12)
+        g = 1e-12 * (1 + abs(center))
+        lo = math.ceil(center - half - g)
+        hi = math.floor(center + half + g)
         for xi in range(lo, hi + 1):
             d = dist + (c - rr * xi) ** 2
-            if d > radius2 + 1e-12:
+            if d > radius2:
                 continue
             x[level] = xi
             if level == 0:
@@ -703,12 +718,11 @@ def numpy_scalar_enumerate_all(r_mat, radius2, target=None, limit=2_000_000):
 
 
 def tie_set(cands):
-    """The candidates within 1e-9 * (1 + d) of the closest distance d, in
-    visiting order."""
+    """The candidates tied with the closest distance d, in visiting order."""
     if not cands:
         return []
     best = min(d for _, d in cands)
-    return [(x, d) for x, d in cands if d <= best + 1e-9 * (1 + best)]
+    return [(x, d) for x, d in cands if d <= best * TIE]
 
 
 def test_enumeration_equals_numpy_scalar_reference():
@@ -721,7 +735,7 @@ def test_enumeration_equals_numpy_scalar_reference():
         red_basis = lat._reduction[0]
         q, r_mat = reference_qr(red_basis)
         norms2 = np.sort(np.sum(red_basis ** 2, axis=0))
-        radius2 = float(norms2[m // 2]) * (1 + 1e-9)
+        radius2 = float(norms2[m // 2]) * TIE
         got = lattices._enumerate_all(r_mat.tolist(), radius2)
         assert got == numpy_scalar_enumerate_all(r_mat, radius2)
         # with a target the walk shrinks its radius to the closest leaf, so
@@ -731,11 +745,12 @@ def test_enumeration_equals_numpy_scalar_reference():
         assert tie_set(got) == tie_set(numpy_scalar_enumerate_all(r_mat, radius2, target=target))
         checked += len(got) > 0
     assert checked > 20
-    # a radius just below the unit vector's norm^2 passes its leaf within the
-    # 1e-12 slack, and the walk below it finds no room left (rem < 0)
-    unit, radius2 = [[1.0, 0.0], [0.0, 1.0]], 1 - 5e-13
-    got = lattices._enumerate_all(unit, radius2)
-    assert got == numpy_scalar_enumerate_all(np.array(unit), radius2) == [((1, 0), 1.0)]
+    # the coordinate bounds keep a guard but the leaf filter has no slack: a
+    # radius^2 of 1 holds both unit vectors, one just below holds none
+    unit = [[1.0, 0.0], [0.0, 1.0]]
+    for radius2, want in ((1.0, [((1, 0), 1.0), ((0, 1), 1.0)]), (1 - 5e-13, [])):
+        got = lattices._enumerate_all(unit, radius2)
+        assert got == numpy_scalar_enumerate_all(np.array(unit), radius2) == want
 
 
 def leaf_filter_enumerate_all(r_rows, radius2, limit):
@@ -760,11 +775,12 @@ def leaf_filter_enumerate_all(r_rows, radius2, limit):
             return
         half = math.sqrt(rem) / abs(rr)
         center = c / rr
-        lo = math.ceil(center - half - 1e-12)
-        hi = math.floor(center + half + 1e-12)
+        g = 1e-12 * (1 + abs(center))
+        lo = math.ceil(center - half - g)
+        hi = math.floor(center + half + g)
         for xi in range(lo, hi + 1):
             d = dist + (c - rr * xi) ** 2
-            if d > radius2 + 1e-12:
+            if d > radius2:
                 continue
             x[level] = xi
             if level == 0:
@@ -801,7 +817,7 @@ def test_minima_enumeration_equals_leaf_filter_reference_at_every_limit():
                        * rng.choice([1.0, 3.0, 0.1], size=m))
         r_rows = lat._reduction[2]
         norms2 = sorted(np.sum(lat._reduction[0] ** 2, axis=0).tolist())
-        radius2 = norms2[min(trial % m, m // 2)] * (1 + 1e-9) * rng.choice([1.0, 1.5])
+        radius2 = norms2[min(trial % m, m // 2)] * TIE * rng.choice([1.0, 1.5])
         ref = leaf_filter_enumerate_all(r_rows, radius2, math.inf)
         assert lattices._enumerate_all(r_rows, radius2) == ref
         c = len(ref)
@@ -855,12 +871,14 @@ def numpy_scalar_closest_vector(lat, target, limit=2_000_000):
         c = t[i] - sum(r_mat[i, j] * x_babai[j] for j in range(i + 1, m))
         x_babai[i] = round(c / r_mat[i, i])
     babai_pt = red_basis @ np.array(x_babai, dtype=float)
-    radius2 = float(np.sum((target - babai_pt) ** 2)) * (1 + 1e-9) + 1e-12
+    # numpy sums Babai's distance^2 in another order than the walk: the 1e-12
+    # keeps the walk's Babai leaf inside this fixed ball when that is near 0
+    radius2 = float(np.sum((target - babai_pt) ** 2)) * TIE + 1e-12
     cands = numpy_scalar_enumerate_all(r_mat, radius2, target=t, limit=limit)
     if not cands:
         raise EnumerationError("CVP enumeration found no candidates")
     best_d = min(d for _, d in cands)
-    ties = [x for x, d in cands if d <= best_d + 1e-9 * (1 + best_d)]
+    ties = [x for x, d in cands if d <= best_d * TIE]
     best = None
     for x in ties:
         key = tuple(np.round(target - red_basis @ np.array(x, dtype=float), 12))
@@ -945,6 +963,23 @@ def test_cvp_equals_reference_on_benchmark_codec_pair():
     assert multi > 30
 
 
+def test_cvp_returns_a_target_on_the_lattice_with_large_coordinates():
+    # Babai's leaf is at d = 0, so the ball leaves no room: the walk reaches it
+    # only if its coordinate bounds cover the rounding of c / r_ii, which
+    # grows with the coordinate
+    for rr in (0.1, 0.3, 0.7, 1.1):
+        lat = ZLattice([[rr]])
+        for x in range(100000, 100100):
+            assert closest_vector(lat, [rr * x])[0] == (x,)
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        m = int(rng.integers(2, 5))
+        b = random_basis(rng, m)
+        x = rng.integers(-10 ** 6, 10 ** 6, size=m)
+        coeffs, point, dist = closest_vector(ZLattice(b), b @ x)
+        assert coeffs == tuple(x) and dist < 1e-9 * np.linalg.norm(point)
+
+
 def test_cvp_shrinks_its_radius_on_a_mixed_scale_basis():
     # Babai's radius^2 72.75 holds millions of points of this basis and the
     # fixed-radius walk hit the node limit after seconds; lowering the radius
@@ -1027,7 +1062,7 @@ def reference_length_order(u_rows, cands):
     i = 0
     while i < len(cands):
         d0, j = cands[i][1], i + 1
-        while j < len(cands) and cands[j][1] - d0 <= 1e-9 * (1 + d0):
+        while j < len(cands) and cands[j][1] <= d0 * TIE:
             j += 1
         yield from sorted((reference_canonical(reference_apply_transform(u_rows, x)), d)
                           for x, d in cands[i:j])
@@ -1054,7 +1089,7 @@ def reference_greedy_minima(lat, k, new_test, test_columns=True):
         r2 = picks[-1]
     else:
         r2 = sorted(norms2)[k - 1]
-    radius2 = min(max(norms2) * (1 + 1e-9), r2 + 1e-9 * (1 + r2))
+    radius2 = r2 * TIE
     test, vectors, lengths = new_test(), [], []
     for vec, d in reference_length_order(u_rows, lattices._enumerate_all(r_rows, radius2)):
         if test(vec):

@@ -504,6 +504,18 @@ def test_integer_baseline_saturates():
     assert ring_hi > r_hi + 3.0        # ring scheme keeps growing
 
 
+def test_unit_gains_z_baseline_finds_the_all_ones_vector():
+    # h = ones: f(a) = (a1 - a2)^2 + (a1 + a2)^2 / (1 + 2P), least at +-(1, 1)
+    # with rate log2((1 + 2P) / 2). The float factor of the summed form
+    # carries a relative error in f of order P times the float epsilon (about
+    # 1e-2 at 140 dB), which bounds how close the rate can come
+    for snr_db in (100, 120, 140):
+        P = 10.0 ** (snr_db / 10.0)
+        rates, vectors = integer_baseline(ChannelRealization(h=np.ones((2, 2)), snr=P), k=1)
+        assert vectors == [(-1, -1)]
+        assert abs(rates[0] - math.log2((1 + 2 * P) / 2)) <= math.log2(1 + 1e-15 * P)
+
+
 def test_if_scalar_oracle():
     f = catalog_field("rational")
     for P in (0.5, 4.0, 1000.0):
