@@ -28,7 +28,8 @@ IF_METRICS = ("if_rate", "z_if", "ml")
 @dataclass
 class SweepConfig:
     """Monte Carlo sweep description. Empty metrics mean every metric of the
-    sweep that runs the config; each SNR must have a finite power."""
+    sweep that runs the config; the grid names at least one SNR, and each
+    must have a finite power."""
 
     fields: list
     users: int = 2
@@ -50,6 +51,8 @@ class SweepConfig:
             raise ValueError("seed must be non-negative")
         self.fields = sweep_fields(self.fields)
         self.snr_db_grid = tuple(float(s) for s in self.snr_db_grid)
+        if not self.snr_db_grid:
+            raise ValueError("snr_db_grid must name at least one SNR")
         for s in self.snr_db_grid:
             _snr_power(s)
         self.metrics = tuple(self.metrics)

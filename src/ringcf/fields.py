@@ -37,7 +37,7 @@ def _monic_degree(coeffs):
     return len(coeffs) - 1
 
 
-def real_roots(min_poly, tol=1e-10):
+def real_roots(min_poly):
     """All real roots of a monic squarefree integer polynomial, ascending.
 
     Roots come from the companion matrix and are polished with Newton steps.
@@ -49,7 +49,7 @@ def real_roots(min_poly, tol=1e-10):
         return np.array([-float(coeffs[0])])
     raw = np.roots(coeffs[::-1])
     scale = max(1.0, float(np.max(np.abs(raw))))
-    if np.max(np.abs(raw.imag)) > tol * scale:
+    if np.max(np.abs(raw.imag)) > 1e-10 * scale:
         raise NotTotallyRealError("minimal polynomial has complex roots")
     roots = np.sort(raw.real)
     if np.min(np.diff(roots)) < 1e-8 * scale:
@@ -62,6 +62,12 @@ def real_roots(min_poly, tol=1e-10):
     if np.min(np.diff(roots)) < 1e-8 * scale:
         raise NotTotallyRealError("minimal polynomial has repeated roots")
     return roots
+
+
+def _same_ring(f, g):
+    """Fields f and g are one ring when they are one object, or when they have
+    the same name and the same multiplication table."""
+    return f is g or (f.name == g.name and f.mult_table == g.mult_table)
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class AlgebraicInt:
             raise ValueError("coordinate length does not match field degree")
 
     def _check(self, other):
-        if self.field is not other.field and self.field.name != other.field.name:
+        if not _same_ring(self.field, other.field):
             raise FieldMismatchError("elements belong to different fields")
 
     def __add__(self, other):
@@ -116,15 +122,14 @@ class AlgebraicInt:
         return self.field.embeddings @ np.array(self.coords, dtype=float)
 
     def mul_matrix(self):
-        """Integer matrix of multiplication by self on basis coordinates
-        (column i holds the coordinates of self * omega_i)."""
-        n = self.field.degree
-        cols = [(self * self.field.element([int(i == j) for j in range(n)])).coords
-                for i in range(n)]
-        return [list(row) for row in zip(*cols)]
+        """Integer matrix of multiplication by self on basis coordinates, read
+        off mult_table: entry (k, i) is coordinate k of self * omega_i."""
+        t, n = self.field.mult_table, self.field.degree
+        return [[sum(a * t[j][i][k] for j, a in enumerate(self.coords) if a)
+                 for i in range(n)] for k in range(n)]
 
     def trace(self):
-        return sum(row[i] for i, row in enumerate(self.mul_matrix()))
+        return sum(map(operator.mul, self.coords, self.field._basis_traces))
 
     def norm(self):
         return exact.int_mat_det(self.mul_matrix())
@@ -159,14 +164,13 @@ class NumberField:
         if self.basis_polys[0] != tuple([Fraction(1)] + [Fraction(0)] * (n - 1)):
             raise ValueError("first integral basis element must be 1")
 
-        # basis matrix: column j holds power-basis coefficients of basis_j
-        self._basis_mat = [[polys[j][i] for j in range(n)] for i in range(n)]
-
-        # multiplication table, exact: one solve for all n^2 products
+        # multiplication table, exact: one solve for all n^2 products against
+        # the basis matrix, whose column j holds power-basis coefficients of basis_j
+        basis_mat = [[polys[j][i] for j in range(n)] for i in range(n)]
         products = [exact.poly_mod(exact.poly_mul(list(pi), list(pj)), mp)
                     for pi in polys for pj in polys]
         try:
-            coords = exact.mat_solve(self._basis_mat,
+            coords = exact.mat_solve(basis_mat,
                                      [q + [0] * (n - len(q)) for q in products])
         except ZeroDivisionError:
             raise ValueError("integral basis is linearly dependent") from None
@@ -175,10 +179,11 @@ class NumberField:
         self.mult_table = tuple(tuple(tuple(int(c) for c in coords[i * n + j])
                                       for j in range(n)) for i in range(n))
 
-        # exact discriminant via the trace form
-        trace_mat = [[self.element(self.mult_table[i][j]).trace() for j in range(n)]
-                     for i in range(n)]
-        disc = exact.int_mat_det(trace_mat)
+        # exact discriminant of the trace form tr(omega_i omega_j), which is
+        # sum_k mult_table[i][j][k] tr(omega_k), tr(omega_k) = sum_i mult_table[k][i][i]
+        self._basis_traces = tuple(sum(t[i][i] for i in range(n)) for t in self.mult_table)
+        disc = exact.int_mat_det([[sum(map(operator.mul, tij, self._basis_traces))
+                                   for tij in ti] for ti in self.mult_table])
         if disc <= 0:
             raise NotTotallyRealError("trace form is not positive definite")
         self.discriminant = disc
@@ -196,11 +201,9 @@ class NumberField:
 
     @functools.cached_property
     def _omega_matrices(self):
-        """Multiplication by omega_2..omega_n (omega_1 = 1) on coordinates,
-        built on first use."""
-        n = self.degree
-        return tuple(self.element([int(i == j) for j in range(n)]).mul_matrix()
-                     for i in range(1, n))
+        """Multiplication by omega_2..omega_n (omega_1 = 1) on coordinates:
+        the transposes of their slices of mult_table, built on first use."""
+        return tuple([list(row) for row in zip(*ti)] for ti in self.mult_table[1:])
 
     # -- element constructors ----------------------------------------------
 
@@ -212,13 +215,6 @@ class NumberField:
 
     def one(self):
         return self.element([1] + [0] * (self.degree - 1))
-
-    def theta(self):
-        """The generator theta (0 in the rationals) in basis coordinates."""
-        rhs = [int(i == 1) for i in range(self.degree)]
-        coords = exact.mat_solve(self._basis_mat, [rhs])[0]
-        assert all(c.denominator == 1 for c in coords)
-        return self.element([int(c) for c in coords])
 
     def __repr__(self):
         return "NumberField(%r, degree=%d, disc=%d)" % (self.name, self.degree,
@@ -279,7 +275,7 @@ def rank_over_K(field, rows):
     """Rank over the field of a matrix with entries in the ring of integers
     (`rows` is a sequence of sequences of AlgebraicInt)."""
     rows = list(rows)
-    if any(a.field is not field and a.field.name != field.name for row in rows for a in row):
+    if not all(_same_ring(a.field, field) for row in rows for a in row):
         raise FieldMismatchError("elements belong to a different field")
     span = KSpan(field)
     return sum(span.add(psi_inverse(row)) for row in rows)

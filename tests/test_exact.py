@@ -287,11 +287,22 @@ def test_column_basis_equals_reference_on_random_sets():
     assert deficient > 50
 
 
-def ideal_generators(field, p, root):
-    """The 2n columns p*omega_j and (theta - root)*omega_j that
-    `prime_ideal` hands to `column_basis`."""
+def theta(field):
+    """The generator theta (0 in the rationals) in basis coordinates: the
+    solve of the basis matrix, column j the coefficients of basis_polys[j],
+    against e_2."""
     n = field.degree
-    gen = field.theta() - root * field.one()
+    basis = [[field.basis_polys[j][i] for j in range(n)] for i in range(n)]
+    coords = mat_solve(basis, [[int(i == 1) for i in range(n)]])[0]
+    assert all(c.denominator == 1 for c in coords)
+    return field.element([int(c) for c in coords])
+
+
+def ideal_generators(field, p, root):
+    """The 2n columns p*omega_j and (theta - root)*omega_j of the ideal
+    p*O + (theta - root)*O over a root of the minimal polynomial mod p."""
+    n = field.degree
+    gen = theta(field) - root * field.one()
     cols = []
     for j in range(n):
         omega = field.element([int(i == j) for i in range(n)])

@@ -33,6 +33,9 @@ def test_config_validation():
                                              % (field, re.escape(repr(value)))):
             SweepConfig(fields=["quad-5"], **{field: value})
     assert SweepConfig(fields=["quad-5"], seed=np.int64(3), trials=1).seed == 3
+    # an empty grid is refused before any trial runs
+    with pytest.raises(ValueError, match="^snr_db_grid must name at least one SNR$"):
+        SweepConfig(fields=["quad-5"], snr_db_grid=(), trials=2)
     with pytest.raises(ValueError):
         SweepConfig(fields=["quad-5", "cubic-49"], trials=1)  # mixed degrees
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Number field arithmetic: catalog, embeddings, exact invariants."""
 import json
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from ringcf import (FieldMismatchError, NotTotallyRealError, catalog_field,
                     catalog_names, field_from_json, field_to_json,
                     rank_over_K, real_roots)
 from ringcf import fields
-from ringcf.exact import IntEchelon
+from ringcf.exact import IntEchelon, int_mat_det
 from ringcf.fields import KSpan, NumberField
+from test_exact import fraction_det, theta
 
 EXPECTED_DISCRIMINANTS = {
     "rational": 1,
@@ -93,8 +95,8 @@ def test_multiplication_example_matrix():
 
 def test_norm_and_trace_exact():
     f = catalog_field("quad-5")
-    theta = f.theta()
-    assert theta.norm() == -1 and theta.trace() == 1
+    phi = theta(f)
+    assert phi.coords == (0, 1) and phi.norm() == -1 and phi.trace() == 1
     one = f.one()
     assert one.norm() == 1 and one.trace() == f.degree
     # norm is multiplicative
@@ -113,6 +115,62 @@ def test_field_mismatch_raises():
         a * b
     with pytest.raises(FieldMismatchError):
         rank_over_K(catalog_field("quad-5"), [[a, b]])
+
+
+def test_same_ring_needs_the_same_multiplication_table():
+    # a field named quad-5 on sqrt 2 is not quad-5: phi * sqrt 2 is no
+    # element of either ring, so every operation and rank test refuses it
+    q5 = catalog_field("quad-5")
+    impostor = field_from_json({"name": "quad-5", "min_poly": [-2, 0, 1],
+                                "basis": [[1], [0, 1]]})
+    phi, root2 = q5.element([0, 1]), impostor.element([0, 1])
+    for op in (operator.mul, operator.add, operator.sub):
+        for x, y in ((phi, root2), (root2, phi)):
+            with pytest.raises(FieldMismatchError):
+                op(x, y)
+    for field in (q5, impostor):
+        with pytest.raises(FieldMismatchError):
+            rank_over_K(field, [[phi, root2]])
+    # a copy of quad-5 is the same ring, though not the same object
+    twin = field_from_json(field_to_json(q5))
+    assert twin is not q5
+    a = twin.element([0, 1])
+    assert (phi * a).coords == (1, 1) and (a + phi).coords == (0, 2)
+    assert rank_over_K(q5, [[phi, a]]) == 1
+    assert rank_over_K(twin, [[phi, a], [a, phi * a]]) == 2
+
+
+def unit_elements(field):
+    n = field.degree
+    return [field.element([int(i == j) for j in range(n)]) for i in range(n)]
+
+
+def element_built_mul_matrix(a):
+    """Multiplication by a built from unit elements: column i holds the
+    coordinates of a * omega_i."""
+    cols = [(a * omega).coords for omega in unit_elements(a.field)]
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_ring_matrices_equal_element_built_oracle(name):
+    # mul_matrix, trace, norm, the omega-matrices and the trace form of the
+    # discriminant read mult_table; built from products of unit elements
+    # instead, every one is the same integer data
+    rng = np.random.default_rng(sum(map(ord, name)))
+    f = catalog_field(name)
+    for g in (f, field_from_json(field_to_json(f))):
+        omegas = [element_built_mul_matrix(w) for w in unit_elements(g)]
+        assert g._omega_matrices == tuple(omegas[1:])
+        trace_form = [[sum(mi[k][l] * mj[l][k] for k in range(g.degree)
+                           for l in range(g.degree)) for mj in omegas] for mi in omegas]
+        assert fraction_det(trace_form) == g.discriminant
+        for _ in range(25):
+            a = g.element(rng.integers(-9, 10, size=g.degree).tolist())
+            m = element_built_mul_matrix(a)
+            assert a.mul_matrix() == m
+            assert a.trace() == sum(m[i][i] for i in range(g.degree))
+            assert a.norm() == int_mat_det(m)
 
 
 class EagerKSpan(IntEchelon):

@@ -20,6 +20,7 @@ from ringcf import (ChannelRealization, EnumerationError,
 from ringcf import fields, lattices, rates
 from ringcf.lattices import hermite_constant
 from ringcf.rates import ChannelFormatError, _block_basis, _embedded_terms, log2_plus
+from test_exact import theta
 
 
 def random_channel(rng, n, L, P):
@@ -422,6 +423,82 @@ def test_user_permutation_permutes_the_coefficients(name, users):
                     want = [vec[l].coords for l in perm]
                     got = [a.coords for a in got]
                     assert got in (want, [tuple(-c for c in x) for x in want]), (P, perm)
+
+
+# the cells of the metamorphic tests below: (field, users)
+INVARIANCE_CELLS = [("quad-5", 2), ("quad-8", 3), ("cubic-49", 2), ("quartic-725", 2),
+                    ("quintic-14641", 2)]
+
+
+def invariance_draws(field, users, seed):
+    """(h, P): 6 draws at each of 0, 30 and 60 dB."""
+    rng = np.random.default_rng(seed)
+    for snr_db in (0, 30, 60):
+        for _ in range(6):
+            yield rng.normal(size=(field.degree, users)), 10.0 ** (snr_db / 10)
+
+
+def coords_of(report):
+    return [[a.coords for a in vec] for vec in report.coeffs]
+
+
+@pytest.mark.parametrize("name, users", INVARIANCE_CELLS)
+def test_negated_block_gains_negate_only_its_scaling(name, users):
+    # the MMSE form reads a block's gains through h_j h_j^T, so negating them
+    # leaves the form, and every vector found, bit-identical; the block's
+    # MMSE scaling, linear in h_j, changes sign
+    f = catalog_field(name)
+    for h, P in invariance_draws(f, users, 71):
+        rep = best_coefficients(f, ChannelRealization(h=h, snr=P))
+        for j in range(f.degree):
+            g = h.copy()
+            g[j] = -g[j]
+            moved = best_coefficients(f, ChannelRealization(h=g, snr=P))
+            assert moved.f_values == rep.f_values and coords_of(moved) == coords_of(rep)
+            assert moved.b_opt == [-b if i == j else b for i, b in enumerate(rep.b_opt)]
+
+
+@pytest.mark.parametrize("name, users", INVARIANCE_CELLS)
+def test_gain_and_power_rescaling_keeps_the_vectors(name, users):
+    # (c h, P / c^2) is the same channel: the vectors stay and the rates move
+    # by rounding alone
+    f = catalog_field(name)
+    for h, P in invariance_draws(f, users, 72):
+        rep = best_coefficients(f, ChannelRealization(h=h, snr=P))
+        for c in (0.5, 3.0, 1e3):
+            moved = best_coefficients(f, ChannelRealization(h=c * h, snr=P / c ** 2))
+            assert coords_of(moved) == coords_of(rep), (P, c)
+            for a, b in zip(rep.rates_am + [rep.rate_gm], moved.rates_am + [moved.rate_gm]):
+                assert math.isclose(a, b, rel_tol=1e-9), (P, c, a, b)
+
+
+@pytest.mark.parametrize("name, users", INVARIANCE_CELLS)
+def test_unit_multiple_keeps_the_geometric_mean_rate(name, users):
+    # block j's term of u*a is sigma_j(u)^2 times that of a, and the product
+    # of the sigma_j(u)^2 is N(u)^2 = 1; the terms cancel to about P*eps
+    # relative (the smallest eigenvalue of M_j is 1/(1 + P|h_j|^2)), so the
+    # bound grows with P above 30 dB
+    f = catalog_field(name)
+    # phi, 1 + sqrt 2, and theta, whose minimal polynomial has constant term -1 or 1
+    u = f.element({"quad-5": [0, 1], "quad-8": [1, 1]}[name]) if f.degree == 2 else theta(f)
+    assert abs(u.norm()) == 1
+    for h, P in invariance_draws(f, users, 73):
+        ch = ChannelRealization(h=h, snr=P)
+        rep = best_coefficients(f, ch)
+        got = rate_gm(build_humbert(f, ch), [u * a for a in rep.coeffs[0]])
+        assert abs(got - rep.rate_gm) <= 1e-15 * max(P, 1e3), (P, got, rep.rate_gm)
+
+
+@pytest.mark.parametrize("name", ["quad-5", "quad-8", "quad-12", "quad-13", "quad-17"])
+def test_block_swap_is_the_galois_automorphism(name):
+    # swapping the blocks of a quadratic field swaps its two embeddings, which
+    # the conjugation a -> a' does on O_K: the minima stay the same
+    f = catalog_field(name)
+    for h, P in invariance_draws(f, 2, 74):
+        rep = best_coefficients(f, ChannelRealization(h=h, snr=P))
+        moved = best_coefficients(f, ChannelRealization(h=h[::-1], snr=P))
+        for a, b in zip(rep.f_values, moved.f_values):
+            assert math.isclose(a, b, rel_tol=1e-9), (P, a, b)
 
 
 def test_lower_bounds_and_mac():
