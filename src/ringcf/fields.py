@@ -82,6 +82,13 @@ class AlgebraicInt:
         if len(self.coords) != self.field.degree:
             raise ValueError("coordinate length does not match field degree")
 
+    def __eq__(self, other):
+        return (isinstance(other, AlgebraicInt) and self.coords == other.coords
+                and _same_ring(self.field, other.field))
+
+    def __hash__(self):
+        return hash((self.field.name, self.coords))
+
     def _check(self, other):
         if not _same_ring(self.field, other.field):
             raise FieldMismatchError("elements belong to different fields")

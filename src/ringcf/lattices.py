@@ -51,7 +51,7 @@ class ZLattice:
         whose Gram-Schmidt norms `_gso` has just found finite and positive, or
         a block basis built from checked channel factors (`_gso` still raises
         on a collapsed norm). The basis is a fresh float array no one else
-        holds, or a channel's read-only Z factor."""
+        holds, or a read-only entry of a channel stack's bases."""
         lat = object.__new__(cls)
         basis.flags.writeable = False
         object.__setattr__(lat, "basis", basis)
@@ -66,31 +66,9 @@ class ZLattice:
 
     @functools.cached_property
     def _reduction(self):
-        """(reduced basis, columns of U, R rows, column norms^2), computed on
-        first use and kept.
-
-        LLL runs through the module's `lll_reduce`, looked up at call time.
-        U's columns are tuples of Python ints, the images of the unit
-        vectors, which `_apply_transform` scales and adds. Each column norm^2
-        is summed top to bottom with +=, the order of np.sum(axis=0) on the
-        C-ordered basis. R is the triangular factor of np.linalg.qr with its
-        negative-diagonal rows negated: numpy's mode "raw" runs the same
-        factorization and returns its transpose, whose lower triangle holds
-        R, and negating a row is exact. Q waits for `_q`.
-        """
-        red, u = lll_reduce(self)
-        r_rows = np.linalg.qr(red.basis, mode="raw")[0].T.tolist()
-        for i, row in enumerate(r_rows):
-            row[:i] = [0.0] * i
-            if row[i] < 0:
-                r_rows[i] = [-x for x in row]
-        norms2 = []
-        for col in red.basis.T.tolist():
-            s = 0.0
-            for x in col:
-                s += x * x
-            norms2.append(s)
-        return red.basis, list(zip(*u)), r_rows, norms2
+        """(reduced basis, U columns, R rows, column norms^2), kept by `_reduce`."""
+        _reduce([self])
+        return vars(self)["_reduction"]
 
     @functools.cached_property
     def _q(self):
@@ -99,6 +77,31 @@ class ZLattice:
         R diagonal entry is negative."""
         q, r = np.linalg.qr(self._reduction[0])
         return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
+def _reduce(lats):
+    """LLL-reduce the lattices lats, all of one dimension, in order through
+    the module's `lll_reduce` (looked up at call time), and keep each one's
+    (reduced basis, U columns as int tuples, R rows, column norms^2) as its
+    `_reduction`. R is np.linalg.qr's factor, rows with a negative diagonal
+    negated, from one mode "raw" call that factors the stack of reduced bases
+    as calls of their own would. Q waits for `_q`. If LLL raises on a lattice,
+    the ones before it keep their reductions and the error propagates."""
+    reduced = []
+    try:
+        for lat in lats:
+            reduced.append(lll_reduce(lat))
+    finally:
+        if reduced:
+            bases = np.array([red.basis for red, _ in reduced])
+            raw = np.linalg.qr(bases, mode="raw")[0].swapaxes(1, 2).tolist()
+            for lat, (red, u), r_rows, norms2 in zip(lats, reduced, raw,
+                                                     np.sum(bases * bases, axis=1).tolist()):
+                for i, row in enumerate(r_rows):
+                    row[:i] = [0.0] * i
+                    if row[i] < 0:
+                        r_rows[i] = [-x for x in row]
+                vars(lat)["_reduction"] = red.basis, list(zip(*u)), r_rows, norms2
 
 
 def _norm_error(s):

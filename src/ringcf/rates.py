@@ -9,6 +9,7 @@ field.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import KSpan, psi_inverse, psi_map  # noqa: F401 (psi_inverse: re-export)
-from .lattices import ZLattice, _greedy_minima, hermite_constant, successive_minima
+from .lattices import (EnumerationError, ZLattice, _greedy_minima, _reduce, hermite_constant,
+                       successive_minima)
 
 
 class PathologicalChannelError(ValueError):
@@ -123,6 +125,10 @@ class ChannelRealization:
     _z_factor = _stacked("z_factor")
     _z_if_factor = _stacked("z_if_factor")
 
+    def _lattice(self, factors, field=None):
+        """This channel's lattice of `_SnrStack.lattices(factors, field)`."""
+        return self._stack.lattices(factors, field)[self._at]
+
     @classmethod
     def from_json(cls, doc):
         """Channel of a document {h, snr_db}. A document that is not an
@@ -190,7 +196,7 @@ def _upper_cholesky(stack, message):
     every power i, from one stacked call. A failure raises
     PathologicalChannelError(message), caused by its LinAlgError."""
     try:
-        return list(_read_only(np.linalg.cholesky(stack).swapaxes(-1, -2)))
+        return _read_only(np.linalg.cholesky(stack).swapaxes(-1, -2))
     except np.linalg.LinAlgError as e:
         raise PathologicalChannelError(message) from e
 
@@ -209,7 +215,7 @@ class _SnrStack:
     """
 
     def __init__(self, h, powers):
-        self.h, self.powers = h, powers
+        self.h, self.powers, self._lattices = h, powers, {}
 
     @functools.cached_property
     def mmse_gains(self):
@@ -295,6 +301,20 @@ class _SnrStack:
         return _upper_cholesky(gram, "Z baseline Gram matrix not positive definite"
                                + self._where)
 
+    def lattices(self, factors, field=None):
+        """Lattices, one per power, on the quantity `factors` (Z factors) or on a
+        field's block bases of it (CF, IF), reduced together on first read and
+        kept. Those from a power where LLL fails on reduce, and raise, when read."""
+        key = factors, field
+        if key not in self._lattices:
+            bases = getattr(self, factors)
+            lats = [ZLattice._checked(b)
+                    for b in (bases if field is None else _block_bases(field, bases))]
+            with contextlib.suppress(EnumerationError):  # raised again when read
+                _reduce(lats)
+            self._lattices[key] = lats
+        return self._lattices[key]
+
     @property
     def _where(self):
         """The " at <SNR> dB" of a failure message. A stack of several powers
@@ -349,7 +369,7 @@ def build_humbert(field, channel):
     """MMSE quadratic form for a channel with n_blocks = field degree."""
     M_chol = channel._mmse_factors
     return HumbertForm(field=field, channel=channel, M=list(channel._mmse_blocks),
-                       M_chol=list(M_chol), phi_M=_block_basis(field, M_chol))
+                       M_chol=list(M_chol), phi_M=channel._lattice("mmse_factors", field).basis)
 
 
 def _check_blocks(field, n_blocks):
@@ -358,24 +378,24 @@ def _check_blocks(field, n_blocks):
         raise ValueError("channel has %d blocks but field degree is %d" % (n_blocks, field.degree))
 
 
-def _block_basis(field, factors):
-    """nL x nL basis of the lattice whose squared lengths give the form
-    sum_j |F_j sigma_j(a)|^2 in psi_map coordinates: entry (j*L + a, k*L + l)
-    is F_j[a, l] * sigma_j(omega_k), one broadcast product. The channel must
-    have one block per embedding."""
-    n, L = len(factors), factors[0].shape[0]
+def _block_bases(field, factors):
+    """Read-only nL x nL bases, one per power of factors (powers, n, L, L),
+    whose squared lengths give sum_j |F_j sigma_j(a)|^2 in psi_map coordinates:
+    entry (j*L + a, k*L + l) is F_j[a, l] * sigma_j(omega_k), one broadcast
+    product. The channel must have one block per embedding."""
+    p, n, L = factors.shape[:3]
     _check_blocks(field, n)
-    F, E = np.array(factors), field.embeddings
     # + 0.0 makes a -0.0 product +0.0, the bits of diag(F_j) @ (E kron I_L),
     # whose entries add exact +0.0 terms to one product (-0.0 + 0.0 is +0.0)
-    return (F[:, :, None, :] * E[:, None, :, None]).reshape(n * L, n * L) + 0.0
+    return _read_only((factors[:, :, :, None, :] * field.embeddings[:, None, :, None])
+                      .reshape(p, n * L, n * L) + 0.0)
 
 
-def _select_independent(field, basis, k):
-    """First k field-independent coefficient vectors of the block lattice in
+def _select_independent(field, lat, k):
+    """First k field-independent coefficient vectors of a block lattice in
     length order: (ring-element vectors, lengths). No R-independence pass is
     needed: a vector in the Q-span of earlier ones is in their K-span."""
-    vectors, lengths = _greedy_minima(ZLattice._checked(basis), k, lambda: KSpan(field).add,
+    vectors, lengths = _greedy_minima(lat, k, lambda: KSpan(field).add,
                                       "vectors independent over " + field.name)
     return [psi_map(field, v) for v in vectors], lengths
 
@@ -472,7 +492,7 @@ def best_coefficients(field, channel, k=None):
     if not (1 <= k <= L):
         raise ValueError("need 1 <= k <= users")
     hf = build_humbert(field, channel)
-    selected, _ = _select_independent(field, hf.phi_M, k)
+    selected, _ = _select_independent(field, channel._lattice("mmse_factors", field), k)
     embedded = [_embedded_terms(hf, v) for v in selected]
     f_values = [float(sum(terms)) for _, terms in embedded]
     rates = [rate_am(field, f) for f in f_values]
@@ -503,7 +523,7 @@ def integer_baseline(channel, k=None):
     n = channel.n_blocks
     if k is None:
         k = channel.users
-    minima = successive_minima(ZLattice._checked(channel._z_factor), k)
+    minima = successive_minima(channel._lattice("z_factor"), k)
     f_values = [l * l for l in minima.lengths]
     rates = [(n / 2.0) * log2_plus(n / f) for f in f_values]
     return rates, minima.vectors
@@ -545,8 +565,8 @@ def if_rate(field, channel):
     2-D channel has one receive antenna per block. The receiver decodes L
     ring combinations that are independent over the field.
     """
-    basis = _block_basis(field, channel._if_whiteners)
-    selected, lengths = _select_independent(field, basis, channel.users)
+    selected, lengths = _select_independent(field, channel._lattice("if_whiteners", field),
+                                            channel.users)
     rates = [0.5 * log2_plus(field.degree * channel.snr / (l * l)) for l in lengths]
     return IFReport(field_name=field.name, coeffs=selected, rates=rates,
                     rate=min(rates), ml_capacity=ml_capacity(channel))
@@ -555,7 +575,7 @@ def if_rate(field, channel):
 def integer_if_rate(channel):
     """Plain-integer integer-forcing baseline over the same blocks."""
     n, P = channel.n_blocks, channel.snr
-    minima = successive_minima(ZLattice._checked(channel._z_if_factor), channel.users)
+    minima = successive_minima(channel._lattice("z_if_factor"), channel.users)
     rates = [0.5 * log2_plus(n * P / (l * l)) for l in minima.lengths]
     return min(rates)
 

@@ -138,6 +138,10 @@ def test_same_ring_needs_the_same_multiplication_table():
     assert (phi * a).coords == (1, 1) and (a + phi).coords == (0, 2)
     assert rank_over_K(q5, [[phi, a]]) == 1
     assert rank_over_K(twin, [[phi, a], [a, phi * a]]) == 2
+    # equality and hashing follow the same rule: the copy's phi is phi, and
+    # the impostor's sqrt 2, on the same coordinates, is not
+    assert a == phi and hash(a) == hash(phi) and len({a, phi}) == 1
+    assert root2 != phi and root2.coords == phi.coords and len({root2, phi}) == 2
 
 
 def unit_elements(field):

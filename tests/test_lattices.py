@@ -436,6 +436,23 @@ def test_only_closest_vector_builds_q(monkeypatch):
     assert modes == ["reduced", "raw", "reduced"]
 
 
+def test_one_qr_per_lattice_kind_per_draw(monkeypatch):
+    # a sweep trial reduces each kind of lattice of its draw over the 11 SNRs
+    # of the grid with one stacked QR and one lll_reduce per lattice: CF on
+    # three fields and the Z baseline, or IF on one field and Z-IF
+    calls = []
+    qr, lll = np.linalg.qr, lattices.lll_reduce
+    monkeypatch.setattr(lattices.np.linalg, "qr",
+                        lambda a, mode="reduced": calls.append("qr") or qr(a, mode))
+    monkeypatch.setattr(lattices, "lll_reduce",
+                        lambda lat, *args: calls.append("lll") or lll(lat, *args))
+    for run, names, kinds in ((experiments.run_sweep, ["quad-5", "quad-8", "quad-12"], 4),
+                              (experiments.run_if_sweep, ["quad-5"], 2)):
+        del calls[:]
+        run(experiments.SweepConfig(fields=names, trials=2, seed=7))
+        assert (calls.count("qr"), calls.count("lll")) == (2 * kinds, 2 * 11 * kinds)
+
+
 def test_reduction_cached_per_lattice(monkeypatch):
     calls = []
     original = lattices.lll_reduce
@@ -1126,7 +1143,7 @@ def assert_selection_equals_reference(monkeypatch, lat, field=None):
         assert balls[-2] == balls[-1]
     for k in range(1, lat.dim // field.degree + 1) if field else ():
         vectors, lengths = reference_greedy_minima(lat, k, lambda: ReferenceKSpan(field).add)
-        got, got_lengths = _select_independent(field, lat.basis, k)
+        got, got_lengths = _select_independent(field, lat, k)
         assert [tuple(psi_inverse(v)) for v in got] == vectors
         assert got_lengths == lengths
         assert balls[-2] == balls[-1]
@@ -1184,7 +1201,7 @@ def test_selection_equals_reference_with_many_rejections(monkeypatch):
     for k in (1, 2):
         vectors, lengths = reference_greedy_minima(ZLattice(basis), k,
                                                    lambda: ReferenceKSpan(field).add)
-        got, got_lengths = _select_independent(field, basis, k)
+        got, got_lengths = _select_independent(field, ZLattice(basis), k)
         assert [tuple(psi_inverse(v)) for v in got] == vectors
         assert got_lengths == lengths
         assert balls[-2] == balls[-1]

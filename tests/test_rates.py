@@ -17,9 +17,9 @@ from ringcf import (ChannelRealization, EnumerationError,
                     integer_baseline, integer_if_rate, mac_capacity,
                     minkowski_rate_bounds, ml_capacity, psi_inverse, psi_map,
                     rank_over_K, rate_am, rate_gm, successive_minima)
-from ringcf import fields, lattices, rates
+from ringcf import exact, fields, lattices, rates
 from ringcf.lattices import hermite_constant
-from ringcf.rates import ChannelFormatError, _block_basis, _embedded_terms, log2_plus
+from ringcf.rates import ChannelFormatError, _block_bases, _embedded_terms, log2_plus
 from test_exact import theta
 
 
@@ -193,7 +193,7 @@ def test_psi_layout_is_defined_once_in_fields():
 
 def kron_block_basis(field, factors):
     """diag(F_1, .., F_n) @ (embeddings kron I_L): the block basis written as
-    the matrix product it stands for, the reference for _block_basis."""
+    the matrix product it stands for, the reference for _block_bases."""
     n, L = len(factors), factors[0].shape[0]
     blocks = np.zeros((n * L, n * L))
     for j, Fj in enumerate(factors):
@@ -217,7 +217,7 @@ def test_block_basis_equals_kron_reference_bytes():
                 cf = ChannelRealization(h=rng.normal(size=(f.degree, L)), snr=P)
                 mimo = ChannelRealization(h=rng.normal(size=(f.degree, L, L)), snr=P)
                 for factors in (cf._mmse_factors, cf._if_whiteners, mimo._if_whiteners):
-                    got, want = _block_basis(f, factors), kron_block_basis(f, factors)
+                    got, want = _block_bases(f, factors[None])[0], kron_block_basis(f, factors)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
                     raw = np.array(factors)[:, :, None, :] * f.embeddings[:, None, :, None]
                     signed_zeros += int(np.sum(np.signbit(raw[raw == 0])))
@@ -327,7 +327,7 @@ def test_selection_matches_minima_then_k_greedy(name, users):
         assert best_coefficients(f, ch).coeffs == coeffs
         mimo = ChannelRealization(h=rng.normal(size=(f.degree, users, users)), snr=P)
         coeffs, lengths = minima_then_k_greedy(
-            f, _block_basis(f, mimo._if_whiteners), users)
+            f, mimo._lattice("if_whiteners", f).basis, users)
         rep = if_rate(f, mimo)
         assert rep.coeffs == coeffs
         assert rep.rates == [0.5 * log2_plus(f.degree * P / (l * l)) for l in lengths]
@@ -499,6 +499,57 @@ def test_block_swap_is_the_galois_automorphism(name):
         moved = best_coefficients(f, ChannelRealization(h=h[::-1], snr=P))
         for a, b in zip(rep.f_values, moved.f_values):
             assert math.isclose(a, b, rel_tol=1e-9), (P, a, b)
+
+
+def galois_cubic_49():
+    """theta -> theta^2 - 2 on cubic-49 (x^3 + x^2 - 2x - 1, a cyclic field):
+    (pi, G) with r_i^2 - 2 = r_pi[i] for the ascending roots r, and G the
+    integer matrix whose column k holds the coordinates of the image of
+    omega_k, from exact polynomial arithmetic."""
+    f = catalog_field("cubic-49")
+    n, m = f.degree, list(f.min_poly)
+    image = [-2, 0, 1]
+    columns = []
+    for bp in f.basis_polys:
+        acc, power = [0], [1]
+        for c in bp:  # bp(theta^2 - 2) = sum of c_i (theta^2 - 2)^i
+            acc = exact.poly_mod([x + c * y for x, y in itertools.zip_longest(
+                acc, power, fillvalue=0)], m)
+            power = exact.poly_mod(exact.poly_mul(power, image), m)
+        columns.append(acc + [0] * (n - len(acc)))
+    basis = [[f.basis_polys[j][i] for j in range(n)] for i in range(n)]
+    coords = exact.mat_solve(basis, columns)
+    assert all(c.denominator == 1 for col in coords for c in col)
+    G = [[int(coords[k][i]) for k in range(n)] for i in range(n)]
+    pi = [2, 0, 1]
+    assert np.allclose(f.roots ** 2 - 2, f.roots[pi], rtol=0, atol=1e-12)
+    return f, pi, G
+
+
+def test_cubic_galois_action_moves_the_blocks():
+    # sigma_i(g(a)) = sigma_pi[i](a), so g maps the selection of h to that of
+    # h[pi]: the f-values stay, and each vector is the conjugate of the one
+    # found for h, up to sign and ties
+    f, pi, G = galois_cubic_49()
+
+    def conjugate(vec):
+        return [tuple(sum(G[i][k] * a.coords[k] for k in range(f.degree))
+                      for i in range(f.degree)) for a in vec]
+
+    compared = 0
+    for h, P in invariance_draws(f, 2, 75):
+        rep = best_coefficients(f, ChannelRealization(h=h, snr=P))
+        moved = best_coefficients(f, ChannelRealization(h=h[pi], snr=P))
+        for a, b in zip(rep.f_values, moved.f_values):
+            assert math.isclose(a, b, rel_tol=1e-9), (P, a, b)
+        for k, (vec, got) in enumerate(zip(rep.coeffs, coords_of(moved))):
+            if any(math.isclose(rep.f_values[k], x, rel_tol=1e-6)
+                   for i, x in enumerate(rep.f_values) if i != k):
+                continue  # a tie may order the picks either way
+            want = conjugate(vec)
+            assert got in (want, [tuple(-c for c in x) for x in want]), (P, k)
+            compared += 1
+    assert compared >= 30
 
 
 def test_lower_bounds_and_mac():
@@ -962,6 +1013,35 @@ def outcome(call):
         return str(e)
 
 
+DEGREE_FIELDS = {1: "rational", 2: "quad-5", 3: "cubic-49", 4: "quartic-725",
+                 5: "quintic-14641"}
+
+
+def rate_outputs(ch):
+    """What the rate functions return for a channel with lattices of
+    dimension at most 6, on the catalog field of its degree: the JSON of
+    best_coefficients and if_rate, the strides and bytes of build_humbert's
+    phi_M, integer_baseline and integer_if_rate, or the type and message of
+    the error that refuses one (a 3-D h for CF, an LLL or enumeration
+    failure)."""
+    if ch.n_blocks * ch.users > 6:
+        return None
+    f = catalog_field(DEGREE_FIELDS[ch.n_blocks])
+    phi_M = lambda: build_humbert(f, ch).phi_M  # noqa: E731
+    calls = {"best_coefficients": lambda: best_coefficients(f, ch).to_json(),
+             "phi_M": lambda: (phi_M().strides, phi_M().tobytes(), phi_M().flags.writeable),
+             "if_rate": lambda: if_rate(f, ch).to_json(),
+             "integer_baseline": lambda: integer_baseline(ch),
+             "integer_if_rate": lambda: integer_if_rate(ch)}
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except (ValueError, EnumerationError) as e:
+            out[name] = (type(e), str(e))
+    return out
+
+
 def test_snr_stack_equals_channels_built_alone():
     # each corpus power sits in a grid beside healthy powers. On a grid whose
     # stack computes every quantity, every channel has the bits and strides
@@ -983,7 +1063,7 @@ def test_snr_stack_equals_channels_built_alone():
             for value in got.values():
                 if refused(value):
                     raise PathologicalChannelError(value[1])
-            return got, ch.snr, ch.h.tobytes()
+            return got, rate_outputs(ch), ch.snr, ch.h.tobytes()
 
         stacked = outcome(lambda: rates._over_grid(h, grid, each))
         over_grid, calls[:] = calls[:], []
@@ -1046,6 +1126,74 @@ def test_refused_grid_runs_again_on_channels_built_alone(monkeypatch):
     assert calls == [(0, 3), (1, 3), (2, 3)]
     assert sorted(built) == sorted((name.lstrip("_"), 3) for name in STACK_QUANTITIES)
     assert got == [channel_quantities(ChannelRealization(h=h, snr=P)) for P in grid]
+
+
+def reduction_bits(lat):
+    """A lattice's reduction: reduced basis (strides and bytes), U columns,
+    R rows and column norms^2, the floats with == and as bytes."""
+    red_basis, u_cols, r_rows, norms2 = lat._reduction
+    return (red_basis.strides, red_basis.tobytes(), u_cols, r_rows,
+            np.array(r_rows).tobytes(), norms2, np.array(norms2).tobytes())
+
+
+def test_stack_lattices_equal_lattices_reduced_alone():
+    # one stacked QR gives every R factor of a kind of lattice over the grid;
+    # each lattice must equal the one reduced alone on the same basis, and
+    # that basis the one of the channel built alone
+    rng = np.random.default_rng(52)
+    grid = tuple(10.0 ** (snr_db / 10.0) for snr_db in range(0, 65, 5))
+    seen = 0
+    for name, L in (("quad-5", 2), ("quad-8", 2), ("quad-12", 2), ("cubic-49", 3)):
+        f = catalog_field(name)
+        for shape in ((f.degree, L), (f.degree, L, L)):
+            h = rng.normal(size=shape)
+            stack = rates._SnrStack(rates._gains(h), grid)
+            kinds = [("if_whiteners", f), ("z_if_factor", None)]
+            if len(shape) == 2:
+                kinds += [("mmse_factors", f), ("z_factor", None)]
+            for factors, field in kinds:
+                for P, lat in zip(grid, stack.lattices(factors, field)):
+                    assert "_reduction" in vars(lat)  # filled by the stack
+                    alone = ChannelRealization(h=h, snr=P)._lattice(factors, field)
+                    assert (lat.basis.strides, lat.basis.tobytes()) == (
+                        alone.basis.strides, alone.basis.tobytes())
+                    assert not lat.basis.flags.writeable
+                    want = reduction_bits(ZLattice._checked(lat.basis.copy()))
+                    assert reduction_bits(lat) == want == reduction_bits(alone)
+                    seen += 1
+    assert seen == 13 * 4 * 6
+
+
+def test_grid_whose_lll_fails_at_one_power_raises_its_own_error():
+    # LLL's Gram-Schmidt norms of this IF lattice overflow at 1000 dB only:
+    # the powers before it return what channels built alone return, and that
+    # power raises what its channel built alone raises. The stack keeps the
+    # lattices reduced before the failure and no failure: the failing
+    # lattice raises again each time it is read
+    f = catalog_field("quad-5")
+    h = np.array([[1e50, 0.0], [1.0, 0.5]])
+    with pytest.raises(EnumerationError, match="^Gram-Schmidt norm") as alone:
+        if_rate(f, ChannelRealization(h=h, snr=1e100))
+    for grid in ([1.0, 1e2, 1e100, 1e-100], [1e100, 1.0]):
+        returned = []
+
+        def each(at, ch):
+            returned.append(if_rate(f, ch).to_json())
+            return returned[-1]
+
+        with pytest.raises(EnumerationError) as e:
+            rates._over_grid(h, grid, each)
+        assert str(e.value) == str(alone.value)
+        bad = grid.index(1e100)
+        assert returned == [if_rate(f, ChannelRealization(h=h, snr=P)).to_json()
+                            for P in grid[:bad]]
+        lats = rates._SnrStack(rates._gains(h), tuple(grid)).lattices("if_whiteners", f)
+        assert ["_reduction" in vars(lat) for lat in lats] == [at < bad for at in range(len(grid))]
+        for _ in range(2):
+            with pytest.raises(EnumerationError, match=re.escape(str(alone.value))):
+                lats[bad]._reduction
+        assert reduction_bits(lats[-1]) == reduction_bits(
+            ChannelRealization(h=h, snr=grid[-1])._lattice("if_whiteners", f))
 
 
 def test_z_baseline_failure_names_its_snr():
