@@ -78,7 +78,7 @@ class AlgebraicInt:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
         if len(self.coords) != self.field.degree:
             raise ValueError("coordinate length does not match field degree")
 

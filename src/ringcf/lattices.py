@@ -312,8 +312,11 @@ class MinimaResult:
 
 def _greedy_minima(lat, k, new_test, what="independent minima"):
     """First k vectors, in length order, that a fresh test from new_test()
-    accepts (it keeps a tuple of Python ints and returns True when that is
-    independent of those kept before): (coefficient tuples, lengths).
+    accepts (it keeps a tuple of Python ints, sign-canonical, and returns
+    True when that is independent of those kept before): (coefficient
+    tuples, lengths). Its answer depends only on the vectors it kept and the
+    candidate, so the K-selection answers a pair that its draw has met
+    before from a memo (rates._select_independent), in both passes.
 
     The same greedy over the reduced columns, shortest first, finds k
     independent ones; the k-th pick's norm^2 r^2 bounds the k-th vector, so
@@ -326,7 +329,7 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
     _, u_cols, r_rows, norms2 = lat._reduction
     test, picks = new_test(), 0
     for i in sorted(range(lat.dim), key=norms2.__getitem__):
-        if test(u_cols[i]):
+        if test(_canonical(u_cols[i])):
             r2 = norms2[i]
             picks += 1
             if picks == k:

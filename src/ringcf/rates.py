@@ -120,10 +120,7 @@ class ChannelRealization:
     _mmse_gains = _stacked("mmse_gains")
     _mmse_blocks = _stacked("mmse_blocks")
     _mmse_factors = _stacked("mmse_factors")
-    _if_whiteners = _stacked("if_whiteners")
     _ml_capacity = _stacked("ml_capacity")
-    _z_factor = _stacked("z_factor")
-    _z_if_factor = _stacked("z_if_factor")
 
     def _lattice(self, factors, field=None):
         """This channel's lattice of `_SnrStack.lattices(factors, field)`."""
@@ -212,10 +209,12 @@ class _SnrStack:
     same in numpy as in Python floats, so a channel of the stack has the
     bits and strides of the channel built alone. A quantity holds an entry
     for every power or raises PathologicalChannelError and keeps nothing.
+    The stack also keeps its draw's lattices and what each field's
+    selections found (_SnrStack.selections).
     """
 
     def __init__(self, h, powers):
-        self.h, self.powers, self._lattices = h, powers, {}
+        self.h, self.powers, self._lattices, self._selections = h, powers, {}, {}
 
     @functools.cached_property
     def mmse_gains(self):
@@ -228,6 +227,12 @@ class _SnrStack:
                              "block, got channel gains of shape %s" % (self.h.shape,))
         norms2 = [float(hj @ hj) for hj in self.h]
         return [tuple([P * x + 1.0 for x in norms2]) for P in self.powers]
+
+    @functools.cached_property
+    def mac_capacity(self):
+        """MAC sum capacity 0.5 sum_j log2(g_j) of each power, its terms
+        summed left to right."""
+        return [0.5 * _left_sum(map(log2_plus, gains)) for gains in self.mmse_gains]
 
     @functools.cached_property
     def mmse_blocks(self):
@@ -315,6 +320,12 @@ class _SnrStack:
             self._lattices[key] = lats
         return self._lattices[key]
 
+    def selections(self, field):
+        """What the draw's selections over field have found, shared by every
+        power and kept per field object: (answers of the exact independence
+        tests, ring-element vectors of the picks); see _select_independent."""
+        return self._selections.setdefault(field, ({}, {}))
+
     @property
     def _where(self):
         """The " at <SNR> dB" of a failure message. A stack of several powers
@@ -391,13 +402,44 @@ def _block_bases(field, factors):
                       .reshape(p, n * L, n * L) + 0.0)
 
 
-def _select_independent(field, lat, k):
+def _select_independent(field, lat, k, memo):
     """First k field-independent coefficient vectors of a block lattice in
     length order: (ring-element vectors, lengths). No R-independence pass is
-    needed: a vector in the Q-span of earlier ones is in their K-span."""
-    vectors, lengths = _greedy_minima(lat, k, lambda: KSpan(field).add,
-                                      "vectors independent over " + field.name)
-    return [psi_map(field, v) for v in vectors], lengths
+    needed: a vector in the Q-span of earlier ones is in their K-span.
+
+    memo is (answers, rings). Every test of both _greedy_minima passes reads
+    answers first, keyed by (the vectors kept so far, the candidate), all
+    sign-canonical: the answer is exact and depends on nothing else, since
+    the kept vectors fix the K-span and a sign does not change it. Only a
+    miss asks a KSpan of the kept vectors and stores its answer. rings holds
+    the psi_map image of each pick, read for the picks that recur. A draw's
+    lattices share the memo of their field (_SnrStack.selections); any other
+    lattice takes an empty one."""
+    answers, rings = memo
+
+    def new_test():
+        kept, span, spanned = (), None, 0
+
+        def test(vec):
+            nonlocal kept, span, spanned
+            key = kept, vec
+            answer = answers.get(key)
+            if answer is None:
+                span = span or KSpan(field)
+                for v in kept[spanned:]:  # kept since the span last asked
+                    span.add(v)
+                answer = answers[key] = span.add(vec)
+                spanned = len(kept) + answer
+            if answer:
+                kept += (vec,)
+            return answer
+        return test
+
+    vectors, lengths = _greedy_minima(lat, k, new_test, "vectors independent over " + field.name)
+    for v in vectors:
+        if v not in rings:
+            rings[v] = psi_map(field, v)
+    return [list(rings[v]) for v in vectors], lengths
 
 
 def rate_am(field, f_value):
@@ -441,7 +483,7 @@ def _left_sum(terms):
 def mac_capacity(channel):
     """Sum capacity of the multiple-access channel across the fading blocks
     (the Minkowski bounds share it among the users, less a lattice gap)."""
-    return 0.5 * _left_sum(map(log2_plus, channel._mmse_gains))
+    return channel._stack.mac_capacity[channel._at]
 
 
 @dataclass(eq=False)
@@ -492,7 +534,8 @@ def best_coefficients(field, channel, k=None):
     if not (1 <= k <= L):
         raise ValueError("need 1 <= k <= users")
     hf = build_humbert(field, channel)
-    selected, _ = _select_independent(field, channel._lattice("mmse_factors", field), k)
+    selected, _ = _select_independent(field, channel._lattice("mmse_factors", field), k,
+                                      channel._stack.selections(field))
     embedded = [_embedded_terms(hf, v) for v in selected]
     f_values = [float(sum(terms)) for _, terms in embedded]
     rates = [rate_am(field, f) for f in f_values]
@@ -566,7 +609,7 @@ def if_rate(field, channel):
     ring combinations that are independent over the field.
     """
     selected, lengths = _select_independent(field, channel._lattice("if_whiteners", field),
-                                            channel.users)
+                                            channel.users, channel._stack.selections(field))
     rates = [0.5 * log2_plus(field.degree * channel.snr / (l * l)) for l in lengths]
     return IFReport(field_name=field.name, coeffs=selected, rates=rates,
                     rate=min(rates), ml_capacity=ml_capacity(channel))

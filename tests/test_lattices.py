@@ -1143,7 +1143,7 @@ def assert_selection_equals_reference(monkeypatch, lat, field=None):
         assert balls[-2] == balls[-1]
     for k in range(1, lat.dim // field.degree + 1) if field else ():
         vectors, lengths = reference_greedy_minima(lat, k, lambda: ReferenceKSpan(field).add)
-        got, got_lengths = _select_independent(field, lat, k)
+        got, got_lengths = _select_independent(field, lat, k, ({}, {}))
         assert [tuple(psi_inverse(v)) for v in got] == vectors
         assert got_lengths == lengths
         assert balls[-2] == balls[-1]
@@ -1201,7 +1201,7 @@ def test_selection_equals_reference_with_many_rejections(monkeypatch):
     for k in (1, 2):
         vectors, lengths = reference_greedy_minima(ZLattice(basis), k,
                                                    lambda: ReferenceKSpan(field).add)
-        got, got_lengths = _select_independent(field, ZLattice(basis), k)
+        got, got_lengths = _select_independent(field, ZLattice(basis), k, ({}, {}))
         assert [tuple(psi_inverse(v)) for v in got] == vectors
         assert got_lengths == lengths
         assert balls[-2] == balls[-1]

@@ -17,7 +17,7 @@ from ringcf import (ChannelRealization, EnumerationError,
                     integer_baseline, integer_if_rate, mac_capacity,
                     minkowski_rate_bounds, ml_capacity, psi_inverse, psi_map,
                     rank_over_K, rate_am, rate_gm, successive_minima)
-from ringcf import exact, fields, lattices, rates
+from ringcf import exact, experiments, fields, lattices, rates
 from ringcf.lattices import hermite_constant
 from ringcf.rates import ChannelFormatError, _block_bases, _embedded_terms, log2_plus
 from test_exact import theta
@@ -25,6 +25,11 @@ from test_exact import theta
 
 def random_channel(rng, n, L, P):
     return ChannelRealization(h=rng.normal(size=(n, L)), snr=P)
+
+
+def stacked(ch, name):
+    """The channel's entry of its _SnrStack quantity name."""
+    return getattr(ch._stack, name)[ch._at]
 
 
 def test_channel_validation():
@@ -216,7 +221,8 @@ def test_block_basis_equals_kron_reference_bytes():
                 P = rates._snr_power(snr_db)
                 cf = ChannelRealization(h=rng.normal(size=(f.degree, L)), snr=P)
                 mimo = ChannelRealization(h=rng.normal(size=(f.degree, L, L)), snr=P)
-                for factors in (cf._mmse_factors, cf._if_whiteners, mimo._if_whiteners):
+                for factors in (stacked(cf, "mmse_factors"), stacked(cf, "if_whiteners"),
+                                stacked(mimo, "if_whiteners")):
                     got, want = _block_bases(f, factors[None])[0], kron_block_basis(f, factors)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
                     raw = np.array(factors)[:, :, None, :] * f.embeddings[:, None, :, None]
@@ -730,8 +736,9 @@ def test_if_data_kept_on_the_channel(monkeypatch):
     for h, P in ((h1, 10.0), (list(h1), 20.0), (h1[:, :1], 20.0), (h1[:, 0], 20.0)):
         ch = ChannelRealization(h=h, snr=P)
         del built[:]
-        whiteners, ml = ch._if_whiteners, ml_capacity(ch)
-        assert ch._if_whiteners.tobytes() == whiteners.tobytes() and ml_capacity(ch) == ml
+        whiteners, ml = stacked(ch, "if_whiteners"), ml_capacity(ch)
+        assert stacked(ch, "if_whiteners").tobytes() == whiteners.tobytes()
+        assert ml_capacity(ch) == ml
         assert sorted(built) == [("if_whiteners", 1), ("ml_capacity", 1)]
         blocks = np.array(h).reshape(2, -1, 2)
         for F, H in zip(whiteners, blocks):
@@ -744,7 +751,7 @@ def test_if_data_kept_on_the_channel(monkeypatch):
         assert ml == pytest.approx(min(subset_rates), rel=1e-12)
     one_antenna = ChannelRealization(h=h1[:, :1], snr=20.0)
     row = ChannelRealization(h=h1[:, 0], snr=20.0)
-    for F, F_row in zip(one_antenna._if_whiteners, row._if_whiteners):
+    for F, F_row in zip(stacked(one_antenna, "if_whiteners"), stacked(row, "if_whiteners")):
         assert np.array_equal(F, F_row)
     assert ml_capacity(one_antenna) == ml_capacity(row)
 
@@ -946,22 +953,22 @@ def test_stacked_channel_algebra_equals_per_block_calls():
     for ch in corpus:
         if ch.h.ndim == 2:
             blocks, factors = per_block_mmse(ch)
-            assert_same_stack(ch._mmse_blocks, blocks)
+            assert_same_stack(stacked(ch, "mmse_blocks"), blocks)
             if factors is None:
                 factor_failures += 1
                 with pytest.raises(PathologicalChannelError, match="not positive definite"):
-                    ch._mmse_factors
+                    stacked(ch, "mmse_factors")
             else:
-                assert_same_stack(ch._mmse_factors, factors)
-        assert_same_stack(ch._if_whiteners, per_block_whiteners(ch))
+                assert_same_stack(stacked(ch, "mmse_factors"), factors)
+        assert_same_stack(stacked(ch, "if_whiteners"), per_block_whiteners(ch))
         ml = per_subset_ml_capacity(ch)
         sign_losses += ml.startswith("ML capacity at 160 dB")
         assert stacked_ml_capacity(ch) == ml
     assert factor_failures >= 1 and sign_losses >= 2
 
 
-STACK_QUANTITIES = ("_mmse_gains", "_mmse_blocks", "_mmse_factors", "_if_whiteners",
-                    "_ml_capacity", "_z_factor", "_z_if_factor")
+STACK_QUANTITIES = ("mmse_gains", "mac_capacity", "mmse_blocks", "mmse_factors",
+                    "if_whiteners", "ml_capacity", "z_factor", "z_if_factor")
 
 
 def channel_quantities(ch, order=STACK_QUANTITIES):
@@ -971,7 +978,7 @@ def channel_quantities(ch, order=STACK_QUANTITIES):
     out = {}
     for name in order:
         try:
-            value = getattr(ch, name)
+            value = stacked(ch, name)
         except ValueError as e:  # PathologicalChannelError, or a 3-D h for CF
             out[name] = (type(e), str(e))
             continue
@@ -1078,8 +1085,8 @@ def test_snr_stack_equals_channels_built_alone():
                 failures[name] += 1
         else:
             assert over_grid == [(len(grid), [])] * len(grid)
-    assert failures["_mmse_factors"] >= 1 and failures["_ml_capacity"] >= 2
-    assert failures["_z_factor"] >= 1
+    assert failures["mmse_factors"] >= 1 and failures["ml_capacity"] >= 2
+    assert failures["z_factor"] >= 1
 
 
 def test_refused_grid_runs_again_on_channels_built_alone(monkeypatch):
@@ -1087,31 +1094,31 @@ def test_refused_grid_runs_again_on_channels_built_alone(monkeypatch):
     # refused call runs once, and the grid runs again on channels built
     # alone, which compute on stacks of one power only, so the failing power
     # raises its own message, chained to no refusal of the stack
-    built = counted_builds(monkeypatch, [name.lstrip("_") for name in STACK_QUANTITIES])
+    built = counted_builds(monkeypatch, STACK_QUANTITIES)
     for h, grid, name, message in (
-            ([[1e8, 1], [1, 1]], [1e-8, 1e4, 1e-4], "_mmse_factors",
+            ([[1e8, 1], [1, 1]], [1e-8, 1e4, 1e-4], "mmse_factors",
              r"^MMSE matrix not positive definite$"),
-            (np.ones((2, 2)), [1.0, 1e16, 1e2], "_z_factor",
+            (np.ones((2, 2)), [1.0, 1e16, 1e2], "z_factor",
              r"^Z baseline Gram matrix not positive definite at 160 dB$"),
-            (np.ones((2, 2, 2)), [1.0, 1e16, 1e2], "_ml_capacity",
+            (np.ones((2, 2, 2)), [1.0, 1e16, 1e2], "ml_capacity",
              r"^ML capacity at 160 dB: I \+ P H_S H_S\^T is not positive definite")):
         del built[:]
         calls = []
 
         def each(at, ch):
             calls.append((at, len(ch._stack.powers)))
-            return getattr(ch, name)
+            return stacked(ch, name)
 
         with pytest.raises(PathologicalChannelError, match=message) as e:
             rates._over_grid(h, grid, each)
         assert not isinstance(e.value.__context__, PathologicalChannelError)
         assert calls == [(0, 3), (0, 1), (1, 1)]
-        assert built.count((name.lstrip("_"), 3)) == 1
+        assert built.count((name, 3)) == 1
         sizes = [size for _, size in built]
         rerun = sizes.index(1)
         assert set(sizes[:rerun]) == {3} and set(sizes[rerun:]) == {1}
         with pytest.raises(PathologicalChannelError) as own:
-            getattr(ChannelRealization(h=h, snr=grid[1]), name)
+            stacked(ChannelRealization(h=h, snr=grid[1]), name)
         assert str(e.value) == str(own.value)
     # a healthy grid calls `each` once per power and builds each quantity
     # once, on the stack of all its powers
@@ -1124,7 +1131,7 @@ def test_refused_grid_runs_again_on_channels_built_alone(monkeypatch):
 
     got = rates._over_grid(h, grid, read_all)
     assert calls == [(0, 3), (1, 3), (2, 3)]
-    assert sorted(built) == sorted((name.lstrip("_"), 3) for name in STACK_QUANTITIES)
+    assert sorted(built) == sorted((name, 3) for name in STACK_QUANTITIES)
     assert got == [channel_quantities(ChannelRealization(h=h, snr=P)) for P in grid]
 
 
@@ -1162,6 +1169,108 @@ def test_stack_lattices_equal_lattices_reduced_alone():
                     assert reduction_bits(lat) == want == reduction_bits(alone)
                     seen += 1
     assert seen == 13 * 4 * 6
+
+
+def fresh_k_test(field, kept, candidate):
+    """Whether a fresh KSpan of the kept vectors accepts the candidate."""
+    span = fields.KSpan(field)
+    assert all(span.add(v) for v in kept)
+    return span.add(candidate)
+
+
+class CountedDict(dict):
+    """A dict that counts its reads by get."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_stack_k_tests_equal_fresh_kspan_tests():
+    # the CF and IF selections of each draw over 0-60 dB read their field's
+    # memo on the stack: each equals the greedy that asks a fresh KSpan at
+    # every test, mapped by psi_map, vectors and lengths with ==; each stored
+    # answer is the one a fresh KSpan of its kept vectors gives, and each
+    # selection returns lists of its own, not the draw's kept ones
+    rng = np.random.default_rng(53)
+    grid = tuple(10.0 ** (snr_db / 10.0) for snr_db in range(0, 65, 5))
+    reads = stored = 0
+    for name, shape in (("quad-5", (2, 2)), ("quad-8", (2, 2)), ("quad-12", (2, 2)),
+                        ("cubic-49", (3, 3)), ("quartic-725", (4, 3)),
+                        ("quad-5", (2, 3, 3)), ("cubic-49", (3, 2, 2))):
+        f = catalog_field(name)
+        kinds = ("mmse_factors", "if_whiteners") if len(shape) == 2 else ("if_whiteners",)
+        for _ in range(2):
+            stack = rates._SnrStack(rates._gains(rng.normal(size=shape)), grid)
+            answers, rings = stack._selections[f] = CountedDict(), {}
+            for factors in kinds:
+                for lat in stack.lattices(factors, f):
+                    got, lengths = rates._select_independent(f, lat, shape[-1],
+                                                             stack.selections(f))
+                    vectors, want = lattices._greedy_minima(lat, shape[-1],
+                                                            lambda: fields.KSpan(f).add)
+                    assert (got, lengths) == ([psi_map(f, v) for v in vectors], want)
+                    assert [tuple(psi_inverse(v)) for v in got] == vectors
+                    assert not any(v is rings[w] for v, w in zip(got, vectors))
+            assert all(fresh_k_test(f, *key) == answer for key, answer in answers.items())
+            reads, stored = reads + answers.reads, stored + len(answers)
+    assert stored < reads / 2
+
+
+def test_stack_keeps_one_k_test_memo_per_field():
+    # quad-5 and quad-8 share a draw's stack but not their memos: in psi
+    # coordinates omega * (1, omega) is K-dependent on (1, omega) over quad-5
+    # and not over quad-8, so one dict for both would answer wrongly, and a
+    # pick's ring elements belong to its field
+    q5, q8 = catalog_field("quad-5"), catalog_field("quad-8")
+    kept = lattices._canonical(tuple(psi_inverse([q5.element([1, 0]), q5.element([0, 1])])))
+    cand = lattices._canonical(tuple(psi_inverse([q5.element([0, 1]), q5.element([1, 1])])))
+    assert not fresh_k_test(q5, [kept], cand) and fresh_k_test(q8, [kept], cand)
+    h = np.random.default_rng(54).normal(size=(2, 2))
+    grid = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 65, 5)]
+    stacks = set()
+
+    def each(at, ch):
+        stacks.add(ch._stack)
+        return [best_coefficients(f, ch).to_json() for f in (q5, q8)]
+
+    assert rates._over_grid(h, grid, each) == [
+        each(at, ChannelRealization(h=h, snr=P)) for at, P in enumerate(grid)]
+    stack = next(s for s in stacks if len(s.powers) == len(grid))
+    assert set(stack._selections) == {q5, q8}
+    for f, other in ((q5, q8), (q8, q5)):
+        answers, rings = stack.selections(f)
+        assert stack.selections(f) is stack.selections(f)
+        assert answers is not stack.selections(other)[0] and rings is not stack.selections(other)[1]
+        assert all(fresh_k_test(f, *key) == answer for key, answer in answers.items())
+        assert rings and all(vec == psi_map(f, v) and all(a.field is f for a in vec)
+                             for v, vec in rings.items())
+
+
+def test_stack_asks_each_k_test_once_per_draw(monkeypatch):
+    # a sweep trial asks its K-tests through its draw's memo: the tests the
+    # greedy asks (one memo read each) and the KSpan.add calls that answer
+    # the new ones, over two criterion-6 sweep trials (3 fields, 11 SNRs)
+    # and two criterion-9 if-sweep trials. A KSpan.add per test, as without
+    # the memo, would be 521 and 159 calls
+    memos, adds = [], []
+    add = fields.KSpan.add
+
+    def selections(stack, field):
+        if field not in stack._selections:
+            memos.append(stack._selections.setdefault(field, (CountedDict(), {}))[0])
+        return stack._selections[field]
+
+    monkeypatch.setattr(rates._SnrStack, "selections", selections)
+    monkeypatch.setattr(fields.KSpan, "add", lambda span, v: adds.append(v) or add(span, v))
+    for run, names, counts in (
+            (experiments.run_sweep, ["quad-5", "quad-8", "quad-12"], (2 * 3, 521, 251)),
+            (experiments.run_if_sweep, ["quad-5"], (2, 159, 25))):
+        del memos[:], adds[:]
+        run(experiments.SweepConfig(fields=names, trials=2, seed=7))
+        assert (len(memos), sum(m.reads for m in memos), len(adds)) == counts
 
 
 def test_grid_whose_lll_fails_at_one_power_raises_its_own_error():
