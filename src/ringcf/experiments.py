@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import catalog_field
+from .lattices import EnumerationError
 from .rates import (PathologicalChannelError, _over_grid, _snr_power, best_coefficients,
                     if_rate, integer_baseline, integer_if_rate, mac_capacity)
 
@@ -80,8 +81,8 @@ def _trial(cfg, block_shape, point, trial):
 
     One channel is drawn per trial, block by block with the given per-block
     shape, and rates._over_grid evaluates it at the SNRs of the grid; `point`
-    gives each SNR's (field, metric) values, and a refused channel or a
-    failed check names the trial, seed and SNR.
+    gives each SNR's (field, metric) values, and a refused channel, a failed
+    LLL or minima walk, or a failed check names the trial, seed and SNR.
     """
     fields = [catalog_field(name) for name in cfg.fields]
     rng = _trial_rng(cfg.seed, trial)
@@ -92,7 +93,7 @@ def _trial(cfg, block_shape, point, trial):
     def point_at(at, ch):
         try:
             return point(cfg, fields, ch)
-        except (PathologicalChannelError, AssertionError) as e:
+        except (PathologicalChannelError, EnumerationError, AssertionError) as e:
             raise type(e)("%s (trial=%d, seed=%d, snr_db=%g)"
                           % (e, trial, cfg.seed, grid[at])) from e
     out = {}

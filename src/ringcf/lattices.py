@@ -85,23 +85,17 @@ def _reduce(lats):
     (reduced basis, U columns as int tuples, R rows, column norms^2) as its
     `_reduction`. R is np.linalg.qr's factor, rows with a negative diagonal
     negated, from one mode "raw" call that factors the stack of reduced bases
-    as calls of their own would. Q waits for `_q`. If LLL raises on a lattice,
-    the ones before it keep their reductions and the error propagates."""
-    reduced = []
-    try:
-        for lat in lats:
-            reduced.append(lll_reduce(lat))
-    finally:
-        if reduced:
-            bases = np.array([red.basis for red, _ in reduced])
-            raw = np.linalg.qr(bases, mode="raw")[0].swapaxes(1, 2).tolist()
-            for lat, (red, u), r_rows, norms2 in zip(lats, reduced, raw,
-                                                     np.sum(bases * bases, axis=1).tolist()):
-                for i, row in enumerate(r_rows):
-                    row[:i] = [0.0] * i
-                    if row[i] < 0:
-                        r_rows[i] = [-x for x in row]
-                vars(lat)["_reduction"] = red.basis, list(zip(*u)), r_rows, norms2
+    as calls of their own would. Q waits for `_q`."""
+    reduced = [lll_reduce(lat) for lat in lats]
+    bases = np.array([red.basis for red, _ in reduced])
+    raw = np.linalg.qr(bases, mode="raw")[0].swapaxes(1, 2).tolist()
+    for lat, (red, u), r_rows, norms2 in zip(lats, reduced, raw,
+                                             np.sum(bases * bases, axis=1).tolist()):
+        for i, row in enumerate(r_rows):
+            row[:i] = [0.0] * i
+            if row[i] < 0:
+                r_rows[i] = [-x for x in row]
+        vars(lat)["_reduction"] = red.basis, list(zip(*u)), r_rows, norms2
 
 
 def _norm_error(s):

@@ -9,7 +9,6 @@ field.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -171,14 +170,16 @@ def _over_grid(h, powers, each):
     """[each(at, channel)] for the channel of the gains h at each power
     powers[at], in order: a sweep trial's draw, or a DoF fit's h, over its
     SNR grid. The channels share one _SnrStack, so each quantity is one
-    stacked call. If anything raises PathologicalChannelError, the grid runs
-    again on channels built alone, so the first SNR that fails raises its own
-    message. The powers come from _snr_power, which has checked them."""
+    stacked call. If anything raises PathologicalChannelError or
+    EnumerationError, which a stacked quantity may raise for another power
+    than the one being read, the grid runs again on channels built alone, so
+    the first SNR that fails raises its own message. The powers come from
+    _snr_power, which has checked them."""
     stack = _SnrStack(_gains(h), tuple(powers))
     try:
         return [each(at, object.__new__(ChannelRealization)._share(stack, at))
                 for at in range(len(powers))]
-    except PathologicalChannelError:
+    except (PathologicalChannelError, EnumerationError):
         pass  # leave the except block, so the rerun's error chains no other
     return [each(at, ChannelRealization(h, P)) for at, P in enumerate(powers)]
 
@@ -186,16 +187,6 @@ def _over_grid(h, powers, each):
 def _read_only(stack):
     stack.flags.writeable = False
     return stack
-
-
-def _upper_cholesky(stack, message):
-    """Read-only upper factors F (F^T F = A) of the matrices of stack[i] for
-    every power i, from one stacked call. A failure raises
-    PathologicalChannelError(message), caused by its LinAlgError."""
-    try:
-        return _read_only(np.linalg.cholesky(stack).swapaxes(-1, -2))
-    except np.linalg.LinAlgError as e:
-        raise PathologicalChannelError(message) from e
 
 
 class _SnrStack:
@@ -207,10 +198,10 @@ class _SnrStack:
     done once. The gufuncs run the same LAPACK/BLAS routine on each matrix
     as a stack of one power does, and elementwise IEEE arithmetic rounds the
     same in numpy as in Python floats, so a channel of the stack has the
-    bits and strides of the channel built alone. A quantity holds an entry
-    for every power or raises PathologicalChannelError and keeps nothing.
-    The stack also keeps its draw's lattices and what each field's
-    selections found (_SnrStack.selections).
+    bits and strides of the channel built alone. A quantity, its lattices
+    too, holds an entry for every power or raises (PathologicalChannelError,
+    or LLL's EnumerationError) and keeps nothing. The stack also keeps what
+    each field's selections found (_SnrStack.selections).
     """
 
     def __init__(self, h, powers):
@@ -246,7 +237,7 @@ class _SnrStack:
     @functools.cached_property
     def mmse_factors(self):
         """Upper Cholesky factors F_j (F_j^T F_j = M_j) of the MMSE blocks."""
-        return _upper_cholesky(self.mmse_blocks, "MMSE matrix not positive definite")
+        return self._upper_cholesky(self.mmse_blocks, "MMSE matrix not positive definite")
 
     @functools.cached_property
     def if_whiteners(self):
@@ -303,20 +294,29 @@ class _SnrStack:
         gram = np.zeros(blocks.shape[:1] + blocks.shape[2:])
         for block in blocks.swapaxes(0, 1):
             gram += block
-        return _upper_cholesky(gram, "Z baseline Gram matrix not positive definite"
-                               + self._where)
+        return self._upper_cholesky(gram, "Z baseline Gram matrix not positive definite")
+
+    def _upper_cholesky(self, stack, message):
+        """Read-only upper factors F (F^T F = A) of the matrices of stack[i] for
+        every power i, from one stacked call. A failure raises
+        PathologicalChannelError(message + self._where), caused by its
+        LinAlgError."""
+        try:
+            return _read_only(np.linalg.cholesky(stack).swapaxes(-1, -2))
+        except np.linalg.LinAlgError as e:
+            raise PathologicalChannelError(message + self._where) from e
 
     def lattices(self, factors, field=None):
         """Lattices, one per power, on the quantity `factors` (Z factors) or on a
         field's block bases of it (CF, IF), reduced together on first read and
-        kept. Those from a power where LLL fails on reduce, and raise, when read."""
+        kept. Like every quantity of the stack, they are reduced for every
+        power or raise (LLL's EnumerationError) and keep nothing."""
         key = factors, field
         if key not in self._lattices:
             bases = getattr(self, factors)
             lats = [ZLattice._checked(b)
                     for b in (bases if field is None else _block_bases(field, bases))]
-            with contextlib.suppress(EnumerationError):  # raised again when read
-                _reduce(lats)
+            _reduce(lats)
             self._lattices[key] = lats
         return self._lattices[key]
 

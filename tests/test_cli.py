@@ -185,6 +185,19 @@ def test_dof_z_baseline_failure_names_its_snr(tmp_path, capsys):
     assert err == "error: Z baseline Gram matrix not positive definite at 160 dB\n"
 
 
+def test_cf_cholesky_failure_names_its_snr(tmp_path, capsys):
+    # a gain of 1e8 makes the first MMSE block lose positive definiteness in
+    # floating point from 20 dB on: CF's refusal names its SNR, as the Z and
+    # ML refusals do, in a DoF fit and for one channel
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"h": [[1e8, 1], [1, 1]]}))
+    for args, db in ((("dof", "--snr-top-db", "60"), 20), (("rate", "--snr-db", "40"), 40)):
+        code, out, err = run_cli(capsys, args[0], "--field", "quad-5", "--channel", str(path),
+                                 *args[1:])
+        assert (code, out) == (3, "")
+        assert err == "error: MMSE matrix not positive definite at %d dB\n" % db
+
+
 SNR_REFUSED = "snr must be positive and finite, a normal float, got "
 
 

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from ringcf import experiments, rates
+from ringcf import EnumerationError, catalog_field, dof_estimate, experiments, lattices, rates
 from ringcf.experiments import (IF_METRICS, RATE_METRICS, CurvePoint,
                                 SweepConfig, csv_string, curve, export_csv,
                                 horizontal_gap_db, run_if_sweep, run_sweep)
@@ -81,6 +81,32 @@ def test_failed_sanity_check_names_trial_seed_and_snr(runner, name, monkeypatch)
     cfg = SweepConfig(fields=["quad-5"], snr_db_grid=[0, 20], trials=3, seed=42)
     with pytest.raises(AssertionError, match=r": field=quad-5 \(trial=0, seed=42, snr_db=20\)$"):
         runner(cfg)
+
+
+@pytest.mark.parametrize("what", ["LLL", "walk"])
+def test_failed_lattice_names_trial_seed_and_snr(what, monkeypatch):
+    # LLL or the minima walk fails on a lattice of volume below 1e-3: the CF
+    # lattices of these draws at 60 dB, none at 0 or 20 dB. A sweep raises
+    # what the channel built alone raises with its trial, seed and SNR, and
+    # a DoF fit raises that message itself
+    message = "forced %s failure" % what
+    name, volume = (("lll_reduce", lambda lat: abs(np.linalg.det(lat.basis))) if what == "LLL"
+                    else ("_enumerate_all",
+                          lambda r_rows, *_: abs(math.prod(r[i] for i, r in enumerate(r_rows)))))
+    real = getattr(lattices, name)
+
+    def broken(*args, **kw):
+        if volume(*args) < 1e-3:
+            raise EnumerationError(message)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(lattices, name, broken)
+    cfg = SweepConfig(fields=["quad-5"], snr_db_grid=[0, 60], trials=3, seed=42)
+    with pytest.raises(EnumerationError, match=r"^%s \(trial=0, seed=42, snr_db=60\)$" % message):
+        run_sweep(cfg)
+    h = experiments._trial_rng(42, 0).normal(size=(2, 2))
+    with pytest.raises(EnumerationError, match="^%s$" % message):
+        dof_estimate(catalog_field("quad-5"), h, [0, 20, 60])
 
 
 def test_determinism_byte_identical():

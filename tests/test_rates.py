@@ -1097,7 +1097,7 @@ def test_refused_grid_runs_again_on_channels_built_alone(monkeypatch):
     built = counted_builds(monkeypatch, STACK_QUANTITIES)
     for h, grid, name, message in (
             ([[1e8, 1], [1, 1]], [1e-8, 1e4, 1e-4], "mmse_factors",
-             r"^MMSE matrix not positive definite$"),
+             r"^MMSE matrix not positive definite at 40 dB$"),
             (np.ones((2, 2)), [1.0, 1e16, 1e2], "z_factor",
              r"^Z baseline Gram matrix not positive definite at 160 dB$"),
             (np.ones((2, 2, 2)), [1.0, 1e16, 1e2], "ml_capacity",
@@ -1274,16 +1274,21 @@ def test_stack_asks_each_k_test_once_per_draw(monkeypatch):
 
 
 def test_grid_whose_lll_fails_at_one_power_raises_its_own_error():
-    # LLL's Gram-Schmidt norms of this IF lattice overflow at 1000 dB only:
-    # the powers before it return what channels built alone return, and that
-    # power raises what its channel built alone raises. The stack keeps the
-    # lattices reduced before the failure and no failure: the failing
-    # lattice raises again each time it is read
+    # LLL's Gram-Schmidt norms of this IF lattice overflow at 1000 dB only.
+    # The stack reduces the kind for every power or raises what the channel
+    # built alone raises, on every read, and keeps no lattice; the grid then
+    # runs again on channels built alone, so the powers before the failing
+    # one return what those channels return
     f = catalog_field("quad-5")
     h = np.array([[1e50, 0.0], [1.0, 0.5]])
     with pytest.raises(EnumerationError, match="^Gram-Schmidt norm") as alone:
         if_rate(f, ChannelRealization(h=h, snr=1e100))
     for grid in ([1.0, 1e2, 1e100, 1e-100], [1e100, 1.0]):
+        stack = rates._SnrStack(rates._gains(h), tuple(grid))
+        for _ in range(2):
+            with pytest.raises(EnumerationError, match="^%s$" % re.escape(str(alone.value))):
+                stack.lattices("if_whiteners", f)
+            assert stack._lattices == {}
         returned = []
 
         def each(at, ch):
@@ -1293,16 +1298,38 @@ def test_grid_whose_lll_fails_at_one_power_raises_its_own_error():
         with pytest.raises(EnumerationError) as e:
             rates._over_grid(h, grid, each)
         assert str(e.value) == str(alone.value)
-        bad = grid.index(1e100)
+        assert e.value.__context__ is None
         assert returned == [if_rate(f, ChannelRealization(h=h, snr=P)).to_json()
-                            for P in grid[:bad]]
-        lats = rates._SnrStack(rates._gains(h), tuple(grid)).lattices("if_whiteners", f)
-        assert ["_reduction" in vars(lat) for lat in lats] == [at < bad for at in range(len(grid))]
-        for _ in range(2):
-            with pytest.raises(EnumerationError, match=re.escape(str(alone.value))):
-                lats[bad]._reduction
-        assert reduction_bits(lats[-1]) == reduction_bits(
-            ChannelRealization(h=h, snr=grid[-1])._lattice("if_whiteners", f))
+                            for P in grid[:grid.index(1e100)]]
+
+
+def test_grid_whose_walk_fails_at_one_power_raises_its_own_error(monkeypatch):
+    # with a node limit of 10 the CF minima walk of this channel fails at
+    # 40 dB only (it takes 15 nodes there and at most 7 at 0, 20 and 30 dB):
+    # the grid runs again on channels built alone, so the powers before 40 dB
+    # return what those channels return, and 40 dB raises its own message
+    enumerate_all = lattices._enumerate_all
+    monkeypatch.setattr(lattices, "_enumerate_all",
+                        lambda *a, **kw: enumerate_all(*a, **kw, limit=10))
+    f = catalog_field("quad-5")
+    h = np.array([[0.3, -1.2], [0.7, 0.4]])
+    grid = [1.0, 1e2, 1e4, 1e3]
+    with pytest.raises(EnumerationError, match="^enumeration exceeded node limit: ") as alone:
+        best_coefficients(f, ChannelRealization(h=h, snr=1e4))
+    calls = []
+
+    def each(at, ch):
+        calls.append((at, len(ch._stack.powers), best_coefficients(f, ch).to_json()))
+        return calls[-1][-1]
+
+    with pytest.raises(EnumerationError) as e:
+        rates._over_grid(h, grid, each)
+    assert str(e.value) == str(alone.value)
+    assert e.value.__context__ is None
+    alone_reports = [best_coefficients(f, ChannelRealization(h=h, snr=P)).to_json()
+                     for P in grid[:2]]
+    assert calls == [(at, size, report) for size in (4, 1)
+                     for at, report in enumerate(alone_reports)]
 
 
 def test_z_baseline_failure_names_its_snr():
