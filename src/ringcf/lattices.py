@@ -304,13 +304,17 @@ class MinimaResult:
     lengths: list
 
 
-def _greedy_minima(lat, k, new_test, what="independent minima"):
-    """First k vectors, in length order, that a fresh test from new_test()
-    accepts (it keeps a tuple of Python ints, sign-canonical, and returns
-    True when that is independent of those kept before): (coefficient
-    tuples, lengths). Its answer depends only on the vectors it kept and the
-    candidate, so the K-selection answers a pair that its draw has met
-    before from a memo (rates._select_independent), in both passes.
+def _greedy_minima(lat, k, new_span, answers, what="independent minima"):
+    """First k vectors, in length order, that stay independent of those kept
+    before: (coefficient tuples, lengths). new_span() makes an empty exact
+    span whose add keeps a tuple of Python ints (sign-canonical) and says if
+    it raised the rank.
+
+    Its answer depends only on the vectors kept and the candidate, so every
+    test of both passes reads answers[(kept, candidate)] first; only a miss
+    builds the pass's span, catches it up on the vectors kept since it last
+    asked, and stores the answer. Callers that pass one dict to several
+    lattices share their answers.
 
     The same greedy over the reduced columns, shortest first, finds k
     independent ones; the k-th pick's norm^2 r^2 bounds the k-th vector, so
@@ -320,18 +324,29 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
     first is mapped through U only when the loop reaches it, and a group
     of more than one is ordered lexicographically on canonical coefficients.
     """
+    def independent(vec):
+        nonlocal kept, span, spanned
+        key = kept, vec
+        answer = answers.get(key)
+        if answer is None:
+            span = span or new_span()
+            for v in kept[spanned:]:  # kept since the span last asked
+                span.add(v)
+            answer = answers[key] = span.add(vec)
+            spanned = len(kept) + answer
+        if answer:
+            kept += (vec,)
+        return answer
+
     _, u_cols, r_rows, norms2 = lat._reduction
-    test, picks = new_test(), 0
+    kept, span, spanned = (), None, 0
     for i in sorted(range(lat.dim), key=norms2.__getitem__):
-        if test(_canonical(u_cols[i])):
-            r2 = norms2[i]
-            picks += 1
-            if picks == k:
-                break
-    radius2 = r2 * _TIE
+        if independent(_canonical(u_cols[i])) and len(kept) == k:
+            break
+    radius2 = norms2[i] * _TIE
     cands = _enumerate_all(r_rows, radius2)
     cands.sort(key=itemgetter(1))
-    test, vectors, lengths = new_test(), [], []
+    kept, span, spanned, lengths = (), None, 0, []
     i, n = 0, len(cands)
     while i < n:
         x, d0 = cands[i]
@@ -343,11 +358,10 @@ def _greedy_minima(lat, k, new_test, what="independent minima"):
         else:
             group = sorted((_canonical(_apply_transform(u_cols, x)), d) for x, d in cands[i:j])
         for vec, d in group:
-            if test(vec):
-                vectors.append(vec)
+            if independent(vec):
                 lengths.append(math.sqrt(d))
-                if len(vectors) == k:
-                    return vectors, lengths
+                if len(kept) == k:
+                    return list(kept), lengths
         i = j
     raise EnumerationError("dimension %d: fewer than %d %s within radius^2 %.6g"
                            % (lat.dim, k, what, radius2))
@@ -360,8 +374,9 @@ def successive_minima(lat, k):
     shortest LLL-reduced column)."""
     if not (1 <= k <= lat.dim):
         raise ValueError("k must satisfy 1 <= k <= dim")
-    # integer coordinates in a nonsingular basis: R-independence is Q-independence
-    vectors, lengths = _greedy_minima(lat, k, lambda: exact.IntEchelon().add)
+    # integer coordinates in a nonsingular basis: R-independence is
+    # Q-independence; the column pass and the candidate pass share answers
+    vectors, lengths = _greedy_minima(lat, k, exact.IntEchelon, {})
     return MinimaResult(vectors=vectors, lengths=lengths)
 
 

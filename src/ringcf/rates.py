@@ -407,35 +407,13 @@ def _select_independent(field, lat, k, memo):
     length order: (ring-element vectors, lengths). No R-independence pass is
     needed: a vector in the Q-span of earlier ones is in their K-span.
 
-    memo is (answers, rings). Every test of both _greedy_minima passes reads
-    answers first, keyed by (the vectors kept so far, the candidate), all
-    sign-canonical: the answer is exact and depends on nothing else, since
-    the kept vectors fix the K-span and a sign does not change it. Only a
-    miss asks a KSpan of the kept vectors and stores its answer. rings holds
-    the psi_map image of each pick, read for the picks that recur. A draw's
-    lattices share the memo of their field (_SnrStack.selections); any other
-    lattice takes an empty one."""
+    memo is (answers, rings): the answers of the exact K-tests, which
+    _greedy_minima reads and fills, and the psi_map image of each pick, read
+    for the picks that recur. A draw's lattices share the memo of their
+    field (_SnrStack.selections); any other lattice takes an empty one."""
     answers, rings = memo
-
-    def new_test():
-        kept, span, spanned = (), None, 0
-
-        def test(vec):
-            nonlocal kept, span, spanned
-            key = kept, vec
-            answer = answers.get(key)
-            if answer is None:
-                span = span or KSpan(field)
-                for v in kept[spanned:]:  # kept since the span last asked
-                    span.add(v)
-                answer = answers[key] = span.add(vec)
-                spanned = len(kept) + answer
-            if answer:
-                kept += (vec,)
-            return answer
-        return test
-
-    vectors, lengths = _greedy_minima(lat, k, new_test, "vectors independent over " + field.name)
+    vectors, lengths = _greedy_minima(lat, k, lambda: KSpan(field), answers,
+                                      "vectors independent over " + field.name)
     for v in vectors:
         if v not in rings:
             rings[v] = psi_map(field, v)

@@ -1,6 +1,7 @@
 """Public surface: exported names and the benchmark's traced layers."""
 import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,22 @@ import numpy as np
 import ringcf
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_names_resolve():
     missing = [name for name in ringcf.__all__ if not hasattr(ringcf, name)]
     assert not missing
+
+
+def test_readme_example_runs():
+    # the README's one Python example, run as written, and the claim of its
+    # comment, so the documented API cannot drift from the code
+    (example,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    names = {}
+    exec(compile(example, str(README), "exec"), names)
+    rep = names["rep"]
+    assert rep.rate <= rep.ml_capacity == ringcf.ml_capacity(names["mimo"])
 
 
 def test_traced_layers_are_callable():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ringcf import build_nested_pair, experiments, lattices, prime_ideal, psi_inverse
+from ringcf import build_nested_pair, exact, experiments, lattices, prime_ideal, psi_inverse
 from ringcf.exact import IntEchelon, int_mat_det
 from ringcf.fields import catalog_field
 from ringcf.lattices import (EnumerationError, ZLattice, closest_vector,
@@ -373,6 +373,60 @@ def test_minima_radius_equals_echelon_column_pass(monkeypatch):
     for lat in corpus:
         for k in range(1, lat.dim + 1):
             assert minima_radius2(monkeypatch, lat, k) == echelon_column_radius2(lat, k)
+
+
+def test_minima_ask_each_q_test_of_a_call_once(monkeypatch):
+    # successive_minima hands _greedy_minima one fresh answers dict for both
+    # passes. A span is asked each new (kept, candidate) pair once, and its
+    # other adds only catch it up on vectors kept from stored answers; each
+    # answer is the one a fresh IntEchelon of the kept vectors gives, and
+    # the candidate pass reads answers that the column pass stored
+    greedy, calls = lattices._greedy_minima, []
+
+    class Answers(dict):
+        reads = 0
+
+        def get(self, key, default=None):
+            self.reads += 1
+            return super().get(key, default)
+
+    class RecordingEchelon(IntEchelon):
+        def __init__(self):
+            super().__init__()
+            self.kept = ()
+
+        def add(self, r):
+            answers, questions = calls[-1]
+            key, answer = (self.kept, r), super().add(r)
+            if key in answers:
+                assert answer and answers[key]  # catching up on a kept vector
+            else:
+                questions.append(key)
+            self.kept += (r,) * answer
+            return answer
+
+    def recording(lat, k, new_span, answers, *args):
+        assert new_span is RecordingEchelon and answers == {}
+        calls.append((Answers(), []))
+        return greedy(lat, k, new_span, calls[-1][0], *args)
+
+    # one scale per random basis: mixed scales can exceed the node limit
+    rng = np.random.default_rng(45)
+    corpus = rate_lattices(monkeypatch) + [
+        ZLattice(random_basis(rng, int(rng.integers(2, 9))) * rng.choice([1.0, 100.0, 1e-3]))
+        for _ in range(60)]
+    monkeypatch.setattr(exact, "IntEchelon", RecordingEchelon)
+    monkeypatch.setattr(lattices, "_greedy_minima", recording)
+    for lat in corpus:
+        for k in range(1, lat.dim + 1):
+            successive_minima(lat, k)
+    monkeypatch.undo()
+    for answers, questions in calls:
+        assert len(set(questions)) == len(questions) == len(answers)
+        for (kept, candidate), answer in answers.items():
+            span = IntEchelon()
+            assert all(span.add(v) for v in kept) and span.add(candidate) == answer
+    assert sum(len(answers) for answers, _ in calls) < sum(a.reads for a, _ in calls)
 
 
 def assert_r_rows_equal_qr_positive(lat):

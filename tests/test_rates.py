@@ -507,12 +507,13 @@ def test_block_swap_is_the_galois_automorphism(name):
             assert math.isclose(a, b, rel_tol=1e-9), (P, a, b)
 
 
-def galois_cubic_49():
-    """theta -> theta^2 - 2 on cubic-49 (x^3 + x^2 - 2x - 1, a cyclic field):
-    (pi, G) with r_i^2 - 2 = r_pi[i] for the ascending roots r, and G the
-    integer matrix whose column k holds the coordinates of the image of
-    omega_k, from exact polynomial arithmetic."""
-    f = catalog_field("cubic-49")
+def galois_square_minus_two(name):
+    """theta -> theta^2 - 2 on a cyclic field whose roots it permutes:
+    cubic-49 (x^3 + x^2 - 2x - 1) and the real cyclotomic fields, whose
+    theta is 2 cos(2 pi / p). (f, pi, G) with r_i^2 - 2 = r_pi[i] for the
+    ascending roots r, and G the integer matrix whose column k holds the
+    coordinates of the image of omega_k, from exact polynomial arithmetic."""
+    f = catalog_field(name)
     n, m = f.degree, list(f.min_poly)
     image = [-2, 0, 1]
     columns = []
@@ -527,23 +528,24 @@ def galois_cubic_49():
     coords = exact.mat_solve(basis, columns)
     assert all(c.denominator == 1 for col in coords for c in col)
     G = [[int(coords[k][i]) for k in range(n)] for i in range(n)]
-    pi = [2, 0, 1]
+    pi = [int(np.argmin(abs(f.roots - (r * r - 2)))) for r in f.roots]
+    assert sorted(pi) == list(range(n))
     assert np.allclose(f.roots ** 2 - 2, f.roots[pi], rtol=0, atol=1e-12)
     return f, pi, G
 
 
-def test_cubic_galois_action_moves_the_blocks():
-    # sigma_i(g(a)) = sigma_pi[i](a), so g maps the selection of h to that of
-    # h[pi]: the f-values stay, and each vector is the conjugate of the one
-    # found for h, up to sign and ties
-    f, pi, G = galois_cubic_49()
+def assert_galois_action_moves_the_blocks(name, draws):
+    """sigma_i(g(a)) = sigma_pi[i](a), so g maps the selection of h to that
+    of h[pi]: the f-values stay, and each vector is the conjugate of the one
+    found for h, up to sign and ties. Returns the vectors compared."""
+    f, pi, G = galois_square_minus_two(name)
 
     def conjugate(vec):
         return [tuple(sum(G[i][k] * a.coords[k] for k in range(f.degree))
                       for i in range(f.degree)) for a in vec]
 
     compared = 0
-    for h, P in invariance_draws(f, 2, 75):
+    for h, P in draws(f):
         rep = best_coefficients(f, ChannelRealization(h=h, snr=P))
         moved = best_coefficients(f, ChannelRealization(h=h[pi], snr=P))
         for a, b in zip(rep.f_values, moved.f_values):
@@ -555,7 +557,26 @@ def test_cubic_galois_action_moves_the_blocks():
             want = conjugate(vec)
             assert got in (want, [tuple(-c for c in x) for x in want]), (P, k)
             compared += 1
+    return compared
+
+
+def test_cubic_galois_action_moves_the_blocks():
+    compared = assert_galois_action_moves_the_blocks(
+        "cubic-49", lambda f: invariance_draws(f, 2, 75))
     assert compared >= 30
+
+
+@pytest.mark.parametrize("name", ["cyclotomic-23", "cyclotomic-29"])
+def test_cyclotomic_galois_action_moves_the_blocks(name):
+    # two users and 4 draws at each of 0, 10 and 20 dB: lattices of
+    # dimension 22 and 28, whose minima walks cost 5-40 ms a call
+    def draws(f):
+        rng = np.random.default_rng(76)
+        for snr_db in (0, 10, 20):
+            for _ in range(4):
+                yield rng.normal(size=(f.degree, 2)), 10.0 ** (snr_db / 10)
+
+    assert assert_galois_action_moves_the_blocks(name, draws) >= 20
 
 
 def test_lower_bounds_and_mac():
@@ -695,6 +716,28 @@ def test_dof_grid_validation():
     f = catalog_field("rational")
     with pytest.raises(ValueError):
         dof_estimate(f, np.array([[1.0]]), [40, 50])
+
+
+@pytest.mark.parametrize("name, users", [("quad-5", 2), ("quad-5", 3), ("quad-5", 4),
+                                         ("cubic-49", 2), ("cubic-49", 3),
+                                         ("quartic-725", 2), ("quartic-725", 3),
+                                         ("quintic-14641", 2)])
+def test_dof_is_degree_over_users(name, users):
+    # the paper's DoF: the best ring CF rate grows as n/L times
+    # (1/2) log2(1 + P), while the Z baseline's flattens. Median slope of 9
+    # channels on the 40-80 dB grid of `ringcf dof --snr-top-db 80`; over
+    # seeds 11-41 the largest miss of n/L was 0.184 (quad-5, L=3)
+    f = catalog_field(name)
+    rng = np.random.default_rng(11)
+    grid = [40.0 + 5.0 * i for i in range(9)]
+    slopes, z_slopes = [], []
+    for _ in range(9):
+        h = rng.standard_normal((f.degree, users))
+        slopes.append(dof_estimate(f, h, grid)[0])
+        z_slopes.append(dof_estimate(f, h, grid, z_baseline=True)[0])
+    slope, z_slope = float(np.median(slopes)), float(np.median(z_slopes))
+    assert abs(slope - f.degree / users) <= 0.25, slope
+    assert slope > z_slope, (slope, z_slope)
 
 
 @pytest.mark.parametrize("snr_db", [4000, 1e308, math.nan, math.inf, -math.inf,
@@ -1188,12 +1231,20 @@ class CountedDict(dict):
         return super().get(key, default)
 
 
+class Forgetful(dict):
+    """An answers dict that keeps nothing, so the greedy asks its span every
+    test: the selection without a memo."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_stack_k_tests_equal_fresh_kspan_tests():
     # the CF and IF selections of each draw over 0-60 dB read their field's
-    # memo on the stack: each equals the greedy that asks a fresh KSpan at
-    # every test, mapped by psi_map, vectors and lengths with ==; each stored
-    # answer is the one a fresh KSpan of its kept vectors gives, and each
-    # selection returns lists of its own, not the draw's kept ones
+    # memo on the stack: each equals the greedy that asks its KSpan (one per
+    # pass) at every test, mapped by psi_map, vectors and lengths with ==;
+    # each stored answer is the one a fresh KSpan of its kept vectors gives,
+    # and each selection returns lists of its own, not the draw's kept ones
     rng = np.random.default_rng(53)
     grid = tuple(10.0 ** (snr_db / 10.0) for snr_db in range(0, 65, 5))
     reads = stored = 0
@@ -1210,7 +1261,7 @@ def test_stack_k_tests_equal_fresh_kspan_tests():
                     got, lengths = rates._select_independent(f, lat, shape[-1],
                                                              stack.selections(f))
                     vectors, want = lattices._greedy_minima(lat, shape[-1],
-                                                            lambda: fields.KSpan(f).add)
+                                                            lambda: fields.KSpan(f), Forgetful())
                     assert (got, lengths) == ([psi_map(f, v) for v in vectors], want)
                     assert [tuple(psi_inverse(v)) for v in got] == vectors
                     assert not any(v is rings[w] for v, w in zip(got, vectors))
@@ -1271,6 +1322,22 @@ def test_stack_asks_each_k_test_once_per_draw(monkeypatch):
         del memos[:], adds[:]
         run(experiments.SweepConfig(fields=names, trials=2, seed=7))
         assert (len(memos), sum(m.reads for m in memos), len(adds)) == counts
+
+
+def test_z_minima_share_q_tests_between_their_passes(monkeypatch):
+    # the Z baselines' minima ask each exact Q-test of a lattice once over
+    # both passes: the exact.IntEchelon.add calls of 20 criterion-6 sweep
+    # trials (3 fields, 11 SNRs) and 20 criterion-9 if-sweep trials. KSpan's
+    # q_add is bound at class creation, so the K-tests are not counted. With
+    # a span per pass and no shared answers they were 440 and 935 calls
+    adds = []
+    add = exact.IntEchelon.add
+    monkeypatch.setattr(exact.IntEchelon, "add", lambda span, r: adds.append(r) or add(span, r))
+    for run, names, count in ((experiments.run_sweep, ["quad-5", "quad-8", "quad-12"], 220),
+                              (experiments.run_if_sweep, ["quad-5"], 542)):
+        del adds[:]
+        run(experiments.SweepConfig(fields=names, trials=20, seed=7))
+        assert len(adds) == count
 
 
 def test_grid_whose_lll_fails_at_one_power_raises_its_own_error():
