@@ -83,18 +83,16 @@ def _reduce(lats):
     """LLL-reduce the lattices lats, all of one dimension, in order through
     the module's `lll_reduce` (looked up at call time), and keep each one's
     (reduced basis, U columns as int tuples, R rows, column norms^2) as its
-    `_reduction`. R is np.linalg.qr's factor, rows with a negative diagonal
-    negated, from one mode "raw" call that factors the stack of reduced bases
-    as calls of their own would. Q waits for `_q`."""
+    `_reduction`. R is np.linalg.qr's factor, from one mode "r" call that
+    factors the stack of reduced bases as calls of their own would, with the
+    rows negated whose diagonal entry is negative (the sign rule of `_q`).
+    Q waits for `_q`."""
     reduced = [lll_reduce(lat) for lat in lats]
     bases = np.array([red.basis for red, _ in reduced])
-    raw = np.linalg.qr(bases, mode="raw")[0].swapaxes(1, 2).tolist()
-    for lat, (red, u), r_rows, norms2 in zip(lats, reduced, raw,
+    r = np.linalg.qr(bases, mode="r")
+    r *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[..., None]
+    for lat, (red, u), r_rows, norms2 in zip(lats, reduced, r.tolist(),
                                              np.sum(bases * bases, axis=1).tolist()):
-        for i, row in enumerate(r_rows):
-            row[:i] = [0.0] * i
-            if row[i] < 0:
-                r_rows[i] = [-x for x in row]
         vars(lat)["_reduction"] = red.basis, list(zip(*u)), r_rows, norms2
 
 
@@ -241,10 +239,8 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
             s += row[j] * x[j]
         c = t[level] - s
         rr = row[level]
-        rem = radius2 - dist
-        if rem < 0:
-            return
-        half = math.sqrt(rem) / abs(rr)
+        # dist <= radius2: the top level starts at 0, a lower one once d > radius2 failed
+        half = math.sqrt(radius2 - dist) / abs(rr)
         center = c / rr
         g = 1e-12 * (1 + abs(center))  # covers center's rounding, which grows with it
         lo = math.ceil(center - half - g)
@@ -424,7 +420,7 @@ def closest_vector(lat, target):
             np.round(target - red_basis @ np.array(v, dtype=float), 12)))
     coeffs = _apply_transform(u_cols, x)
     point = lat.basis @ np.array(coeffs, dtype=float)
-    return coeffs, point, math.sqrt(max(best_d, 0.0))
+    return coeffs, point, math.sqrt(best_d)
 
 
 _HERMITE_EXACT = {1: 1.0, 2: 2.0 / math.sqrt(3.0), 3: 2.0 ** (1.0 / 3.0),

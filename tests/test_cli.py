@@ -2,6 +2,8 @@
 import csv
 import io
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -14,6 +16,40 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def readme_command_lines():
+    """Each `ringcf ...` command in the README's fenced blocks, its
+    backslash-continued lines joined, as an argument list without `ringcf`."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = []
+    for block in text.split("```")[1::2]:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("ringcf "):
+                lines.append(shlex.split(line)[1:])
+    return lines
+
+
+def test_readme_lists_every_subcommand():
+    subcommands = {argv[0] for argv in readme_command_lines()}
+    assert subcommands == {"fields", "rate", "sweep", "if-sweep", "dof", "codec-demo"}
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path, capsys):
+    # as documented, with at most 2 trials and the output file in tmp_path
+    argv = list(argv)
+    for i, flag in enumerate(argv[:-1]):
+        if flag == "--trials":
+            argv[i + 1] = str(min(int(argv[i + 1]), 2))
+        elif flag == "--out":
+            argv[i + 1] = str(tmp_path / argv[i + 1])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if "--out" in argv:
+        assert pathlib.Path(argv[argv.index("--out") + 1]).read_text()
+    if argv[0] == "codec-demo":
+        assert json.loads(out)["verified"] is True
 
 
 def test_help_exits_zero():

@@ -1,4 +1,5 @@
 """Nested lattice codec: ideals, encoding, relay equations, destination."""
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -175,6 +176,35 @@ def test_nested_pair_coded_volumes():
     # nesting: each coarse generator solves to integer fine coordinates
     for col in pair.gen_coarse:
         assert_in_fine_lattice(pair, col)
+
+
+def benchmark_codec_pair():
+    """The codec benchmark workload's pair: quad-5 modulo 101 at root 23, T=4."""
+    f = catalog_field("quad-5")
+    return build_nested_pair(f, prime_ideal(f, 101, 23), [[1], [0], [3], [11]],
+                             [[1, 0], [0, 1], [3, 7], [11, 5]], T=4)
+
+
+def test_nested_pair_refuses_a_scaled_ideal_basis():
+    # twice the ideal's Z-basis spans an index-4 sublattice of it: the
+    # generators' determinant is no longer p^(T - k)
+    pair = benchmark_codec_pair()
+    ideal = dataclasses.replace(pair.ideal, basis_coords=[
+        [2 * c for c in col] for col in pair.ideal.basis_coords])
+    with pytest.raises(CodecError, match="^lattice volume identity failed$"):
+        build_nested_pair(pair.field, ideal, pair.G_coarse, pair.G_fine, T=4)
+
+
+def test_scale_by_ring_refuses_ring_coordinates_outside_the_fine_code():
+    # one more 1 at position 0 moves the word's first symbol, whose re-encoding
+    # then disagrees at positions 2 and 3
+    pair = benchmark_codec_pair()
+    cw = encode(pair, [7])
+    assert pair.in_fine_code(pair.reduce_vector(cw.ring_coords))
+    bad = dataclasses.replace(cw, ring_coords=[cw.ring_coords[0] + pair.field.one()]
+                              + cw.ring_coords[1:])
+    with pytest.raises(CodecError, match="^scaled vector left the fine code$"):
+        scale_by_ring(pair, pair.field.element([2, 1]), bad)
 
 
 def assert_in_fine_lattice(pair, flat):

@@ -291,3 +291,8 @@ def test_horizontal_gap_interpolation():
         pts.append(CurvePoint(s, "B", "m", s / 5.0, 0.0, 1, 0))         # fast
     # B hits value 2.0 at 10 dB; A needs 20 dB: gap 10 dB
     assert abs(horizontal_gap_db(pts, "A", "m", "B", "m", 10.0) - 10.0) < 1e-12
+    # C = A + 1 starts at A's value at 10 dB: the gap is C's first SNR minus
+    # 10 dB; A never reaches B's value at 15 dB on the grid: the gap is infinite
+    pts += [CurvePoint(s, "C", "m", s / 10.0 + 1.0, 0.0, 1, 0) for s in (0.0, 10.0, 20.0)]
+    assert horizontal_gap_db(pts, "C", "m", "A", "m", 10.0) == -10.0
+    assert horizontal_gap_db(pts, "A", "m", "B", "m", 15.0) == math.inf

@@ -68,6 +68,18 @@ def test_real_roots_rejects_repeated():
         real_roots([1, -2, 1])  # (x-1)^2
 
 
+def test_trace_form_of_a_complex_field_is_refused():
+    # Z[i]: tr(1) = 2 and tr(i^2) = -2, so the trace form has determinant -4;
+    # the exact check refuses it before any float root is sought
+    with pytest.raises(NotTotallyRealError, match="^trace form is not positive definite$"):
+        NumberField("i", [1, 0, 1], [[1], [0, 1]])
+
+
+def test_field_repr_names_degree_and_discriminant():
+    assert repr(catalog_field("quad-5")) == "NumberField('quad-5', degree=2, disc=5)"
+    assert repr(catalog_field("cubic-49")) == "NumberField('cubic-49', degree=3, disc=49)"
+
+
 def test_roots_are_polished():
     for name in ("quintic-38569", "cyclotomic-29"):
         f = catalog_field(name)

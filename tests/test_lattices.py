@@ -479,7 +479,7 @@ def test_only_closest_vector_builds_q(monkeypatch):
     f = catalog_field("quad-5")
     best_coefficients(f, ChannelRealization(h=rng.normal(size=(2, 2)), snr=100.0))
     if_rate(f, ChannelRealization(h=rng.normal(size=(2, 2, 2)), snr=100.0))
-    assert modes and set(modes) == {"raw"}
+    assert modes and set(modes) == {"r"}
     del modes[:]
     target = rng.normal(size=4)
     closest_vector(lat, target)
@@ -487,7 +487,7 @@ def test_only_closest_vector_builds_q(monkeypatch):
     successive_minima(lat, 2)
     assert modes == ["reduced"]  # R is kept from the minima call
     closest_vector(ZLattice(lat.basis), target)
-    assert modes == ["reduced", "raw", "reduced"]
+    assert modes == ["reduced", "r", "reduced"]
 
 
 def test_one_qr_per_lattice_kind_per_draw(monkeypatch):
