@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import exact
+from .fields import AlgebraicInt
 from .lattices import ZLattice, _apply_transform, closest_vector
 
 
@@ -40,11 +42,20 @@ class PrimeIdealData:
     coset_reps: list        # coset_reps[c] is the minimal lift of c in O
 
     def rho(self, elem):
-        """Reduce a ring element to F_p."""
-        return sum(int(c) * r for c, r in zip(elem.coords, self.residues)) % self.p
+        """Reduce a ring element to F_p. Its coordinates are Python ints, as
+        every AlgebraicInt's are."""
+        return sum(map(operator.mul, elem.coords, self.residues)) % self.p
 
     def embedded_basis(self):
         return _embed(self.field, self.basis_coords)
+
+    # built once, after prime_ideal has set coset_reps
+    @functools.cached_property
+    def _embedded_reps(self):
+        """Embedding of each coset representative, by the same (n x n) @ (n x 1)
+        product that _embed takes for one position, so a codeword's signal
+        has the bits of embedding its whole coordinate column."""
+        return [_embed(self.field, [rep.coords])[:, 0] for rep in self.coset_reps]
 
 
 def prime_ideal(field, p, root):
@@ -134,6 +145,15 @@ class NestedLatticePair:
         """Columns of G_fine carrying fresh message symbols."""
         return self.G_fine[:, self.k_coarse:]
 
+    # the generator rows as Python ints, for exact.mat_vec_mod
+    @functools.cached_property
+    def _fine_rows(self):
+        return self.G_fine.tolist()
+
+    @functools.cached_property
+    def _msg_rows(self):
+        return self.G_msg.tolist()
+
     def fine_lattice(self):
         return self._fine_lattice
 
@@ -163,7 +183,7 @@ class NestedLatticePair:
         systematic, so re-encoding the first k_fine symbols is the syndrome
         check."""
         p = self.p
-        return (exact.mat_vec_mod(self.G_fine.tolist(), symbols[:self.k_fine], p)
+        return (exact.mat_vec_mod(self._fine_rows, symbols[:self.k_fine], p)
                 == [s % p for s in symbols])
 
 
@@ -237,9 +257,9 @@ def encode(pair, message, dither=None):
     message = [int(w) % p for w in message]
     if len(message) != pair.k_fine - pair.k_coarse:
         raise CodecError("message length must be %d" % (pair.k_fine - pair.k_coarse))
-    word = exact.mat_vec_mod(pair.G_msg.tolist(), message, p)
+    word = exact.mat_vec_mod(pair._msg_rows, message, p)
     coords = [c for w in word for c in pair.ideal.coset_reps[w].coords]
-    x = _embed(pair.field, [coords])[:, 0]
+    x = np.concatenate([pair.ideal._embedded_reps[w] for w in word])
     if dither is not None:
         x = x + np.asarray(dither, dtype=float)
     ring, X = _mod_coarse(pair, x, coords)
@@ -249,13 +269,15 @@ def encode(pair, message, dither=None):
 def _mod_coarse(pair, x, coords):
     """Reduce the embedded vector x modulo the coarse lattice.
 
-    coords are the exact coordinates of x's lattice part; returns them minus
-    the closest coarse point's, as a ring vector, and the n x T signal.
+    coords are the exact coordinates of x's lattice part, n * T Python ints;
+    returns them minus the closest coarse point's, as a ring vector, and the
+    n x T signal.
     """
+    field, n = pair.field, pair.field.degree
     zc, point, _ = closest_vector(pair.coarse_lattice(), x)
-    shift = _apply_transform(pair.gen_coarse, zc)
-    ring = pair.ring_vector([c - s for c, s in zip(coords, shift)])
-    return ring, (x - point).reshape((pair.field.degree, pair.T), order="F")
+    diff = tuple(map(operator.sub, coords, _apply_transform(pair.gen_coarse, zc)))
+    ring = [AlgebraicInt._checked(field, diff[t:t + n]) for t in range(0, n * pair.T, n)]
+    return ring, (x - point).reshape((n, pair.T), order="F")
 
 
 def scale_by_ring(pair, a, codeword):
@@ -268,8 +290,9 @@ def scale_by_ring(pair, a, codeword):
     symbols = pair.reduce_vector(ring)
     if not pair.in_fine_code(symbols):
         raise CodecError("scaled vector left the fine code")
-    D = np.diag(a.embed())
-    return D @ codeword.X, ring
+    # + 0.0 turns an exact -0.0 product (a = 0, or a zero entry of X) into
+    # the +0.0 that a product with the diagonal matrix of sigma(a) gives
+    return a.embed()[:, None] * codeword.X + 0.0, ring
 
 
 @dataclass(eq=False)
@@ -291,7 +314,7 @@ def decode_equation(pair, Y, b, coeff_vector):
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (n, T):
         raise CodecError("observation must be %d x %d" % (n, T))
-    scaled = (np.diag(np.asarray(b, dtype=float)) @ Y).flatten(order="F")
+    scaled = (np.asarray(b, dtype=float)[:, None] * Y).flatten(order="F")
     fine = pair.fine_lattice()
     zf, point, _ = closest_vector(fine, scaled)
     ring, signal = _mod_coarse(pair, point, _apply_transform(pair.gen_fine, zf))

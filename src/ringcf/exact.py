@@ -177,4 +177,6 @@ def rational_mod(x, p):
 
 
 def mat_vec_mod(rows, vec, p):
-    return [sum(int(x) * int(v) for x, v in zip(row, vec)) % p for row in rows]
+    """Matrix-vector product mod p of the rows, lists of Python ints, and
+    vec, Python ints: numpy integers would wrap where Python ints grow."""
+    return [sum(map(operator.mul, row, vec)) % p for row in rows]

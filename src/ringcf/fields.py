@@ -82,6 +82,17 @@ class AlgebraicInt:
         if len(self.coords) != self.field.degree:
             raise ValueError("coordinate length does not match field degree")
 
+    @classmethod
+    def _checked(cls, field, coords):
+        """Element on coordinates known to be valid, without `__post_init__`'s
+        conversion and length check: coords is a tuple of `field.degree`
+        Python ints, such as a ring product's or a codec's exact coordinates
+        (`ZLattice._checked` is the same for a basis)."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "field", field)
+        object.__setattr__(elem, "coords", coords)
+        return elem
+
     def __eq__(self, other):
         return (isinstance(other, AlgebraicInt) and self.coords == other.coords
                 and _same_ring(self.field, other.field))
@@ -120,7 +131,7 @@ class AlgebraicInt:
                 tij = table[i][j]
                 for k in range(n):
                     out[k] += a * b * tij[k]
-        return AlgebraicInt(self.field, tuple(out))
+        return AlgebraicInt._checked(self.field, tuple(out))
 
     __rmul__ = __mul__
 

@@ -469,7 +469,7 @@ class RateReport:
     """Best ring coefficient vectors for one channel realization."""
 
     field_name: str
-    channel: ChannelRealization
+    channel: ChannelRealization  # the caller's h and snr, on a stack of its own
     coeffs: list                 # list of length-L AlgebraicInt vectors
     f_values: list               # quadratic form values, ascending
     rates_am: list               # per-vector computation rates, nonincreasing
@@ -520,7 +520,10 @@ def best_coefficients(field, channel, k=None):
     sigma, terms = embedded[0]
     return RateReport(
         field_name=field.name,
-        channel=channel,
+        # a lone channel on the same read-only gains and power, so the report
+        # does not keep the draw's stack with its lattices and K-test answers
+        channel=object.__new__(ChannelRealization)._share(
+            _SnrStack(channel.h, (channel.snr,)), 0),
         coeffs=selected,
         f_values=f_values,
         rates_am=rates,

@@ -39,9 +39,12 @@ def test_traced_layers_are_callable():
 
 def test_cached_data_is_no_dataclass_field():
     # kept derived data lives in cached properties, outside the fields that
-    # the constructor and repr see (== and hash are by identity, below)
+    # the constructor, repr and a generated == see (the array holders' ==
+    # and hash are by identity, below)
     for cls, public in ((ringcf.ChannelRealization, ["h", "snr"]),
                         (ringcf.ZLattice, ["basis"]),
+                        (ringcf.PrimeIdealData,
+                         ["field", "p", "root", "basis_coords", "residues", "coset_reps"]),
                         (ringcf.NestedLatticePair,
                          ["field", "ideal", "G_coarse", "G_fine", "T", "gen_fine",
                           "gen_coarse"])):

@@ -625,3 +625,129 @@ def test_extract_equals_reference_on_accepted_and_refused_equations():
                 assert u == expected and all(type(x) is int for x in u)
                 outcomes.append(True)
     assert 400 < sum(outcomes) < 800
+
+
+# The codec round as it read when every call rebuilt its tables: G.tolist()
+# and int() per entry, the whole coordinate column embedded per call, ring
+# elements built through field.element, and np.diag scalings. Closest-vector
+# search, the lattices and _apply_transform are the package's own.
+
+def per_call_mat_vec_mod(rows, vec, p):
+    return [sum(int(x) * int(v) for x, v in zip(row, vec)) % p for row in rows]
+
+
+def per_call_rho(ideal, elem):
+    return sum(int(c) * r for c, r in zip(elem.coords, ideal.residues)) % ideal.p
+
+
+def per_call_in_fine_code(pair, symbols):
+    return (per_call_mat_vec_mod(pair.G_fine.tolist(), symbols[:pair.k_fine], pair.p)
+            == [s % pair.p for s in symbols])
+
+
+def per_call_mul(a, b):
+    n, table = a.field.degree, a.field.mult_table
+    out = [0] * n
+    for (i, x), (j, y) in itertools.product(enumerate(a.coords), enumerate(b.coords)):
+        for k in range(n):
+            out[k] += x * y * table[i][j][k]
+    return a.field.element(out)
+
+
+def per_call_mod_coarse(pair, x, coords):
+    zc, point, _ = closest_vector(pair.coarse_lattice(), x)
+    shift = lattices._apply_transform(pair.gen_coarse, zc)
+    ring = pair.ring_vector([c - s for c, s in zip(coords, shift)])
+    return ring, (x - point).reshape((pair.field.degree, pair.T), order="F")
+
+
+def per_call_encode(pair, message):
+    """(ring coordinates, signal X) of the codeword of `message`."""
+    n, p = pair.field.degree, pair.p
+    word = per_call_mat_vec_mod(pair.G_msg.tolist(), message, p)
+    coords = [c for w in word for c in pair.ideal.coset_reps[w].coords]
+    X = np.array([coords], dtype=float).T
+    x = np.vstack([pair.field.embeddings @ X[t:t + n] for t in range(0, len(X), n)])[:, 0]
+    return per_call_mod_coarse(pair, x, coords)
+
+
+def per_call_scale_by_ring(pair, a, ring_coords, X):
+    ring = [per_call_mul(a, x) for x in ring_coords]
+    assert per_call_in_fine_code(pair, [per_call_rho(pair.ideal, r) for r in ring])
+    return np.diag(a.embed()) @ X, ring
+
+
+def per_call_decode_equation(pair, Y, b, coeff_vector):
+    """(ring coordinates, signal, coefficient residues) of the equation."""
+    scaled = (np.diag(np.asarray(b, dtype=float)) @ Y).flatten(order="F")
+    zf, point, _ = closest_vector(pair.fine_lattice(), scaled)
+    ring, signal = per_call_mod_coarse(pair, point,
+                                       lattices._apply_transform(pair.gen_fine, zf))
+    return ring, signal, [per_call_rho(pair.ideal, a) for a in coeff_vector]
+
+
+def per_call_extract_ff_equation(pair, ring_coords):
+    """The message combination, or None where the word leaves the fine code."""
+    v = [per_call_rho(pair.ideal, a) for a in ring_coords]
+    return v[pair.k_coarse:pair.k_fine] if per_call_in_fine_code(pair, v) else None
+
+
+def int_coords(ring):
+    coords = [a.coords for a in ring]
+    assert all(type(c) is int for t in coords for c in t)
+    return coords
+
+
+def test_encode_matches_the_per_call_path_bit_for_bit():
+    # the kept generator rows and embedded coset representatives give every
+    # message of the benchmark pair the signal bytes of embedding its column
+    pair = benchmark_codec_pair()
+    for m in range(pair.p):
+        cw = encode(pair, [m])
+        ring, X = per_call_encode(pair, [m])
+        assert cw.X.tobytes() == X.tobytes()
+        assert int_coords(cw.ring_coords) == int_coords(ring)
+
+
+def test_codec_rounds_match_the_per_call_path_bit_for_bit():
+    # the benchmark's round on its pair, with random per-block scalings b; a
+    # zero coefficient and the all-zero codeword of message 0 make exact
+    # zero products, whose sign the broadcast scaling must keep as np.diag did
+    pair = benchmark_codec_pair()
+    f = pair.field
+    rng = np.random.default_rng(33)
+    rounds = [([0, int(rng.integers(101))], [f.zero(), f.element([-2, 1])])]
+    for _ in range(49):
+        rounds.append(([int(w) for w in rng.integers(0, 101, size=2)],
+                       [f.element(rng.integers(-3, 4, size=2)) for _ in range(2)]))
+    decoded = 0
+    for msgs, a in rounds:
+        cws = [encode(pair, [m]) for m in msgs]
+        Y = rng.normal(scale=0.2, size=(2, 4))
+        for al, cw in zip(a, cws):
+            X, ring = scale_by_ring(pair, al, cw)
+            X_ref, ring_ref = per_call_scale_by_ring(pair, al, cw.ring_coords, cw.X)
+            assert X.tobytes() == X_ref.tobytes()
+            assert int_coords(ring) == int_coords(ring_ref)
+            Y = Y + X
+        b = rng.uniform(0.5, 1.5, size=2)
+        eq = decode_equation(pair, Y, b, a)
+        ring, signal, residues = per_call_decode_equation(pair, Y, b, a)
+        assert eq.signal.tobytes() == signal.tobytes()
+        assert int_coords(eq.ring_coords) == int_coords(ring)
+        assert eq.coeff_residues == residues
+        expected = per_call_extract_ff_equation(pair, ring)
+        if expected is None:
+            with pytest.raises(CodecError):
+                extract_ff_equation(pair, eq)
+        else:
+            assert extract_ff_equation(pair, eq) == expected
+            decoded += 1
+    assert decoded > 25
+
+
+def test_ring_vector_refuses_a_wrong_length():
+    pair = benchmark_codec_pair()
+    assert int_coords(pair.ring_vector(list(range(8)))) == [(0, 1), (2, 3), (4, 5), (6, 7)]
+    with pytest.raises(ValueError, match="^coordinate length does not match field degree$"):
+        pair.ring_vector(list(range(7)))

@@ -15,7 +15,7 @@ from ringcf import (FieldMismatchError, NotTotallyRealError, catalog_field,
                     rank_over_K, real_roots)
 from ringcf import fields
 from ringcf.exact import IntEchelon, int_mat_det
-from ringcf.fields import KSpan, NumberField
+from ringcf.fields import AlgebraicInt, KSpan, NumberField
 from test_exact import fraction_det, theta
 
 EXPECTED_DISCRIMINANTS = {
@@ -118,6 +118,27 @@ def test_norm_and_trace_exact():
         a = g.element(rng.integers(-4, 5, size=3))
         b = g.element(rng.integers(-4, 5, size=3))
         assert (a * b).norm() == a.norm() * b.norm()
+
+
+def test_checked_element_is_an_element():
+    # the trusted constructor of ring products and codec vectors skips the
+    # conversion and the length check; what it builds equals, hashes and
+    # multiplies like an element built through field.element
+    rng = np.random.default_rng(33)
+    for name in ("quad-5", "cubic-49", "quartic-725"):
+        f = catalog_field(name)
+        for _ in range(20):
+            coords = [int(c) for c in rng.integers(-5, 6, size=f.degree)]
+            other = f.element(rng.integers(-5, 6, size=f.degree))
+            trusted, built = AlgebraicInt._checked(f, tuple(coords)), f.element(coords)
+            assert trusted == built and hash(trusted) == hash(built)
+            assert len({trusted, built}) == 1
+            for x, y in ((trusted * other, built * other), (other * trusted, other * built)):
+                assert x == y and all(type(c) is int for c in x.coords)
+        with pytest.raises(ValueError, match="^coordinate length does not match field degree$"):
+            f.element([1] * (f.degree + 1))
+        with pytest.raises(ValueError, match="^coordinate length does not match field degree$"):
+            f.element([1] * (f.degree - 1))
 
 
 def test_field_mismatch_raises():

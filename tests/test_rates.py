@@ -1,11 +1,13 @@
 """Rate pipeline: Humbert forms, coefficient search, bounds, IF, DoF."""
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import math
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -362,6 +364,24 @@ def test_report_invariants_and_json():
         with pytest.raises(ValueError, match="^need 1 <= k <= users$"):
             best_coefficients(f, ch, k=k)
     assert np.allclose(rep.b_opt, reference_mmse_scaling(build_humbert(f, ch), rep.coeffs[0]))
+
+
+def test_report_keeps_no_stack_of_its_callers_channel():
+    # the report's channel has the caller's gains and power on a stack of
+    # its own, so the draw's stack, with its lattices and K-test answers,
+    # goes with the caller's channel
+    f = catalog_field("quad-5")
+    ch = random_channel(np.random.default_rng(8), 2, 2, 100.0)
+    stack = weakref.ref(ch._stack)
+    rep = best_coefficients(f, ch)
+    doc = json.dumps(rep.to_json())
+    assert rep.channel is not ch
+    assert rep.channel.h is ch.h and rep.channel.snr == ch.snr
+    assert rep.to_json()["channel"] == ch.to_json()
+    del ch
+    gc.collect()
+    assert stack() is None
+    assert json.dumps(rep.to_json()) == doc
 
 
 def reference_sigma(hf, coeffs):
