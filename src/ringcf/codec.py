@@ -170,8 +170,13 @@ class NestedLatticePair:
         return ZLattice(_embed(self.field, self.gen_coarse))
 
     def ring_vector(self, coord_blocks):
-        return [self.field.element(coord_blocks[t * self.field.degree:
-                                                (t + 1) * self.field.degree])
+        """Ring vector of T elements from n*T integer coordinates, n per
+        position."""
+        n = self.field.degree
+        if len(coord_blocks) != n * self.T:
+            raise ValueError("ring vector needs %d coordinates (n*T), got %d"
+                             % (n * self.T, len(coord_blocks)))
+        return [self.field.element(coord_blocks[t * n:(t + 1) * n])
                 for t in range(self.T)]
 
     def reduce_vector(self, ring_vec):

@@ -147,10 +147,13 @@ def _swap(b, u, norms, mu, k):
     """Exchange columns k-1 and k, updating norms and mu in place in O(m)."""
     b[k - 1], b[k] = b[k], b[k - 1]
     u[k - 1], u[k] = u[k], u[k - 1]
-    mu[k - 1][:k - 1], mu[k][:k - 1] = mu[k][:k - 1], mu[k - 1][:k - 1]
-    t = mu[k][k - 1]
+    # rows k-1 and k trade their first k-1 entries: pop mu[k][k-1], swap the
+    # lists, and append the new mu[k][k-1] to the one now in row k
+    t = mu[k].pop()
+    mu[k - 1], mu[k] = mu[k], mu[k - 1]
     big = norms[k] + t * t * norms[k - 1]
-    c = mu[k][k - 1] = t * norms[k - 1] / big
+    c = t * norms[k - 1] / big
+    mu[k].append(c)
     norms[k] = norms[k - 1] * norms[k] / big
     norms[k - 1] = big
     if not (big < math.inf and 0 < norms[k] < math.inf):
@@ -171,14 +174,17 @@ def lll_reduce(lat, delta=0.99):
     Course in Computational Algebraic Number Theory, Alg. 2.6.3): reducing
     b_k by b_j changes only row k of mu, and a swap costs O(m). A fresh
     decomposition confirms the result; if float drift broke size reduction
-    or the Lovasz condition, the loop resumes from the fresh data.
+    or the Lovasz condition, the loop resumes from the fresh data. Resuming
+    from a basis it has resumed from before would cycle (a size reduction
+    lost to rounding leaves b unchanged), so that raises EnumerationError.
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
     b = lat.basis.T.tolist()  # columns of the basis, as Python floats
     m = len(b)
-    u = [[int(i == j) for i in range(m)] for j in range(m)]  # columns of U
+    u = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]  # columns of U
     norms, mu = _gso(b)
+    seen = set()  # bases at the fresh checks that failed
     k = 1
     while k < m:
         mk = mu[k]
@@ -186,20 +192,34 @@ def lll_reduce(lat, delta=0.99):
             if -0.5 <= mk[j] <= 0.5:
                 continue  # round() is 0 there
             r = round(mk[j])
-            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            # r as a float is r exactly (|mu| < 2**53 rounds to an integer
+            # below 2**53, a larger float is an integer already), so every
+            # product and difference rounds as with the int; float operands
+            # take the interpreter's float fast path
+            rf = float(r)
+            b[k] = [x - rf * y for x, y in zip(b[k], b[j])]
             u[k] = [x - r * y for x, y in zip(u[k], u[j])]
             mj = mu[j]
             for i in range(j):
-                mk[i] -= r * mj[i]
-            mk[j] -= r
+                mk[i] -= rf * mj[i]
+            mk[j] -= rf
         if norms[k] >= (delta - mk[k - 1] ** 2) * norms[k - 1]:
             k += 1
+            if k == m:  # a swap leaves k < m
+                norms, mu = _gso(b)
+                k = _first_unreduced(norms, mu, delta)
+                if k < m:
+                    # a size-reduction step lost to rounding can bring the
+                    # loop back to a basis it has checked: it would cycle
+                    key = tuple(map(tuple, b))
+                    if key in seen:
+                        raise EnumerationError(
+                            "LLL revisits a basis it has checked: dimension %d, "
+                            "size reduction lost to rounding" % m)
+                    seen.add(key)
         else:
             _swap(b, u, norms, mu, k)
             k = max(k - 1, 1)
-        if k == m:
-            norms, mu = _gso(b)
-            k = _first_unreduced(norms, mu, delta)
     # b holds the columns; the transposed copy is the C-ordered basis that
     # the closest-vector path reads (an F-ordered one made the codec slower)
     return ZLattice._checked(np.array(b).T.copy()), [list(row) for row in zip(*u)]

@@ -125,6 +125,38 @@ def test_lll_terminates_when_a_fresh_mu_ties_at_one_half():
     assert_lll_reduced(b)
 
 
+def test_lll_raises_when_a_size_reduction_lost_to_rounding_cycles():
+    # numpy's cond reads inf: b_k - r b_j rounds back to b_k while U moves,
+    # and the loop used to return to the same unreduced basis without end
+    lat = ZLattice([[6.2442709199244696e+16, -1.6176002631504405, 5.0173027471786136e+16],
+                    [-1.1836745148601586e+17, -0.8247019183047019, 5.480537862384456e+16],
+                    [-2.9582412356006344e+16, 0.8096229130477688, 3.148138653750855e+17]])
+    with pytest.raises(EnumerationError, match="dimension 3"):
+        lll_reduce(lat)
+    with pytest.raises(EnumerationError, match="dimension 3"):
+        successive_minima(lat, 3)
+    with pytest.raises(EnumerationError, match="dimension 3"):
+        closest_vector(lat, np.zeros(3))
+
+
+def test_lll_raises_or_returns_on_bases_of_mixed_huge_scales():
+    # of these 30 draws, 13 used to cycle; each must now raise or return an
+    # exact unimodular U
+    rng = np.random.default_rng(7)
+    raised = 0
+    for _ in range(30):
+        m = int(rng.integers(2, 7))
+        lat = ZLattice(random_basis(rng, m) * rng.choice([1.0, 1e9, 1e17], size=m))
+        try:
+            _, u = lll_reduce(lat)
+        except EnumerationError as e:
+            assert "dimension %d" % m in str(e)
+            raised += 1
+        else:
+            assert int_mat_det(u) in (1, -1)
+    assert raised == 13
+
+
 @pytest.mark.parametrize("name,n,L", [("quintic-14641", 5, 2), ("quartic-725", 4, 3)])
 def test_lll_resumes_when_the_closing_check_finds_the_basis_unreduced(name, n, L,
                                                                         monkeypatch):
@@ -294,6 +326,29 @@ def codec_lattices(monkeypatch):
     return seen
 
 
+def search_lattices(monkeypatch):
+    """The CF lattices of the search benchmark's cells (n*L from 6 to 12) at
+    0, 20, 40 and 60 dB, as reduced by best_coefficients: the swap-heavy
+    path."""
+    rng = np.random.default_rng(43)
+    cells = (("cubic-49", 2), ("cubic-49", 3), ("quartic-725", 2), ("quartic-725", 3),
+             ("quintic-14641", 2), ("quad-5", 4))
+
+    def run():
+        for name, users in cells:
+            field = catalog_field(name)
+            for snr_db in (0, 20, 40, 60):
+                for _ in range(6):
+                    ch = ChannelRealization(h=rng.normal(size=(field.degree, users)),
+                                            snr=10.0 ** (snr_db / 10.0))
+                    best_coefficients(field, ch)
+
+    seen = recorded_reductions(monkeypatch, run)
+    assert len(seen) == 6 * 4 * 6
+    assert {lat.dim for lat in seen} == {6, 8, 9, 10, 12}
+    return seen
+
+
 def test_lll_equals_numpy_reference_on_scaled_random_bases():
     for lat in scaled_random_lattices():
         assert_lll_equals_reference(lat)
@@ -306,6 +361,11 @@ def test_lll_equals_numpy_reference_on_rate_lattices(monkeypatch):
 
 def test_lll_equals_numpy_reference_on_benchmark_codec_lattices(monkeypatch):
     for lat in codec_lattices(monkeypatch):
+        assert_lll_equals_reference(lat)
+
+
+def test_lll_equals_numpy_reference_on_search_lattices(monkeypatch):
+    for lat in search_lattices(monkeypatch):
         assert_lll_equals_reference(lat)
 
 
@@ -332,6 +392,11 @@ def test_lll_output_is_a_checked_lattice_on_rate_lattices(monkeypatch):
 
 def test_lll_output_is_a_checked_lattice_on_benchmark_codec_lattices(monkeypatch):
     for lat in codec_lattices(monkeypatch):
+        assert_lll_output_is_a_checked_lattice(lat)
+
+
+def test_lll_output_is_a_checked_lattice_on_search_lattices(monkeypatch):
+    for lat in search_lattices(monkeypatch):
         assert_lll_output_is_a_checked_lattice(lat)
 
 
