@@ -49,7 +49,6 @@ class PrimeIdealData:
     def embedded_basis(self):
         return _embed(self.field, self.basis_coords)
 
-    # built once, after prime_ideal has set coset_reps
     @functools.cached_property
     def _embedded_reps(self):
         """Embedding of each coset representative, by the same (n x n) @ (n x 1)
@@ -87,17 +86,24 @@ def prime_ideal(field, p, root):
                          % (p, root))
     basis_coords = [[p] + [0] * (n - 1)] + [[-r] + [int(i == j) for j in range(1, n)]
                                             for i, r in enumerate(residues) if i]
-    ideal = PrimeIdealData(field=field, p=p, root=root, basis_coords=basis_coords,
-                           residues=residues, coset_reps=[])
-    lat = ZLattice(ideal.embedded_basis())
+    lat = ZLattice(_embed(field, basis_coords))
     reps = []
     for c in range(p):
         target = field.element([c] + [0] * (n - 1))
         coeffs, _, _ = closest_vector(lat, target.embed())
         shift = _apply_transform(basis_coords, coeffs)
         reps.append(field.element([a - b for a, b in zip(target.coords, shift)]))
-    ideal.coset_reps = reps
-    return ideal
+    return PrimeIdealData(field=field, p=p, root=root, basis_coords=basis_coords,
+                          residues=residues, coset_reps=reps)
+
+
+def _symbol(w):
+    """A message or equation symbol read by operator.index; a float, a string
+    or any other value raises CodecError naming it (int() would truncate it)."""
+    try:
+        return operator.index(w)
+    except TypeError:
+        raise CodecError("symbol %r is not an integer" % (w,)) from None
 
 
 def _embed(field, cols):
@@ -259,7 +265,7 @@ def encode(pair, message, dither=None):
     an optional embedded-space dither is added before the reduction.
     """
     p = pair.p
-    message = [int(w) % p for w in message]
+    message = [_symbol(w) % p for w in message]
     if len(message) != pair.k_fine - pair.k_coarse:
         raise CodecError("message length must be %d" % (pair.k_fine - pair.k_coarse))
     word = exact.mat_vec_mod(pair._msg_rows, message, p)
@@ -349,6 +355,6 @@ def destination_solve(coeff_matrix, equations, p):
     """
     if exact.int_mat_det(coeff_matrix) % p == 0:
         raise CodecError("relay coefficient matrix is singular mod %d" % p)
-    eq = np.array(equations, dtype=int).reshape(len(equations), -1)
-    cols = exact.mat_solve(coeff_matrix, eq.T.tolist())
+    eq = np.array(equations, dtype=object).reshape(len(equations), -1)
+    cols = exact.mat_solve(coeff_matrix, [list(map(_symbol, col)) for col in eq.T.tolist()])
     return [[exact.rational_mod(x, p) for x in row] for row in zip(*cols)]

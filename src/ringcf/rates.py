@@ -77,11 +77,6 @@ def _gains(h):
     return h
 
 
-def _stacked(name):
-    """Channel property: the channel's entry of the _SnrStack quantity `name`."""
-    return property(lambda self: getattr(self._stack, name)[self._at])
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Real block-fading channel. A 2-D h, shape (blocks, users), has one
@@ -93,6 +88,7 @@ class ChannelRealization:
     always describes them. That data is kept by an _SnrStack, not by the
     channel: a channel built alone is a stack of one power, and the channels
     that `_over_grid` makes of one draw at a grid of powers share one stack.
+    The rate functions read its entries, channel._stack.<quantity>[channel._at].
     """
 
     h: np.ndarray
@@ -115,15 +111,6 @@ class ChannelRealization:
     @property
     def users(self):
         return self.h.shape[-1]
-
-    _mmse_gains = _stacked("mmse_gains")
-    _mmse_blocks = _stacked("mmse_blocks")
-    _mmse_factors = _stacked("mmse_factors")
-    _ml_capacity = _stacked("ml_capacity")
-
-    def _lattice(self, factors, field=None):
-        """This channel's lattice of `_SnrStack.lattices(factors, field)`."""
-        return self._stack.lattices(factors, field)[self._at]
 
     @classmethod
     def from_json(cls, doc):
@@ -351,15 +338,16 @@ class HumbertForm:
 
     def value(self, coeffs):
         """Quadratic form of a coefficient vector (length-L AlgebraicInts)."""
-        return float(sum(_embedded_terms(self, coeffs)[1]))
+        return float(sum(_embedded_terms(self.field, self.M, coeffs)[1]))
 
 
-def _embedded_terms(humbert, coeffs):
-    """(sigma, per-block terms sigma_j^T M_j sigma_j) of a coefficient vector,
-    row j of sigma holding sigma_j of each entry: the one embedding that the
-    form value, the geometric-mean rate and the MMSE scaling all read."""
-    sigma = humbert.field.embeddings @ np.array([a.coords for a in coeffs], dtype=float).T
-    return sigma, [sigma[j] @ Mj @ sigma[j] for j, Mj in enumerate(humbert.M)]
+def _embedded_terms(field, blocks, coeffs):
+    """(sigma, per-block terms sigma_j^T M_j sigma_j) of a coefficient vector
+    over the MMSE blocks M_j, row j of sigma holding sigma_j of each entry:
+    the one embedding that the form value, the geometric-mean rate and the
+    MMSE scaling all read."""
+    sigma = field.embeddings @ np.array([a.coords for a in coeffs], dtype=float).T
+    return sigma, [sigma[j] @ Mj @ sigma[j] for j, Mj in enumerate(blocks)]
 
 
 def _rate_gm(terms):
@@ -372,15 +360,16 @@ def _rate_gm(terms):
 
 
 def _mmse_scaling(channel, sigma):
-    return [channel.snr * float(s @ hj) / g
-            for s, hj, g in zip(sigma, channel.h, channel._mmse_gains)]
+    gains = channel._stack.mmse_gains[channel._at]
+    return [channel.snr * float(s @ hj) / g for s, hj, g in zip(sigma, channel.h, gains)]
 
 
 def build_humbert(field, channel):
     """MMSE quadratic form for a channel with n_blocks = field degree."""
-    M_chol = channel._mmse_factors
-    return HumbertForm(field=field, channel=channel, M=list(channel._mmse_blocks),
-                       M_chol=list(M_chol), phi_M=channel._lattice("mmse_factors", field).basis)
+    stack, at = channel._stack, channel._at
+    return HumbertForm(field=field, channel=channel, M=list(stack.mmse_blocks[at]),
+                       M_chol=list(stack.mmse_factors[at]),
+                       phi_M=stack.lattices("mmse_factors", field)[at].basis)
 
 
 def _check_blocks(field, n_blocks):
@@ -423,14 +412,14 @@ def _select_independent(field, lat, k, memo):
 def rate_am(field, f_value):
     """Computation rate from the quadratic form value (arithmetic-mean form)."""
     n = field.degree
-    if f_value <= 0:
+    if not f_value > 0:  # refuses nan too
         raise ValueError("quadratic form value must be positive")
     return (n / 2.0) * log2_plus(n / f_value)
 
 
 def rate_gm(humbert, coeffs):
     """Geometric-mean variant: product of per-block quadratic forms."""
-    return _rate_gm(_embedded_terms(humbert, coeffs)[1])
+    return _rate_gm(_embedded_terms(humbert.field, humbert.M, coeffs)[1])
 
 
 def minkowski_rate_bounds(field, channel):
@@ -511,10 +500,10 @@ def best_coefficients(field, channel, k=None):
         k = L
     if not (1 <= k <= L):
         raise ValueError("need 1 <= k <= users")
-    hf = build_humbert(field, channel)
-    selected, _ = _select_independent(field, channel._lattice("mmse_factors", field), k,
-                                      channel._stack.selections(field))
-    embedded = [_embedded_terms(hf, v) for v in selected]
+    stack, at = channel._stack, channel._at
+    selected, _ = _select_independent(field, stack.lattices("mmse_factors", field)[at], k,
+                                      stack.selections(field))
+    embedded = [_embedded_terms(field, stack.mmse_blocks[at], v) for v in selected]
     f_values = [float(sum(terms)) for _, terms in embedded]
     rates = [rate_am(field, f) for f in f_values]
     sigma, terms = embedded[0]
@@ -547,7 +536,7 @@ def integer_baseline(channel, k=None):
     n = channel.n_blocks
     if k is None:
         k = channel.users
-    minima = successive_minima(channel._lattice("z_factor"), k)
+    minima = successive_minima(channel._stack.lattices("z_factor")[channel._at], k)
     f_values = [l * l for l in minima.lengths]
     rates = [(n / 2.0) * log2_plus(n / f) for f in f_values]
     return rates, minima.vectors
@@ -579,7 +568,7 @@ class IFReport:
 
 def ml_capacity(channel):
     """Joint ML benchmark: worst-case normalized subset sum capacity."""
-    return channel._ml_capacity
+    return channel._stack.ml_capacity[channel._at]
 
 
 def if_rate(field, channel):
@@ -589,8 +578,9 @@ def if_rate(field, channel):
     2-D channel has one receive antenna per block. The receiver decodes L
     ring combinations that are independent over the field.
     """
-    selected, lengths = _select_independent(field, channel._lattice("if_whiteners", field),
-                                            channel.users, channel._stack.selections(field))
+    lat = channel._stack.lattices("if_whiteners", field)[channel._at]
+    selected, lengths = _select_independent(field, lat, channel.users,
+                                            channel._stack.selections(field))
     rates = [0.5 * log2_plus(field.degree * channel.snr / (l * l)) for l in lengths]
     return IFReport(field_name=field.name, coeffs=selected, rates=rates,
                     rate=min(rates), ml_capacity=ml_capacity(channel))
@@ -598,8 +588,8 @@ def if_rate(field, channel):
 
 def integer_if_rate(channel):
     """Plain-integer integer-forcing baseline over the same blocks."""
-    n, P = channel.n_blocks, channel.snr
-    minima = successive_minima(channel._lattice("z_if_factor"), channel.users)
+    n, P, L = channel.n_blocks, channel.snr, channel.users
+    minima = successive_minima(channel._stack.lattices("z_if_factor")[channel._at], L)
     rates = [0.5 * log2_plus(n * P / (l * l)) for l in minima.lengths]
     return min(rates)
 

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -349,6 +350,22 @@ def test_encode_worked_example_values(golden):
     assert encode(pair, [0]).power() == 0.0
     with pytest.raises(CodecError):
         encode(pair, [1, 2])
+
+
+@pytest.mark.parametrize("symbol", [2.7, "3"])
+def test_encode_refuses_a_non_integer_symbol(golden, symbol):
+    # int() would read 2.7 as 2 and "3" as 3; a numpy integer is an integer
+    _, _, pair = golden
+    with pytest.raises(CodecError, match=re.escape("symbol %r is not an integer" % (symbol,))):
+        encode(pair, [symbol])
+    assert encode(pair, [np.int64(3)]).X.tobytes() == encode(pair, [3]).X.tobytes()
+
+
+def test_destination_solve_refuses_a_non_integer_symbol():
+    # np.array(..., dtype=int) would read 2.5 as 2 and return [[2], [3]]
+    with pytest.raises(CodecError, match=re.escape("symbol 2.5 is not an integer")):
+        destination_solve([[1, 0], [0, 1]], [[2.5], [3]], 5)
+    assert destination_solve([[1, 0], [0, 1]], np.array([[2], [3]]), 5) == [[2], [3]]
 
 
 def test_encode_injective_exhaustive():

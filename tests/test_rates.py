@@ -186,7 +186,8 @@ def test_embeddings_match_kronecker_rows():
     rng = np.random.default_rng(3)
     a_tilde = rng.integers(-4, 5, size=4)
     coeffs = psi_map(f, a_tilde)
-    sigma, _ = _embedded_terms(build_humbert(f, random_channel(rng, 2, 2, 10.0)), coeffs)
+    ch = random_channel(rng, 2, 2, 10.0)
+    sigma, _ = _embedded_terms(f, stacked(ch, "mmse_blocks"), coeffs)
     kron = (np.kron(f.embeddings, np.eye(2)) @ a_tilde).reshape(2, 2)
     assert np.allclose(sigma, kron)
 
@@ -245,6 +246,14 @@ def test_rate_clamps_and_sign_symmetry():
         rate_am(f, 0.0)
     with pytest.raises(ValueError, match="^degenerate per-block form$"):
         rate_gm(hf, [f.zero(), f.zero()])
+
+
+def test_rate_am_refuses_nan():
+    # nan <= 0 is False, so a guard written that way would return a nan rate
+    f = catalog_field("quad-5")
+    with pytest.raises(ValueError, match="^quadratic form value must be positive$"):
+        rate_am(f, float("nan"))
+    assert rate_am(f, 1.0) == 1.0
 
 
 def test_gm_rate_dominates_am_rate():
@@ -335,7 +344,7 @@ def test_selection_matches_minima_then_k_greedy(name, users):
         assert best_coefficients(f, ch).coeffs == coeffs
         mimo = ChannelRealization(h=rng.normal(size=(f.degree, users, users)), snr=P)
         coeffs, lengths = minima_then_k_greedy(
-            f, mimo._lattice("if_whiteners", f).basis, users)
+            f, mimo._stack.lattices("if_whiteners", f)[mimo._at].basis, users)
         rep = if_rate(f, mimo)
         assert rep.coeffs == coeffs
         assert rep.rates == [0.5 * log2_plus(f.degree * P / (l * l)) for l in lengths]
@@ -425,7 +434,7 @@ def test_report_forms_equal_one_embedding_per_call_reference(name):
             for v in rep.coeffs:
                 assert hf.value(v) == reference_value(hf, v)
                 assert rate_gm(hf, v) == reference_rate_gm(hf, v)
-                sigma = _embedded_terms(hf, v)[0]
+                sigma = _embedded_terms(f, stacked(ch, "mmse_blocks"), v)[0]
                 assert rates._mmse_scaling(ch, sigma) == reference_mmse_scaling(hf, v)
 
 
@@ -1224,7 +1233,8 @@ def test_stack_lattices_equal_lattices_reduced_alone():
             for factors, field in kinds:
                 for P, lat in zip(grid, stack.lattices(factors, field)):
                     assert "_reduction" in vars(lat)  # filled by the stack
-                    alone = ChannelRealization(h=h, snr=P)._lattice(factors, field)
+                    ch = ChannelRealization(h=h, snr=P)
+                    alone = ch._stack.lattices(factors, field)[ch._at]
                     assert (lat.basis.strides, lat.basis.tobytes()) == (
                         alone.basis.strides, alone.basis.tobytes())
                     assert not lat.basis.flags.writeable
