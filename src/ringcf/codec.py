@@ -97,13 +97,13 @@ def prime_ideal(field, p, root):
                           residues=residues, coset_reps=reps)
 
 
-def _symbol(w):
-    """A message or equation symbol read by operator.index; a float, a string
+def _symbol(w, what="symbol"):
+    """An integer symbol (or what) read by operator.index; a float, a string
     or any other value raises CodecError naming it (int() would truncate it)."""
     try:
         return operator.index(w)
     except TypeError:
-        raise CodecError("symbol %r is not an integer" % (w,)) from None
+        raise CodecError("%s %r is not an integer" % (what, w)) from None
 
 
 def _embed(field, cols):
@@ -351,8 +351,9 @@ def destination_solve(coeff_matrix, equations, p):
     equations[r] the finite-field combination it forwarded (one symbol per
     message stream). Raises CodecError when the system is singular mod p.
     Otherwise the exact rational solution reduces mod p: its denominators
-    divide det A, a unit mod p.
+    divide det A, a unit mod p. A non-integer coefficient raises CodecError.
     """
+    coeff_matrix = [[_symbol(x, "coefficient") for x in row] for row in coeff_matrix]
     if exact.int_mat_det(coeff_matrix) % p == 0:
         raise CodecError("relay coefficient matrix is singular mod %d" % p)
     eq = np.array(equations, dtype=object).reshape(len(equations), -1)

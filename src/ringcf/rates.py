@@ -192,7 +192,7 @@ class _SnrStack:
     """
 
     def __init__(self, h, powers):
-        self.h, self.powers, self._lattices, self._selections = h, powers, {}, {}
+        self.h, self.powers, self._lattices, self._selections, self._scores = h, powers, {}, {}, {}
 
     @functools.cached_property
     def mmse_gains(self):
@@ -307,6 +307,23 @@ class _SnrStack:
             self._lattices[key] = lats
         return self._lattices[key]
 
+    def scores(self, field, k):
+        """Per power, (the first k field-independent vectors of its MMSE lattice
+        over field, their f-values, the first one's per-block terms and b_opt):
+        selected power by power on first read, then scored in stacked calls
+        and kept. Like every quantity, it holds every power or raises."""
+        key = field, k
+        if key not in self._scores:
+            lats, memo = self.lattices("mmse_factors", field), self.selections(field)
+            picks = [_select_independent(field, lat, k, memo)[0] for lat in lats]
+            _, terms, dots = _scored(field, self.mmse_blocks, self.h, picks)
+            self._scores[key] = [
+                (vectors, [_left_sum(t) for t in ts], ts[0],
+                 [P * d / g for d, g in zip(ds, gains)])
+                for vectors, ts, ds, P, gains in zip(picks, terms, dots, self.powers,
+                                                     self.mmse_gains)]
+        return self._scores[key]
+
     def selections(self, field):
         """What the draw's selections over field have found, shared by every
         power and kept per field object: (answers of the exact independence
@@ -338,30 +355,32 @@ class HumbertForm:
 
     def value(self, coeffs):
         """Quadratic form of a coefficient vector (length-L AlgebraicInts)."""
-        return float(sum(_embedded_terms(self.field, self.M, coeffs)[1]))
+        return _left_sum(self._terms(coeffs))
+
+    def _terms(self, coeffs):
+        return _scored(self.field, np.array(self.M)[None], self.channel.h, [[coeffs]])[1][0][0]
 
 
-def _embedded_terms(field, blocks, coeffs):
-    """(sigma, per-block terms sigma_j^T M_j sigma_j) of a coefficient vector
-    over the MMSE blocks M_j, row j of sigma holding sigma_j of each entry:
-    the one embedding that the form value, the geometric-mean rate and the
-    MMSE scaling all read."""
-    sigma = field.embeddings @ np.array([a.coords for a in coeffs], dtype=float).T
-    return sigma, [sigma[j] @ Mj @ sigma[j] for j, Mj in enumerate(blocks)]
+def _scored(field, blocks, h, picks):
+    """(sigma, terms, dots) of picks[p], power p's length-L coefficient vectors
+    (as many for each power), over MMSE blocks (powers, n, L, L) of gains h:
+    sigma[p, i] holds sigma_j of vector i in row j; terms[p][i][j] is
+    sigma_j^T M_j sigma_j and dots[p][j] sigma_j . h_j of the first vector,
+    Python floats from the BLAS dot and gemv that one vector and block take."""
+    coords = np.array([[[a.coords for a in v] for v in vs] for vs in picks], dtype=float)
+    sigma = field.embeddings @ coords.swapaxes(-1, -2)
+    rows = sigma[..., None, :]
+    terms = (rows @ blocks[:, None]) @ rows.swapaxes(-1, -2)
+    return sigma, terms[..., 0, 0].tolist(), (rows[:, 0] @ h[:, :, None])[..., 0, 0].tolist()
 
 
 def _rate_gm(terms):
     prod = 1.0
     for term in terms:
-        prod *= float(term)
+        prod *= term
     if prod <= 0:
         raise ValueError("degenerate per-block form")
     return 0.5 * log2_plus(1.0 / prod)
-
-
-def _mmse_scaling(channel, sigma):
-    gains = channel._stack.mmse_gains[channel._at]
-    return [channel.snr * float(s @ hj) / g for s, hj, g in zip(sigma, channel.h, gains)]
 
 
 def build_humbert(field, channel):
@@ -369,7 +388,7 @@ def build_humbert(field, channel):
     stack, at = channel._stack, channel._at
     return HumbertForm(field=field, channel=channel, M=list(stack.mmse_blocks[at]),
                        M_chol=list(stack.mmse_factors[at]),
-                       phi_M=stack.lattices("mmse_factors", field)[at].basis)
+                       phi_M=_block_bases(field, stack.mmse_factors)[at])
 
 
 def _check_blocks(field, n_blocks):
@@ -419,7 +438,7 @@ def rate_am(field, f_value):
 
 def rate_gm(humbert, coeffs):
     """Geometric-mean variant: product of per-block quadratic forms."""
-    return _rate_gm(_embedded_terms(humbert.field, humbert.M, coeffs)[1])
+    return _rate_gm(humbert._terms(coeffs))
 
 
 def minkowski_rate_bounds(field, channel):
@@ -494,30 +513,28 @@ def best_coefficients(field, channel, k=None):
     Enumerates the successive minima of the MMSE-weighted embedding lattice
     and greedily keeps vectors whose images stay linearly independent over
     the field (exact rank test). k defaults to the number of users.
+
+    The first call for a field on a draw selects and scores every SNR of its
+    grid in stacked calls (_SnrStack.scores); a failure at any SNR raises
+    there, and _over_grid then runs the grid again on channels built alone.
     """
     L = channel.users
     if k is None:
         k = L
     if not (1 <= k <= L):
         raise ValueError("need 1 <= k <= users")
-    stack, at = channel._stack, channel._at
-    selected, _ = _select_independent(field, stack.lattices("mmse_factors", field)[at], k,
-                                      stack.selections(field))
-    embedded = [_embedded_terms(field, stack.mmse_blocks[at], v) for v in selected]
-    f_values = [float(sum(terms)) for _, terms in embedded]
-    rates = [rate_am(field, f) for f in f_values]
-    sigma, terms = embedded[0]
+    selected, f_values, terms, b_opt = channel._stack.scores(field, k)[channel._at]
     return RateReport(
         field_name=field.name,
         # a lone channel on the same read-only gains and power, so the report
         # does not keep the draw's stack with its lattices and K-test answers
         channel=object.__new__(ChannelRealization)._share(
             _SnrStack(channel.h, (channel.snr,)), 0),
-        coeffs=selected,
-        f_values=f_values,
-        rates_am=rates,
+        coeffs=[list(v) for v in selected],
+        f_values=list(f_values),
+        rates_am=[rate_am(field, f) for f in f_values],
         rate_gm=_rate_gm(terms),
-        b_opt=_mmse_scaling(channel, sigma),
+        b_opt=list(b_opt),
         lower_bounds=minkowski_rate_bounds(field, channel),
     )
 

@@ -368,6 +368,16 @@ def test_destination_solve_refuses_a_non_integer_symbol():
     assert destination_solve([[1, 0], [0, 1]], np.array([[2], [3]]), 5) == [[2], [3]]
 
 
+@pytest.mark.parametrize("coefficient", [1.5, 1.0, "1", None])
+def test_destination_solve_refuses_a_non_integer_coefficient(coefficient):
+    # exact.int_mat_det raised a bare TypeError here; a numpy integer is an
+    # integer
+    with pytest.raises(CodecError, match=re.escape("coefficient %r is not an integer"
+                                                   % (coefficient,))):
+        destination_solve([[coefficient, 0], [0, 1]], [[3], [4]], 5)
+    assert destination_solve(np.array([[1, 0], [0, 1]]), [[3], [4]], 5) == [[3], [4]]
+
+
 def test_encode_injective_exhaustive():
     f = catalog_field("quad-5")
     ideal = prime_ideal(f, 5, 3)

@@ -21,7 +21,7 @@ from ringcf import (ChannelRealization, EnumerationError,
                     rank_over_K, rate_am, rate_gm, successive_minima)
 from ringcf import exact, experiments, fields, lattices, rates
 from ringcf.lattices import hermite_constant
-from ringcf.rates import ChannelFormatError, _block_bases, _embedded_terms, log2_plus
+from ringcf.rates import ChannelFormatError, _block_bases, _scored, log2_plus
 from test_exact import theta
 
 
@@ -187,7 +187,7 @@ def test_embeddings_match_kronecker_rows():
     a_tilde = rng.integers(-4, 5, size=4)
     coeffs = psi_map(f, a_tilde)
     ch = random_channel(rng, 2, 2, 10.0)
-    sigma, _ = _embedded_terms(f, stacked(ch, "mmse_blocks"), coeffs)
+    sigma = _scored(f, ch._stack.mmse_blocks, ch.h, [[coeffs]])[0][0, 0]
     kron = (np.kron(f.embeddings, np.eye(2)) @ a_tilde).reshape(2, 2)
     assert np.allclose(sigma, kron)
 
@@ -434,8 +434,42 @@ def test_report_forms_equal_one_embedding_per_call_reference(name):
             for v in rep.coeffs:
                 assert hf.value(v) == reference_value(hf, v)
                 assert rate_gm(hf, v) == reference_rate_gm(hf, v)
-                sigma = _embedded_terms(f, stacked(ch, "mmse_blocks"), v)[0]
-                assert rates._mmse_scaling(ch, sigma) == reference_mmse_scaling(hf, v)
+                sigma = _scored(f, ch._stack.mmse_blocks, ch.h, [[v]])[0][0, 0]
+                assert sigma.tobytes() == reference_sigma(hf, v).tobytes()
+
+
+def test_stacked_scores_equal_per_pick_per_block_products():
+    # _SnrStack.scores scores every power's picks in stacked matmuls. On random
+    # integer coefficient stacks, scored directly so no walk runs, over every
+    # catalog field, L = 2-4, k <= L, the sweep's 11 SNRs and gains scaled by
+    # 10^-1 and 10^1, each number equals the product of one pick and one
+    # block bit for bit: sigma, every sigma_j^T M_j sigma_j, the f-value, the
+    # geometric-mean rate and the first pick's sigma_j . h_j
+    rng = np.random.default_rng(36)
+    powers = tuple(10.0 ** (snr_db / 10.0) for snr_db in range(0, 55, 5))
+    for name in catalog_names():
+        f = catalog_field(name)
+        n = f.degree
+        for L, scale in itertools.product((2, 3, 4), (0.1, 10.0)):
+            stack = rates._SnrStack(rates._gains(scale * rng.normal(size=(n, L))), powers)
+            for k in range(1, L + 1):
+                picks = [[[f.element(c) for c in rng.integers(-9, 10, size=(L, n)).tolist()]
+                          for _ in range(k)] for _ in powers]
+                sigma, terms, dots = _scored(f, stack.mmse_blocks, stack.h, picks)
+                for p, vectors in enumerate(picks):
+                    M = stack.mmse_blocks[p]
+                    for i, v in enumerate(vectors):
+                        s = f.embeddings @ np.array([a.coords for a in v], dtype=float).T
+                        want = [s[j] @ M[j] @ s[j] for j in range(n)]
+                        assert sigma[p, i].tobytes() == s.tobytes()
+                        assert terms[p][i] == [float(t) for t in want]
+                        assert rates._left_sum(terms[p][i]) == float(sum(want))
+                        prod = 1.0
+                        for t in want:
+                            prod *= float(t)
+                        assert rates._rate_gm(terms[p][i]) == 0.5 * log2_plus(1.0 / prod)
+                        if i == 0:
+                            assert dots[p] == [float(s[j] @ hj) for j, hj in enumerate(stack.h)]
 
 
 @pytest.mark.parametrize("name, users", [("quad-5", 2), ("quad-5", 3), ("cubic-49", 2),
@@ -1121,6 +1155,32 @@ def rate_outputs(ch):
     return out
 
 
+def test_build_humbert_reads_the_unreduced_block_basis(monkeypatch):
+    # phi_M is the stack's block basis of the MMSE factors, with the strides,
+    # bytes and read-only flag of the basis of the stack's Humbert lattice,
+    # and build_humbert reduces no lattice to get it
+    reduced = []
+    lll_reduce = lattices.lll_reduce
+    monkeypatch.setattr(lattices, "lll_reduce",
+                        lambda lat, *a: reduced.append(lat) or lll_reduce(lat, *a))
+    rng = np.random.default_rng(36)
+    for name, L in (("quad-5", 2), ("quad-12", 3), ("cubic-49", 2), ("quartic-725", 3)):
+        f = catalog_field(name)
+        h = rng.normal(size=(f.degree, L))
+        for powers in ((1e3,), (1.0, 1e2, 1e4)):
+            stack = rates._SnrStack(rates._gains(h), powers)
+            for at in range(len(powers)):
+                ch = object.__new__(ChannelRealization)._share(stack, at)
+                phi_M = build_humbert(f, ch).phi_M
+                assert reduced == []
+                basis = stack.lattices("mmse_factors", f)[at].basis
+                assert len(reduced) == len(powers)
+                assert ((phi_M.strides, phi_M.tobytes(), phi_M.flags.writeable)
+                        == (basis.strides, basis.tobytes(), False))
+                del reduced[:]
+                stack._lattices.clear()
+
+
 def test_snr_stack_equals_channels_built_alone():
     # each corpus power sits in a grid beside healthy powers. On a grid whose
     # stack computes every quantity, every channel has the bits and strides
@@ -1402,9 +1462,11 @@ def test_grid_whose_lll_fails_at_one_power_raises_its_own_error():
 
 def test_grid_whose_walk_fails_at_one_power_raises_its_own_error(monkeypatch):
     # with a node limit of 10 the CF minima walk of this channel fails at
-    # 40 dB only (it takes 15 nodes there and at most 7 at 0, 20 and 30 dB):
-    # the grid runs again on channels built alone, so the powers before 40 dB
-    # return what those channels return, and 40 dB raises its own message
+    # 40 dB only (it takes 15 nodes there and at most 7 at 0, 20 and 30 dB).
+    # The picks are a stack quantity: the first read selects every power and
+    # raises at 40 dB, so the stacked pass returns no report. The grid runs
+    # again on channels built alone, so the powers before 40 dB return what
+    # those channels return, and 40 dB raises its own message
     enumerate_all = lattices._enumerate_all
     monkeypatch.setattr(lattices, "_enumerate_all",
                         lambda *a, **kw: enumerate_all(*a, **kw, limit=10))
@@ -1425,8 +1487,7 @@ def test_grid_whose_walk_fails_at_one_power_raises_its_own_error(monkeypatch):
     assert e.value.__context__ is None
     alone_reports = [best_coefficients(f, ChannelRealization(h=h, snr=P)).to_json()
                      for P in grid[:2]]
-    assert calls == [(at, size, report) for size in (4, 1)
-                     for at, report in enumerate(alone_reports)]
+    assert calls == [(at, 1, report) for at, report in enumerate(alone_reports)]
 
 
 def test_z_baseline_failure_names_its_snr():
