@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exact
 from .fields import AlgebraicInt
-from .lattices import ZLattice, _apply_transform, closest_vector
+from .lattices import ZLattice, closest_vector
 
 
 class CodecError(ValueError):
@@ -87,11 +87,12 @@ def prime_ideal(field, p, root):
     basis_coords = [[p] + [0] * (n - 1)] + [[-r] + [int(i == j) for j in range(1, n)]
                                             for i, r in enumerate(residues) if i]
     lat = ZLattice(_embed(field, basis_coords))
+    basis_rows = list(zip(*basis_coords))
     reps = []
     for c in range(p):
         target = field.element([c] + [0] * (n - 1))
         coeffs, _, _ = closest_vector(lat, target.embed())
-        shift = _apply_transform(basis_coords, coeffs)
+        shift = _combine(basis_rows, coeffs)
         reps.append(field.element([a - b for a, b in zip(target.coords, shift)]))
     return PrimeIdealData(field=field, p=p, root=root, basis_coords=basis_coords,
                           residues=residues, coset_reps=reps)
@@ -159,6 +160,15 @@ class NestedLatticePair:
     @functools.cached_property
     def _msg_rows(self):
         return self.G_msg.tolist()
+
+    # the rows of gen_fine and gen_coarse, for _combine
+    @functools.cached_property
+    def _gen_fine_rows(self):
+        return list(zip(*self.gen_fine))
+
+    @functools.cached_property
+    def _gen_coarse_rows(self):
+        return list(zip(*self.gen_coarse))
 
     def fine_lattice(self):
         return self._fine_lattice
@@ -277,6 +287,13 @@ def encode(pair, message, dither=None):
     return Codeword(X=X, ring_coords=ring, message=message)
 
 
+def _combine(gen_rows, z):
+    """Integer coordinates of the lattice point with coefficients z, from the
+    rows of its generators: a dense z (a closest-vector result) is one
+    sum of products per row."""
+    return [sum(map(operator.mul, row, z)) for row in gen_rows]
+
+
 def _mod_coarse(pair, x, coords):
     """Reduce the embedded vector x modulo the coarse lattice.
 
@@ -286,7 +303,7 @@ def _mod_coarse(pair, x, coords):
     """
     field, n = pair.field, pair.field.degree
     zc, point, _ = closest_vector(pair.coarse_lattice(), x)
-    diff = tuple(map(operator.sub, coords, _apply_transform(pair.gen_coarse, zc)))
+    diff = tuple(map(operator.sub, coords, _combine(pair._gen_coarse_rows, zc)))
     ring = [AlgebraicInt._checked(field, diff[t:t + n]) for t in range(0, n * pair.T, n)]
     return ring, (x - point).reshape((n, pair.T), order="F")
 
@@ -328,7 +345,7 @@ def decode_equation(pair, Y, b, coeff_vector):
     scaled = (np.asarray(b, dtype=float)[:, None] * Y).flatten(order="F")
     fine = pair.fine_lattice()
     zf, point, _ = closest_vector(fine, scaled)
-    ring, signal = _mod_coarse(pair, point, _apply_transform(pair.gen_fine, zf))
+    ring, signal = _mod_coarse(pair, point, _combine(pair._gen_fine_rows, zf))
     return LatticeEquation(ring_coords=ring, signal=signal,
                            coeff_residues=[pair.ideal.rho(a) for a in coeff_vector])
 

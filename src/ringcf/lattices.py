@@ -16,6 +16,12 @@ import numpy as np
 from . import exact
 
 _TIE = 1.0 + 1e-9  # a squared length ties with d when it is at most d * _TIE
+# Babai's point at distance^2 d is the unique closest one when
+# d * _UNIQUE < min_i R_ii^2 (see ZLattice._min_r2)
+_UNIQUE = 4.0 * (1.0 + 1e-6)
+# a Babai coordinate c / r_ii at 2^52 or beyond: floats are 1 apart there and
+# no longer resolve half a lattice step
+_RESOLVED = 2.0 ** 52
 
 
 class EnumerationError(RuntimeError):
@@ -28,7 +34,8 @@ class ZLattice:
 
     The basis is copied and made read-only, so the reduction that
     `closest_vector` and `successive_minima` cache on first use, and the Q
-    factor that `closest_vector` adds to it, always describe it.
+    factor and certificate bound that `closest_vector` adds to it, always
+    describe it.
     """
 
     basis: np.ndarray
@@ -78,6 +85,19 @@ class ZLattice:
         q, r = np.linalg.qr(self._reduction[0])
         return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
+    @functools.cached_property
+    def _min_r2(self):
+        """min_i R_ii^2 of the reduced basis, made on the first closest-vector
+        call and kept with `_q`. Two points x != y of the lattice that the
+        walk searches are at least min_i |R_ii| apart (the last coordinate k
+        where they differ gives |R_kk| |x_k - y_k| alone), so Babai's point at
+        distance^2 d with 4 d (1 + 1e-6) < min_i R_ii^2 is the only point in
+        the walk's ball of d * _TIE: every other one lies beyond
+        min|R_ii| - sqrt(d) > sqrt(d) (1 + 1e-6), a margin far above the
+        walk's rounding. The walk would return that leaf alone at the same
+        float d, so closest_vector skips it."""
+        return min(row[i] * row[i] for i, row in enumerate(self._reduction[2]))
+
 
 def _reduce(lats):
     """LLL-reduce the lattices lats, all of one dimension, in order through
@@ -103,6 +123,14 @@ def _norm_error(s):
         return EnumerationError("Gram-Schmidt collapsed; basis numerically singular")
     return EnumerationError("Gram-Schmidt norm^2 overflowed to %r; basis entries "
                             "too large for floats" % s)
+
+
+def _target_error(m):
+    """The error for a closest-vector target that floats cannot resolve on
+    the lattice: a Babai coordinate at 2^52 or beyond (or inf or nan, from a
+    Q^T target that overflowed), or a distance^2 that overflows."""
+    return EnumerationError("dimension %d: closest-vector target entries too large "
+                            "for floats" % m)
 
 
 def _gso(b):
@@ -227,7 +255,8 @@ def lll_reduce(lat, delta=0.99):
 
 def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
     """Integer x with ||R x - t||^2 <= radius2 (R upper triangular, given as
-    rows of Python floats), as (x tuple, dist2) pairs.
+    rows of Python floats, and t a list of Python floats), as (x tuple,
+    dist2) pairs.
 
     With target=None these are all the canonical-sign nonzero vectors (the
     highest-index nonzero coordinate is positive): while every higher
@@ -238,21 +267,26 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
     With a target the walk seeks the closest points: a leaf at d lowers
     radius2 to d * _TIE when smaller, so only the closest d and its ties (the
     same float bound) are sure to be returned, in ascending order per level.
+
+    The walk is depth first, top level first, xi ascending at each level; an
+    explicit stack keeps (c, r_ii, dist, hi, free) of each level it has left
+    for a lower one, where c is the residual target coordinate given
+    x[level+1:], dist the distance^2 of x[level+1:], hi the last xi and free
+    that no sign is chosen yet (target None and x[level+1:] all 0).
     """
     m = len(r_rows)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their
     # overhead. Sums run left to right with +=, never through sum(), which
     # compensates exact floats on Python >= 3.12 and would round differently.
-    t = [0.0] * m if target is None else np.asarray(target, dtype=float).tolist()
+    t = [0.0] * m if target is None else target
     weight = 1 if target is not None else 2
     x = [0] * m
+    saved = [None] * m
     out = []
     count = 0
-
-    def rec(level, dist, free):
-        # free: no sign chosen yet (target None and x[level+1:] all 0)
-        nonlocal count, radius2
-        # residual target coordinate at this level given x[level+1:]
+    level, dist, free = m - 1, 0.0, target is None
+    while True:
+        # enter level: the bounds of x[level] given x[level+1:]
         row = r_rows[level]
         s = 0
         for j in range(level + 1, m):
@@ -263,16 +297,16 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
         half = math.sqrt(radius2 - dist) / abs(rr)
         center = c / rr
         g = 1e-12 * (1 + abs(center))  # covers center's rounding, which grows with it
-        lo = math.ceil(center - half - g)
+        xi = math.ceil(center - half - g)
         hi = math.floor(center + half + g)
-        if free and lo < 0:
-            lo = 0
-        for xi in range(lo, hi + 1):
-            d = dist + (c - rr * xi) ** 2
-            if d > radius2:
-                continue
-            x[level] = xi
-            if level == 0:
+        if free and xi < 0:
+            xi = 0
+        if level == 0:
+            for xi in range(xi, hi + 1):
+                d = dist + (c - rr * xi) ** 2
+                if d > radius2:
+                    continue
+                x[0] = xi
                 zero = free and not xi
                 count += 1 if zero else weight
                 if count > limit:
@@ -282,12 +316,25 @@ def _enumerate_all(r_rows, radius2, target=None, limit=2_000_000):
                     out.append((tuple(x), d))
                     if target is not None and d * _TIE < radius2:
                         radius2 = d * _TIE
-            else:
-                rec(level - 1, d, free and not xi)
-        x[level] = 0
-
-    rec(m - 1, 0.0, target is None)
-    return out
+            xi = hi + 1  # level 0 is done: the loop below leaves it
+        # advance at this level until the walk descends or leaves the top
+        while True:
+            if xi > hi:
+                x[level] = 0
+                level += 1
+                if level == m:
+                    return out
+                c, rr, dist, hi, free = saved[level]
+                xi = x[level] + 1
+                continue
+            d = dist + (c - rr * xi) ** 2
+            if d > radius2:
+                xi += 1
+                continue
+            x[level] = xi
+            saved[level] = c, rr, dist, hi, free
+            level, dist, free = level - 1, d, free and not xi
+            break
 
 
 def _canonical(vec):
@@ -411,36 +458,44 @@ def closest_vector(lat, target):
     target = np.asarray(target, dtype=float)
     if target.shape != (lat.dim,):
         raise ValueError("target dimension mismatch")
-    if not np.all(np.isfinite(target)):
+    if not np.isfinite(target).all():
         raise ValueError("target must be finite")
     red_basis, u_cols, r_rows, _ = lat._reduction
-    t = lat._q.T @ target
     m = lat.dim
+    t = (lat._q.T @ target).tolist()
     # Babai nearest-plane gives the initial radius d * _TIE >= d. d is summed
     # with _enumerate_all's own float operations in the walk's order, so the
     # walk reaches the Babai leaf at this d: the ball holds it by construction
-    t_list = t.tolist()
-    x_babai = [0] * m
+    x = [0] * m
     d = 0.0
-    for i in range(m - 1, -1, -1):
-        row = r_rows[i]
-        s = 0
-        for j in range(i + 1, m):
-            s += row[j] * x_babai[j]
-        c = t_list[i] - s
-        x_babai[i] = round(c / row[i])
-        d += (c - row[i] * x_babai[i]) ** 2
-    cands = _enumerate_all(r_rows, d * _TIE, target=t)
-    best_d = min(d for _, d in cands)
-    ties = [x for x, d in cands if d <= best_d * _TIE]
-    x = ties[0]
-    if len(ties) > 1:
-        # min() keeps the first of equal keys
-        x = min(ties, key=lambda v: tuple(
-            np.round(target - red_basis @ np.array(v, dtype=float), 12)))
+    try:
+        for i in range(m - 1, -1, -1):
+            row = r_rows[i]
+            s = 0
+            for j in range(i + 1, m):
+                s += row[j] * x[j]
+            c = t[i] - s
+            center = c / row[i]
+            if not -_RESOLVED < center < _RESOLVED:  # also inf and nan
+                raise _target_error(m)
+            x[i] = round(center)
+            d += (c - row[i] * x[i]) ** 2
+        # below the certificate the walk would return Babai's leaf alone, at d
+        cands = None if d * _UNIQUE < lat._min_r2 else _enumerate_all(r_rows, d * _TIE, t)
+    except OverflowError:
+        # a square, or the walk's bounds at an infinite d, left the floats
+        raise _target_error(m) from None
+    if cands is not None:
+        d = min(d for _, d in cands)
+        ties = [x for x, dx in cands if dx <= d * _TIE]
+        x = ties[0]
+        if len(ties) > 1:
+            # min() keeps the first of equal keys
+            x = min(ties, key=lambda v: tuple(
+                np.round(target - red_basis @ np.array(v, dtype=float), 12)))
     coeffs = _apply_transform(u_cols, x)
     point = lat.basis @ np.array(coeffs, dtype=float)
-    return coeffs, point, math.sqrt(best_d)
+    return coeffs, point, math.sqrt(d)
 
 
 _HERMITE_EXACT = {1: 1.0, 2: 2.0 / math.sqrt(3.0), 3: 2.0 ** (1.0 / 3.0),

@@ -773,6 +773,34 @@ def test_codec_rounds_match_the_per_call_path_bit_for_bit():
     assert decoded > 25
 
 
+def test_benchmark_rounds_decode_the_fine_lattice_without_a_walk(monkeypatch):
+    # the codec benchmark's round (noise std 0.2, coefficients in [-3, 3]):
+    # the noise, of norm about 0.57, stays within min |R_ii| / 2 = 2.18 of
+    # the fine lattice, so Babai's point is certified and decode_equation's
+    # fine closest-vector search never walks; coarse reductions may
+    pair = benchmark_codec_pair()
+    f = pair.field
+    fine_r_rows = pair.fine_lattice()._reduction[2]
+    enumerate_all = lattices._enumerate_all
+
+    def no_fine_walk(r_rows, *args, **kwargs):
+        if r_rows is fine_r_rows:
+            raise AssertionError("the fine decode walked")
+        return enumerate_all(r_rows, *args, **kwargs)
+
+    monkeypatch.setattr(lattices, "_enumerate_all", no_fine_walk)
+    rng = np.random.default_rng(3701)
+    for _ in range(300):
+        msgs = [int(w) for w in rng.integers(0, 101, size=2)]
+        a = [f.element([int(c) for c in rng.integers(-3, 4, size=2)]) for _ in range(2)]
+        cws = [encode(pair, [m]) for m in msgs]
+        Y = (scale_by_ring(pair, a[0], cws[0])[0] + scale_by_ring(pair, a[1], cws[1])[0]
+             + rng.normal(scale=0.2, size=(2, 4)))
+        eq = decode_equation(pair, Y, [1.0, 1.0], a)
+        want = sum(pair.ideal.rho(al) * m for al, m in zip(a, msgs)) % 101
+        assert extract_ff_equation(pair, eq) == [want]
+
+
 def test_ring_vector_refuses_a_wrong_length():
     pair = benchmark_codec_pair()
     assert int_coords(pair.ring_vector(list(range(8)))) == [(0, 1), (2, 3), (4, 5), (6, 7)]

@@ -555,6 +555,27 @@ def test_only_closest_vector_builds_q(monkeypatch):
     assert modes == ["reduced", "r", "reduced"]
 
 
+def test_only_closest_vector_builds_the_certificate_bound(monkeypatch):
+    # the minima and the rate functions leave it unbuilt on every lattice
+    # they reduce; the first closest-vector call builds it from R's diagonal
+    rng = np.random.default_rng(17)
+    lat = ZLattice(random_basis(rng, 4))
+
+    def run():
+        successive_minima(lat, 4)
+        f = catalog_field("quad-5")
+        best_coefficients(f, ChannelRealization(h=rng.normal(size=(2, 2)), snr=100.0))
+        if_rate(f, ChannelRealization(h=rng.normal(size=(2, 2, 2)), snr=100.0))
+        integer_baseline(ChannelRealization(h=rng.normal(size=(2, 2)), snr=100.0))
+
+    seen = recorded_reductions(monkeypatch, run)
+    assert len(seen) >= 4 and all("_reduction" in vars(s) for s in seen)
+    assert not any("_min_r2" in vars(s) or "_q" in vars(s) for s in seen)
+    closest_vector(lat, rng.normal(size=4))
+    r_rows = lat._reduction[2]
+    assert vars(lat)["_min_r2"] == min(r_rows[i][i] * r_rows[i][i] for i in range(4))
+
+
 def test_one_qr_per_lattice_kind_per_draw(monkeypatch):
     # a sweep trial reduces each kind of lattice of its draw over the 11 SNRs
     # of the grid with one stacked QR and one lll_reduce per lattice: CF on
@@ -877,7 +898,7 @@ def test_enumeration_equals_numpy_scalar_reference():
         # with a target the walk shrinks its radius to the closest leaf, so
         # only the tie set of the fixed-radius reference is sure to be found
         target = q.T @ (red_basis @ rng.normal(size=m) * 2)
-        got = lattices._enumerate_all(r_mat.tolist(), radius2, target=target)
+        got = lattices._enumerate_all(r_mat.tolist(), radius2, target=target.tolist())
         assert tie_set(got) == tie_set(numpy_scalar_enumerate_all(r_mat, radius2, target=target))
         checked += len(got) > 0
     assert checked > 20
@@ -1138,6 +1159,154 @@ def test_cvp_shrinks_its_radius_on_a_mixed_scale_basis():
     cands = numpy_scalar_enumerate_all(np.array(r_rows), 41.25, target=lat._q.T @ T)
     x, d = min(cands, key=lambda c: c[1])
     assert lattices._apply_transform(u_cols, x) == coeffs and math.sqrt(d) == dist
+
+
+def walk_closest_vector(lat, target):
+    """closest_vector as it read before the certificate: Babai's distance^2 d
+    summed with the walk's float operations, the walk over the ball of
+    d * TIE, the closest d and its ties, and the smallest residual among
+    them. Returns the (coefficients, point, distance) triple."""
+    target = np.asarray(target, dtype=float)
+    red_basis, u_cols, r_rows, _ = lat._reduction
+    t = (lat._q.T @ target).tolist()
+    m = lat.dim
+    x = [0] * m
+    d = 0.0
+    for i in range(m - 1, -1, -1):
+        row = r_rows[i]
+        s = 0
+        for j in range(i + 1, m):
+            s += row[j] * x[j]
+        c = t[i] - s
+        x[i] = round(c / row[i])
+        d += (c - row[i] * x[i]) ** 2
+    cands = lattices._enumerate_all(r_rows, d * TIE, t)
+    best_d = min(d for _, d in cands)
+    ties = [x for x, d in cands if d <= best_d * TIE]
+    best = min(ties, key=lambda v: tuple(
+        np.round(target - red_basis @ np.array(v, dtype=float), 12)))
+    coeffs = lattices._apply_transform(u_cols, best)
+    return coeffs, lat.basis @ np.array(coeffs, dtype=float), math.sqrt(best_d)
+
+
+def counted_walks(monkeypatch):
+    """A list that gets one entry per _enumerate_all call from now on."""
+    walks, enumerate_all = [], lattices._enumerate_all
+
+    def counting(*args, **kwargs):
+        walks.append(args[1])
+        return enumerate_all(*args, **kwargs)
+
+    monkeypatch.setattr(lattices, "_enumerate_all", counting)
+    return walks
+
+
+# noise norms in units of min_i |R_ii| / 2: below 1 Babai's point is
+# certified and the walk is skipped; from 1.002 on closest_vector walks
+NOISE_FRACTIONS = (0.1, 0.45, 0.499, 0.501, 0.998, 1.002, 2.0, 4.0)
+
+
+def assert_cvp_equals_the_walk(monkeypatch, lats, rng, points=2):
+    """closest_vector equals walk_closest_vector (coefficients, point bytes
+    and distance) at lattice points plus noise of every NOISE_FRACTIONS norm,
+    skips the walk wherever noise stays within min |R_ii| / 2 and walks at
+    some of the others. Returns the number of targets."""
+    walks = counted_walks(monkeypatch)
+    walked = total = 0
+    for lat in lats:
+        r_rows = lat._reduction[2]
+        half_r = min(abs(row[i]) for i, row in enumerate(r_rows)) / 2
+        for frac in NOISE_FRACTIONS:
+            for _ in range(points):
+                w = rng.normal(size=lat.dim)
+                target = (lat.basis @ rng.integers(-3, 4, size=lat.dim)
+                          + w * (frac * half_r / float(np.linalg.norm(w))))
+                del walks[:]
+                coeffs, point, dist = closest_vector(lat, target)
+                if frac < 1:
+                    assert not walks, (frac, lat.dim)
+                walked += bool(walks)
+                want = walk_closest_vector(lat, target)
+                assert coeffs == want[0]
+                assert point.tobytes() == want[1].tobytes()
+                assert dist == want[2]
+                total += 1
+    monkeypatch.undo()
+    assert walked > total // 4
+    return total
+
+
+def test_cvp_equals_the_walk_on_codec_lattices(monkeypatch):
+    f = catalog_field("quad-5")
+    pair = build_nested_pair(f, prime_ideal(f, 101, 23), [[1], [0], [3], [11]],
+                             [[1, 0], [0, 1], [3, 7], [11, 5]], T=4)
+    rng = np.random.default_rng(371)
+    assert assert_cvp_equals_the_walk(
+        monkeypatch, [pair.fine_lattice(), pair.coarse_lattice()], rng, points=25) == 400
+
+
+def test_cvp_equals_the_walk_on_search_lattices(monkeypatch):
+    lats = search_lattices(monkeypatch)
+    rng = np.random.default_rng(372)
+    assert assert_cvp_equals_the_walk(monkeypatch, lats, rng, points=1) == 144 * 8
+
+
+def test_cvp_equals_the_walk_on_scaled_bases(monkeypatch):
+    rng = np.random.default_rng(373)
+    lats = [ZLattice(random_basis(rng, m) * scale * rng.choice([1.0, 3.0, 0.3], size=m))
+            for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6) for m in range(1, 9)]
+    assert assert_cvp_equals_the_walk(monkeypatch, lats, rng, points=3) == 40 * 8 * 3
+
+
+def test_cvp_walks_an_exact_midpoint_tie(monkeypatch):
+    # a midpoint of two lattice points lies lambda_1 / 2 >= min |R_ii| / 2
+    # from both, so the certificate never holds there: Babai rounds 1/2 to 0,
+    # the walk finds both ends and the smaller residual (-1/2 against 1/2)
+    # picks the far one
+    walks = counted_walks(monkeypatch)
+    for scale in (2.0 ** -20, 0.25, 1.0, 8.0, 2.0 ** 20):
+        del walks[:]
+        coeffs, point, dist = closest_vector(ZLattice([[scale]]), [scale / 2])
+        assert walks == [scale * scale / 4 * TIE]
+        assert coeffs == (1,) and point.tolist() == [scale] and dist == scale / 2
+        del walks[:]
+        coeffs, point, dist = closest_vector(ZLattice(scale * np.eye(2)), [scale / 2] * 2)
+        assert len(walks) == 1 and coeffs == (1, 1) and dist == scale * math.sqrt(0.5)
+    # midpoints along each reduced column of the codec lattices: ties of two
+    # or more, walked, and equal to the walk's choice
+    f = catalog_field("quad-5")
+    pair = build_nested_pair(f, prime_ideal(f, 101, 23), [[1], [0], [3], [11]],
+                             [[1, 0], [0, 1], [3, 7], [11, 5]], T=4)
+    rng = np.random.default_rng(374)
+    for lat in (pair.fine_lattice(), pair.coarse_lattice()):
+        red_basis = lat._reduction[0]
+        for k in range(8):
+            del walks[:]
+            target = lat.basis @ rng.integers(-3, 4, size=8) + red_basis[:, k] / 2
+            got = closest_vector(lat, target)
+            assert len(walks) == 1
+            want = walk_closest_vector(lat, target)
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cvp_overflow_raises_enumeration_error():
+    # finite targets far beyond what floats resolve on the lattice: Babai
+    # coordinates near 1e300 (the walk's bounds then square to an overflow),
+    # or a Q^T target (1.7e308 * sqrt 2) that overflows to inf; and a target
+    # at 2^52 lattice steps, where floats are one step apart
+    msg = r"^dimension 2: closest-vector target entries too large for floats$"
+    lat = ZLattice([[1, .3], [.2, 1.1]])
+    for target in ([1e300, 1e300], [1.7e308, -1.7e308]):
+        with pytest.raises(EnumerationError, match=msg):
+            closest_vector(lat, target)
+    with pytest.raises(EnumerationError, match=msg):
+        closest_vector(ZLattice(np.eye(2)), [2.0 ** 52, 0.0])
+    assert closest_vector(ZLattice(np.eye(2)), [2.0 ** 52 - 1, 0.0])[0] == (2 ** 52 - 1, 0)
+    # five residuals of half of R_ii = 1.3e154: Babai's distance^2 sums to inf
+    with pytest.raises(EnumerationError, match=r"^dimension 5: closest-vector target "):
+        closest_vector(ZLattice(1.3e154 * np.eye(5)), [0.65e154] * 5)
 
 
 class ReferenceEchelon:
