@@ -282,7 +282,11 @@ def encode(pair, message, dither=None):
     coords = [c for w in word for c in pair.ideal.coset_reps[w].coords]
     x = np.concatenate([pair.ideal._embedded_reps[w] for w in word])
     if dither is not None:
-        x = x + np.asarray(dither, dtype=float)
+        dither = np.asarray(dither, dtype=float)
+        if dither.shape != x.shape:
+            raise CodecError("dither must have n * T = %d entries, got shape %s"
+                             % (x.size, dither.shape))
+        x = x + dither
     ring, X = _mod_coarse(pair, x, coords)
     return Codeword(X=X, ring_coords=ring, message=message)
 
@@ -342,7 +346,11 @@ def decode_equation(pair, Y, b, coeff_vector):
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (n, T):
         raise CodecError("observation must be %d x %d" % (n, T))
-    scaled = (np.asarray(b, dtype=float)[:, None] * Y).flatten(order="F")
+    b = np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise CodecError("scaling must have n = %d entries, one per block, got shape %s"
+                         % (n, b.shape))
+    scaled = (b[:, None] * Y).flatten(order="F")
     fine = pair.fine_lattice()
     zf, point, _ = closest_vector(fine, scaled)
     ring, signal = _mod_coarse(pair, point, _combine(pair._gen_fine_rows, zf))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -458,10 +459,15 @@ def closest_vector(lat, target):
     target = np.asarray(target, dtype=float)
     if target.shape != (lat.dim,):
         raise ValueError("target dimension mismatch")
-    if not np.isfinite(target).all():
+    m, top = lat.dim, float(np.abs(target).max())
+    if not top < math.inf:  # also nan
         raise ValueError("target must be finite")
+    # |Q^T target| is at most m * top entrywise: below the float maximum no
+    # product overflows. A lattice that reduces has norms^2 below it, so a
+    # target at or past it has a Babai coordinate past 2^52 anyway
+    if m * top >= sys.float_info.max:
+        raise _target_error(m)
     red_basis, u_cols, r_rows, _ = lat._reduction
-    m = lat.dim
     t = (lat._q.T @ target).tolist()
     # Babai nearest-plane gives the initial radius d * _TIE >= d. d is summed
     # with _enumerate_all's own float operations in the walk's order, so the

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import KSpan, psi_inverse, psi_map  # noqa: F401 (psi_inverse: re-export)
+from .fields import (FieldMismatchError, KSpan, _same_ring, psi_map,
+                     psi_inverse)  # noqa: F401 (psi_inverse: re-export)
 from .lattices import (EnumerationError, ZLattice, _greedy_minima, _reduce, hermite_constant,
                        successive_minima)
 
@@ -186,13 +187,13 @@ class _SnrStack:
     as a stack of one power does, and elementwise IEEE arithmetic rounds the
     same in numpy as in Python floats, so a channel of the stack has the
     bits and strides of the channel built alone. A quantity, its lattices
-    too, holds an entry for every power or raises (PathologicalChannelError,
-    or LLL's EnumerationError) and keeps nothing. The stack also keeps what
-    each field's selections found (_SnrStack.selections).
+    and their picks too, holds an entry for every power or raises
+    (PathologicalChannelError, or the EnumerationError of LLL or of a minima
+    walk) and keeps nothing.
     """
 
     def __init__(self, h, powers):
-        self.h, self.powers, self._lattices, self._selections, self._scores = h, powers, {}, {}, {}
+        self.h, self.powers, self._lattices, self._picks, self._scores = h, powers, {}, {}, {}
 
     @functools.cached_property
     def mmse_gains(self):
@@ -308,14 +309,12 @@ class _SnrStack:
         return self._lattices[key]
 
     def scores(self, field, k):
-        """Per power, (the first k field-independent vectors of its MMSE lattice
-        over field, their f-values, the first one's per-block terms and b_opt):
-        selected power by power on first read, then scored in stacked calls
-        and kept. Like every quantity, it holds every power or raises."""
+        """Per power, (the vectors of its picks over field on the MMSE lattice,
+        their f-values, the first one's per-block terms and b_opt), scored in
+        stacked calls on first read and kept, or raises."""
         key = field, k
         if key not in self._scores:
-            lats, memo = self.lattices("mmse_factors", field), self.selections(field)
-            picks = [_select_independent(field, lat, k, memo)[0] for lat in lats]
+            picks = [vectors for vectors, _ in self.picks("mmse_factors", k, field)]
             _, terms, dots = _scored(field, self.mmse_blocks, self.h, picks)
             self._scores[key] = [
                 (vectors, [_left_sum(t) for t in ts], ts[0],
@@ -324,11 +323,32 @@ class _SnrStack:
                                                      self.mmse_gains)]
         return self._scores[key]
 
-    def selections(self, field):
-        """What the draw's selections over field have found, shared by every
-        power and kept per field object: (answers of the exact independence
-        tests, ring-element vectors of the picks); see _select_independent."""
-        return self._selections.setdefault(field, ({}, {}))
+    def picks(self, factors, k, field=None):
+        """Per power, (vectors, lengths): the first k vectors of its lattice
+        lattices(factors, field), in length order, that stay independent over
+        field, as ring-element vectors (psi_map), or over Q for none, as
+        integer tuples. A vector in the Q-span of earlier ones is in their
+        K-span, so no R-independence pass is needed. The powers share one
+        pass's exact K-test answers and psi_map images; readers copy what
+        they hand out. Selected power by power on first read and kept, or
+        raises, like every quantity."""
+        key = factors, k, field
+        if key not in self._picks:
+            lats = self.lattices(factors, field)
+            if field is None:
+                minima = [successive_minima(lat, k) for lat in lats]
+                self._picks[key] = [(m.vectors, m.lengths) for m in minima]
+            else:
+                answers, rings, picks = {}, {}, []
+                for lat in lats:
+                    vectors, lengths = _greedy_minima(lat, k, lambda: KSpan(field), answers,
+                                                      "vectors independent over " + field.name)
+                    for v in vectors:
+                        if v not in rings:
+                            rings[v] = psi_map(field, v)
+                    picks.append(([rings[v] for v in vectors], lengths))
+                self._picks[key] = picks
+        return self._picks[key]
 
     @property
     def _where(self):
@@ -358,6 +378,12 @@ class HumbertForm:
         return _left_sum(self._terms(coeffs))
 
     def _terms(self, coeffs):
+        if len(coeffs) != self.channel.users:
+            raise ValueError("coefficient vector has length %d, but the channel has %d users"
+                             % (len(coeffs), self.channel.users))
+        if not all(_same_ring(a.field, self.field) for a in coeffs):
+            raise FieldMismatchError("coefficients do not belong to the form's field "
+                                     + self.field.name)
         return _scored(self.field, np.array(self.M)[None], self.channel.h, [[coeffs]])[1][0][0]
 
 
@@ -408,24 +434,6 @@ def _block_bases(field, factors):
     # whose entries add exact +0.0 terms to one product (-0.0 + 0.0 is +0.0)
     return _read_only((factors[:, :, :, None, :] * field.embeddings[:, None, :, None])
                       .reshape(p, n * L, n * L) + 0.0)
-
-
-def _select_independent(field, lat, k, memo):
-    """First k field-independent coefficient vectors of a block lattice in
-    length order: (ring-element vectors, lengths). No R-independence pass is
-    needed: a vector in the Q-span of earlier ones is in their K-span.
-
-    memo is (answers, rings): the answers of the exact K-tests, which
-    _greedy_minima reads and fills, and the psi_map image of each pick, read
-    for the picks that recur. A draw's lattices share the memo of their
-    field (_SnrStack.selections); any other lattice takes an empty one."""
-    answers, rings = memo
-    vectors, lengths = _greedy_minima(lat, k, lambda: KSpan(field), answers,
-                                      "vectors independent over " + field.name)
-    for v in vectors:
-        if v not in rings:
-            rings[v] = psi_map(field, v)
-    return [list(rings[v]) for v in vectors], lengths
 
 
 def rate_am(field, f_value):
@@ -527,7 +535,7 @@ def best_coefficients(field, channel, k=None):
     return RateReport(
         field_name=field.name,
         # a lone channel on the same read-only gains and power, so the report
-        # does not keep the draw's stack with its lattices and K-test answers
+        # does not keep the draw's stack with its lattices and picks
         channel=object.__new__(ChannelRealization)._share(
             _SnrStack(channel.h, (channel.snr,)), 0),
         coeffs=[list(v) for v in selected],
@@ -553,10 +561,10 @@ def integer_baseline(channel, k=None):
     n = channel.n_blocks
     if k is None:
         k = channel.users
-    minima = successive_minima(channel._stack.lattices("z_factor")[channel._at], k)
-    f_values = [l * l for l in minima.lengths]
+    vectors, lengths = channel._stack.picks("z_factor", k)[channel._at]
+    f_values = [l * l for l in lengths]
     rates = [(n / 2.0) * log2_plus(n / f) for f in f_values]
-    return rates, minima.vectors
+    return rates, list(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -595,19 +603,17 @@ def if_rate(field, channel):
     2-D channel has one receive antenna per block. The receiver decodes L
     ring combinations that are independent over the field.
     """
-    lat = channel._stack.lattices("if_whiteners", field)[channel._at]
-    selected, lengths = _select_independent(field, lat, channel.users,
-                                            channel._stack.selections(field))
+    selected, lengths = channel._stack.picks("if_whiteners", channel.users, field)[channel._at]
     rates = [0.5 * log2_plus(field.degree * channel.snr / (l * l)) for l in lengths]
-    return IFReport(field_name=field.name, coeffs=selected, rates=rates,
+    return IFReport(field_name=field.name, coeffs=[list(v) for v in selected], rates=rates,
                     rate=min(rates), ml_capacity=ml_capacity(channel))
 
 
 def integer_if_rate(channel):
     """Plain-integer integer-forcing baseline over the same blocks."""
     n, P, L = channel.n_blocks, channel.snr, channel.users
-    minima = successive_minima(channel._stack.lattices("z_if_factor")[channel._at], L)
-    rates = [0.5 * log2_plus(n * P / (l * l)) for l in minima.lengths]
+    _, lengths = channel._stack.picks("z_if_factor", L)[channel._at]
+    rates = [0.5 * log2_plus(n * P / (l * l)) for l in lengths]
     return min(rates)
 
 

@@ -446,6 +446,24 @@ def test_decode_refuses_an_observation_of_the_wrong_shape(golden, shape):
         decode_equation(pair, np.zeros(shape), [1.0, 1.0], [f.one()])
 
 
+@pytest.mark.parametrize("b", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 2.0])
+def test_decode_refuses_a_scaling_of_the_wrong_shape(b):
+    # one scaling per block: a single one was broadcast over both blocks of
+    # the benchmark pair, and a bare number raised an IndexError
+    pair = benchmark_codec_pair()
+    with pytest.raises(CodecError, match=r"^scaling must have n = 2 entries, one per block, "
+                                         r"got shape \("):
+        decode_equation(pair, np.zeros((2, 4)), b, [pair.field.one(), pair.field.zero()])
+
+
+@pytest.mark.parametrize("dither", [[0.5], [0.5] * 7, [0.5] * 9, 0.5])
+def test_encode_refuses_a_dither_of_the_wrong_shape(dither):
+    # one dither entry per embedded coordinate: [0.5] or 0.5 was added to all
+    # 8 coordinates of the benchmark pair's codeword
+    with pytest.raises(CodecError, match=r"^dither must have n \* T = 8 entries, got shape \("):
+        encode(benchmark_codec_pair(), [2], dither=dither)
+
+
 def test_decode_zero_input(golden):
     _, _, pair = golden
     eq = decode_equation(pair, np.zeros((2, 1)), [1.0, 1.0], [])

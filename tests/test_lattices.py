@@ -2,18 +2,19 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ringcf import build_nested_pair, exact, experiments, lattices, prime_ideal, psi_inverse
 from ringcf.exact import IntEchelon, int_mat_det
-from ringcf.fields import catalog_field
+from ringcf.fields import KSpan, catalog_field
 from ringcf.lattices import (EnumerationError, ZLattice, closest_vector,
                              hermite_constant, lll_reduce, shortest_vector,
                              successive_minima)
-from ringcf.rates import (ChannelRealization, _select_independent, best_coefficients,
-                          build_humbert, if_rate, integer_baseline, integer_if_rate)
+from ringcf.rates import (ChannelRealization, best_coefficients, build_humbert, if_rate,
+                          integer_baseline, integer_if_rate)
 from test_exact import fraction_rank
 
 # the references' tie band, restated here: a squared length ties with d when
@@ -1290,17 +1291,20 @@ def test_cvp_walks_an_exact_midpoint_tie(monkeypatch):
             assert got[2] == want[2]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cvp_overflow_raises_enumeration_error():
     # finite targets far beyond what floats resolve on the lattice: Babai
     # coordinates near 1e300 (the walk's bounds then square to an overflow),
-    # or a Q^T target (1.7e308 * sqrt 2) that overflows to inf; and a target
-    # at 2^52 lattice steps, where floats are one step apart
+    # or a target whose Q^T product (1.7e308 * sqrt 2) would overflow, which
+    # is refused before it is formed, with no warning; and a target at 2^52
+    # lattice steps, where floats are one step apart
     msg = r"^dimension 2: closest-vector target entries too large for floats$"
     lat = ZLattice([[1, .3], [.2, 1.1]])
     for target in ([1e300, 1e300], [1.7e308, -1.7e308]):
-        with pytest.raises(EnumerationError, match=msg):
-            closest_vector(lat, target)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EnumerationError, match=msg):
+                closest_vector(lat, target)
+        assert caught == []
     with pytest.raises(EnumerationError, match=msg):
         closest_vector(ZLattice(np.eye(2)), [2.0 ** 52, 0.0])
     assert closest_vector(ZLattice(np.eye(2)), [2.0 ** 52 - 1, 0.0])[0] == (2 ** 52 - 1, 0)
@@ -1421,8 +1425,8 @@ def recorded_balls(monkeypatch):
 
 def assert_selection_equals_reference(monkeypatch, lat, field=None):
     """successive_minima for every k, and with a field the K-selection of
-    every k up to dim / degree, equal the reference greedy with ==, and
-    enumerate the same ball."""
+    every k up to dim / degree (the greedy over KSpan that _SnrStack.picks
+    runs), equal the reference greedy with ==, and enumerate the same ball."""
     balls = recorded_balls(monkeypatch)
     for k in range(1, lat.dim + 1):
         res = successive_minima(lat, k)
@@ -1431,9 +1435,7 @@ def assert_selection_equals_reference(monkeypatch, lat, field=None):
         assert balls[-2] == balls[-1]
     for k in range(1, lat.dim // field.degree + 1) if field else ():
         vectors, lengths = reference_greedy_minima(lat, k, lambda: ReferenceKSpan(field).add)
-        got, got_lengths = _select_independent(field, lat, k, ({}, {}))
-        assert [tuple(psi_inverse(v)) for v in got] == vectors
-        assert got_lengths == lengths
+        assert lattices._greedy_minima(lat, k, lambda: KSpan(field), {}) == (vectors, lengths)
         assert balls[-2] == balls[-1]
     monkeypatch.undo()
 
@@ -1484,12 +1486,13 @@ def test_selection_equals_reference_with_many_rejections(monkeypatch):
     # thousands of candidates, most of them K-dependent on the first pick
     field = catalog_field("quad-5")
     h = experiments._trial_rng(3, 75).normal(size=(2, 2))
-    basis = build_humbert(field, ChannelRealization(h=h, snr=1e5)).phi_M
+    ch = ChannelRealization(h=h, snr=1e5)
+    basis = build_humbert(field, ch).phi_M
     balls = recorded_balls(monkeypatch)
     for k in (1, 2):
         vectors, lengths = reference_greedy_minima(ZLattice(basis), k,
                                                    lambda: ReferenceKSpan(field).add)
-        got, got_lengths = _select_independent(field, ZLattice(basis), k, ({}, {}))
+        got, got_lengths = ch._stack.picks("mmse_factors", k, field)[0]
         assert [tuple(psi_inverse(v)) for v in got] == vectors
         assert got_lengths == lengths
         assert balls[-2] == balls[-1]

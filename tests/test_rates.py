@@ -248,6 +248,29 @@ def test_rate_clamps_and_sign_symmetry():
         rate_gm(hf, [f.zero(), f.zero()])
 
 
+def test_humbert_form_refuses_coefficients_of_another_field():
+    # quad-8's (1, 0), (0, 1) have the coordinates of a quad-5 vector, whose
+    # value they returned on a quad-5 form
+    q5, q8 = catalog_field("quad-5"), catalog_field("quad-8")
+    hf = build_humbert(q5, ChannelRealization(h=[[0.3, -1.2], [0.7, 0.4]], snr=100.0))
+    assert hf.value([q5.element([1, 0]), q5.element([0, 1])]) == 1.5454679896970347
+    for call in (hf.value, functools.partial(rate_gm, hf)):
+        with pytest.raises(fields.FieldMismatchError,
+                           match="^coefficients do not belong to the form's field quad-5$"):
+            call([q8.element([1, 0]), q8.element([0, 1])])
+
+
+def test_humbert_form_refuses_coefficients_of_the_wrong_length():
+    # one entry per user: numpy's matmul raised on a mismatched core dimension
+    f = catalog_field("quad-5")
+    hf = build_humbert(f, ChannelRealization(h=[[0.3, -1.2], [0.7, 0.4]], snr=100.0))
+    for n in (1, 3):
+        for call in (hf.value, functools.partial(rate_gm, hf)):
+            with pytest.raises(ValueError, match="^coefficient vector has length %d, but the "
+                                                 "channel has 2 users$" % n):
+                call([f.one()] * n)
+
+
 def test_rate_am_refuses_nan():
     # nan <= 0 is False, so a guard written that way would return a nan rate
     f = catalog_field("quad-5")
@@ -1329,82 +1352,104 @@ class Forgetful(dict):
         pass
 
 
-def test_stack_k_tests_equal_fresh_kspan_tests():
-    # the CF and IF selections of each draw over 0-60 dB read their field's
-    # memo on the stack: each equals the greedy that asks its KSpan (one per
-    # pass) at every test, mapped by psi_map, vectors and lengths with ==;
-    # each stored answer is the one a fresh KSpan of its kept vectors gives,
-    # and each selection returns lists of its own, not the draw's kept ones
+def recorded_k_passes(monkeypatch):
+    """The K-test answers of every selection pass of rates, in call order:
+    rates' _greedy_minima reads and fills a CountedDict of the pass in place
+    of the answers dict that the pass hands each of its powers."""
+    memos, by_id, greedy = [], {}, lattices._greedy_minima
+
+    def counted(lat, k, new_span, answers, *args):
+        if id(answers) not in by_id:
+            # keeps answers alive, so no later pass's dict takes its id
+            by_id[id(answers)] = answers, CountedDict()
+            memos.append(by_id[id(answers)][1])
+        return greedy(lat, k, new_span, by_id[id(answers)][1], *args)
+
+    monkeypatch.setattr(rates, "_greedy_minima", counted)
+    return memos
+
+
+def test_stack_k_tests_equal_fresh_kspan_tests(monkeypatch):
+    # the CF and IF picks of each draw over 0-60 dB are one selection pass
+    # per kind, whose powers share its K-test answers: each power's picks
+    # equal the greedy that asks its KSpan (one per pass) at every test,
+    # mapped by psi_map, vectors and lengths with ==; each stored answer is
+    # the one a fresh KSpan of its kept vectors gives, and each rate function
+    # returns lists of its own, not the stack's kept ones
+    memos = recorded_k_passes(monkeypatch)
     rng = np.random.default_rng(53)
     grid = tuple(10.0 ** (snr_db / 10.0) for snr_db in range(0, 65, 5))
+    rate = {"mmse_factors": best_coefficients, "if_whiteners": if_rate}
     reads = stored = 0
     for name, shape in (("quad-5", (2, 2)), ("quad-8", (2, 2)), ("quad-12", (2, 2)),
                         ("cubic-49", (3, 3)), ("quartic-725", (4, 3)),
                         ("quad-5", (2, 3, 3)), ("cubic-49", (3, 2, 2))):
-        f = catalog_field(name)
-        kinds = ("mmse_factors", "if_whiteners") if len(shape) == 2 else ("if_whiteners",)
+        f, L = catalog_field(name), shape[-1]
+        kinds = tuple(rate) if len(shape) == 2 else ("if_whiteners",)
         for _ in range(2):
             stack = rates._SnrStack(rates._gains(rng.normal(size=shape)), grid)
-            answers, rings = stack._selections[f] = CountedDict(), {}
             for factors in kinds:
-                for lat in stack.lattices(factors, f):
-                    got, lengths = rates._select_independent(f, lat, shape[-1],
-                                                             stack.selections(f))
-                    vectors, want = lattices._greedy_minima(lat, shape[-1],
-                                                            lambda: fields.KSpan(f), Forgetful())
+                del memos[:]
+                picks = stack.picks(factors, L, f)
+                assert len(memos) == 1 and stack.picks(factors, L, f) is picks
+                for lat, (got, lengths) in zip(stack.lattices(factors, f), picks, strict=True):
+                    vectors, want = lattices._greedy_minima(lat, L, lambda: fields.KSpan(f),
+                                                            Forgetful())
                     assert (got, lengths) == ([psi_map(f, v) for v in vectors], want)
                     assert [tuple(psi_inverse(v)) for v in got] == vectors
-                    assert not any(v is rings[w] for v, w in zip(got, vectors))
-            assert all(fresh_k_test(f, *key) == answer for key, answer in answers.items())
-            reads, stored = reads + answers.reads, stored + len(answers)
+                assert all(fresh_k_test(f, *key) == answer for key, answer in memos[0].items())
+                reads, stored = reads + memos[0].reads, stored + len(memos[0])
+                for at, (kept, _) in enumerate(picks):
+                    ch = object.__new__(ChannelRealization)._share(stack, at)
+                    coeffs = rate[factors](f, ch).coeffs
+                    assert coeffs == kept and not any(v is w for v, w in zip(coeffs, kept))
+            if len(shape) == 2:
+                for at, (kept, _) in enumerate(stack.picks("z_factor", L)):
+                    ch = object.__new__(ChannelRealization)._share(stack, at)
+                    vectors = integer_baseline(ch)[1]
+                    assert vectors == kept and vectors is not kept
     assert stored < reads / 2
 
 
-def test_stack_keeps_one_k_test_memo_per_field():
-    # quad-5 and quad-8 share a draw's stack but not their memos: in psi
-    # coordinates omega * (1, omega) is K-dependent on (1, omega) over quad-5
-    # and not over quad-8, so one dict for both would answer wrongly, and a
-    # pick's ring elements belong to its field
+def test_stack_keeps_one_k_test_memo_per_field(monkeypatch):
+    # quad-5 and quad-8 share a draw's stack but not their K-test answers:
+    # in psi coordinates omega * (1, omega) is K-dependent on (1, omega) over
+    # quad-5 and not over quad-8, so one dict for both would answer wrongly.
+    # Each field's picks are one pass over the grid, and a pick's ring
+    # elements belong to its field
     q5, q8 = catalog_field("quad-5"), catalog_field("quad-8")
     kept = lattices._canonical(tuple(psi_inverse([q5.element([1, 0]), q5.element([0, 1])])))
     cand = lattices._canonical(tuple(psi_inverse([q5.element([0, 1]), q5.element([1, 1])])))
     assert not fresh_k_test(q5, [kept], cand) and fresh_k_test(q8, [kept], cand)
     h = np.random.default_rng(54).normal(size=(2, 2))
     grid = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 65, 5)]
+    memos = recorded_k_passes(monkeypatch)
     stacks = set()
 
     def each(at, ch):
         stacks.add(ch._stack)
         return [best_coefficients(f, ch).to_json() for f in (q5, q8)]
 
-    assert rates._over_grid(h, grid, each) == [
-        each(at, ChannelRealization(h=h, snr=P)) for at, P in enumerate(grid)]
-    stack = next(s for s in stacks if len(s.powers) == len(grid))
-    assert set(stack._selections) == {q5, q8}
-    for f, other in ((q5, q8), (q8, q5)):
-        answers, rings = stack.selections(f)
-        assert stack.selections(f) is stack.selections(f)
-        assert answers is not stack.selections(other)[0] and rings is not stack.selections(other)[1]
+    stacked = rates._over_grid(h, grid, each)
+    (stack,) = stacks
+    assert len(stack.powers) == len(grid) and len(memos) == 2
+    for f, answers in zip((q5, q8), memos):
         assert all(fresh_k_test(f, *key) == answer for key, answer in answers.items())
-        assert rings and all(vec == psi_map(f, v) and all(a.field is f for a in vec)
-                             for v, vec in rings.items())
+        picks = stack.picks("mmse_factors", 2, f)
+        assert all(vec == psi_map(f, psi_inverse(vec)) and all(a.field is f for a in vec)
+                   for vectors, _ in picks for vec in vectors)
+    assert stacked == [each(at, ChannelRealization(h=h, snr=P)) for at, P in enumerate(grid)]
 
 
 def test_stack_asks_each_k_test_once_per_draw(monkeypatch):
-    # a sweep trial asks its K-tests through its draw's memo: the tests the
-    # greedy asks (one memo read each) and the KSpan.add calls that answer
-    # the new ones, over two criterion-6 sweep trials (3 fields, 11 SNRs)
-    # and two criterion-9 if-sweep trials. A KSpan.add per test, as without
-    # the memo, would be 521 and 159 calls
-    memos, adds = [], []
+    # a sweep trial asks its K-tests through one selection pass per field,
+    # over every SNR of its draw: the passes, the tests the greedy asks (one
+    # answers read each) and the KSpan.add calls that answer the new ones,
+    # over two criterion-6 sweep trials (3 fields, 11 SNRs) and two
+    # criterion-9 if-sweep trials. A KSpan.add per test, as without the
+    # shared answers, would be 521 and 159 calls
+    memos, adds = recorded_k_passes(monkeypatch), []
     add = fields.KSpan.add
-
-    def selections(stack, field):
-        if field not in stack._selections:
-            memos.append(stack._selections.setdefault(field, (CountedDict(), {}))[0])
-        return stack._selections[field]
-
-    monkeypatch.setattr(rates._SnrStack, "selections", selections)
     monkeypatch.setattr(fields.KSpan, "add", lambda span, v: adds.append(v) or add(span, v))
     for run, names, counts in (
             (experiments.run_sweep, ["quad-5", "quad-8", "quad-12"], (2 * 3, 521, 251)),
@@ -1488,6 +1533,30 @@ def test_grid_whose_walk_fails_at_one_power_raises_its_own_error(monkeypatch):
     alone_reports = [best_coefficients(f, ChannelRealization(h=h, snr=P)).to_json()
                      for P in grid[:2]]
     assert calls == [(at, 1, report) for at, report in enumerate(alone_reports)]
+
+
+def test_stack_keeps_no_if_picks_when_one_power_fails(monkeypatch):
+    # with a node limit of 10 the IF minima walk of this channel fails at
+    # 40 dB only (it takes 15 nodes there and at most 7 at 0, 20 and 30 dB).
+    # The first read of the IF picks selects every power and raises at
+    # 40 dB with the message of the channel built alone. The stack keeps no
+    # picks, nor the K-test answers of the powers before 40 dB: a second
+    # read runs a fresh pass, which asks the same tests and raises again
+    enumerate_all = lattices._enumerate_all
+    monkeypatch.setattr(lattices, "_enumerate_all",
+                        lambda *a, **kw: enumerate_all(*a, **kw, limit=10))
+    f = catalog_field("quad-5")
+    h = np.array([[0.3, -1.2], [0.7, 0.4]])
+    with pytest.raises(EnumerationError, match="^enumeration exceeded node limit: ") as alone:
+        if_rate(f, ChannelRealization(h=h, snr=1e4))
+    memos = recorded_k_passes(monkeypatch)
+    stack = rates._SnrStack(rates._gains(h), (1.0, 1e2, 1e4, 1e3))
+    for _ in range(2):
+        with pytest.raises(EnumerationError, match="^%s$" % re.escape(str(alone.value))):
+            if_rate(f, object.__new__(ChannelRealization)._share(stack, 0))
+        assert stack._picks == {}
+    assert len(memos) == 2 and memos[0] and memos[1] == memos[0]
+    assert memos[1].reads == memos[0].reads
 
 
 def test_z_baseline_failure_names_its_snr():
