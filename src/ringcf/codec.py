@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .fields import AlgebraicInt
-from .lattices import ZLattice, closest_vector
+from .fields import AlgebraicInt, FieldMismatchError, _same_ring
+from .lattices import ZLattice, _closest_vector, closest_vector
 
 
 class CodecError(ValueError):
@@ -170,6 +170,34 @@ class NestedLatticePair:
     def _gen_coarse_rows(self):
         return list(zip(*self.gen_coarse))
 
+    @functools.cached_property
+    def _coarse_inverse(self):
+        """(det, rows of det * G^-1) for the matrix G whose columns are
+        gen_coarse, as Python ints: a coarse point with exact coordinates v
+        has coefficients sum(row * v) // det, each division exact."""
+        det = exact.int_mat_det(self.gen_coarse)
+        m = len(self.gen_coarse)
+        cols = exact.mat_solve(self._gen_coarse_rows,
+                               [[int(i == j) for i in range(m)] for j in range(m)])
+        return det, [[int(col[i] * det) for col in cols] for i in range(m)]
+
+    @functools.cached_property
+    def _leaders(self):
+        """Coset-leader table, filled by _mod_coarse: the message symbols
+        naming a coset of the coarse lattice in the fine one, mapped to the
+        exact coordinates its points reduce to and their ring vector (a
+        tuple; ring elements are frozen). At most p^(k_fine - k_coarse)
+        entries."""
+        return {}
+
+    def _coset_key(self, coords):
+        """Message symbols of the fine-lattice point with exact coordinates
+        coords: entries k_coarse to k_fine of its word. Two fine points with
+        the same symbols differ by a coarse-code word, so by a coarse point."""
+        n, residues = self.field.degree, self.ideal.residues
+        return tuple(sum(map(operator.mul, coords[t * n:(t + 1) * n], residues)) % self.p
+                     for t in range(self.k_coarse, self.k_fine))
+
     def fine_lattice(self):
         return self._fine_lattice
 
@@ -281,13 +309,16 @@ def encode(pair, message, dither=None):
     word = exact.mat_vec_mod(pair._msg_rows, message, p)
     coords = [c for w in word for c in pair.ideal.coset_reps[w].coords]
     x = np.concatenate([pair.ideal._embedded_reps[w] for w in word])
+    # undithered, x is the fine point of word, whose symbols k_coarse to
+    # k_fine are the message (G_fine is systematic)
+    key = tuple(message)
     if dither is not None:
         dither = np.asarray(dither, dtype=float)
         if dither.shape != x.shape:
             raise CodecError("dither must have n * T = %d entries, got shape %s"
                              % (x.size, dither.shape))
-        x = x + dither
-    ring, X = _mod_coarse(pair, x, coords)
+        x, key = x + dither, None
+    ring, X = _mod_coarse(pair, x, coords, key)
     return Codeword(X=X, ring_coords=ring, message=message)
 
 
@@ -298,18 +329,38 @@ def _combine(gen_rows, z):
     return [sum(map(operator.mul, row, z)) for row in gen_rows]
 
 
-def _mod_coarse(pair, x, coords):
+def _mod_coarse(pair, x, coords, key):
     """Reduce the embedded vector x modulo the coarse lattice.
 
     coords are the exact coordinates of x's lattice part, n * T Python ints;
     returns them minus the closest coarse point's, as a ring vector, and the
     n x T signal.
+
+    key is None, or says that x is a fine-lattice point and names its coset
+    (see NestedLatticePair._coset_key). Every point of a coset reduces to
+    the coset's leader, its minimal point, so once a closest-vector search
+    has found a unique leader the table gives it: the coarse coefficients
+    are G^-1 (coords - leader), exact, and the point and signal take the
+    float operations that the search takes. A coset whose search met a tie
+    is never stored.
     """
     field, n = pair.field, pair.field.degree
-    zc, point, _ = closest_vector(pair.coarse_lattice(), x)
-    diff = tuple(map(operator.sub, coords, _combine(pair._gen_coarse_rows, zc)))
-    ring = [AlgebraicInt._checked(field, diff[t:t + n]) for t in range(0, n * pair.T, n)]
-    return ring, (x - point).reshape((n, pair.T), order="F")
+    coarse = pair.coarse_lattice()
+    entry = pair._leaders.get(key)
+    if entry is None:
+        zc, point, _, unique = _closest_vector(coarse, x)
+        leader = tuple(map(operator.sub, coords, _combine(pair._gen_coarse_rows, zc)))
+        ring = tuple(AlgebraicInt._checked(field, leader[t:t + n])
+                     for t in range(0, n * pair.T, n))
+        if unique and key is not None:
+            pair._leaders[key] = leader, ring
+    else:
+        leader, ring = entry
+        det, inverse = pair._coarse_inverse
+        shift = tuple(map(operator.sub, coords, leader))
+        zc = [sum(map(operator.mul, row, shift)) // det for row in inverse]
+        point = coarse.basis @ np.array(zc, dtype=float)
+    return list(ring), (x - point).reshape((n, pair.T), order="F")
 
 
 def scale_by_ring(pair, a, codeword):
@@ -340,9 +391,17 @@ def decode_equation(pair, Y, b, coeff_vector):
     """Quantize scaled observations onto the fine lattice, mod the coarse one.
 
     Y is the n x T relay observation, b the per-block scaling, coeff_vector
-    the ring coefficients the relay aims at (forwarded as residues).
+    the ring coefficients the relay aims at (forwarded as residues); a
+    coefficient that is not a ring element raises CodecError, and one of
+    another field FieldMismatchError.
     """
     n, T = pair.field.degree, pair.T
+    for a in coeff_vector:
+        if not isinstance(a, AlgebraicInt):
+            raise CodecError("coefficient %r is not a ring element" % (a,))
+        if not _same_ring(a.field, pair.field):
+            raise FieldMismatchError("coefficient of field %s, not the pair's %s"
+                                     % (a.field.name, pair.field.name))
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (n, T):
         raise CodecError("observation must be %d x %d" % (n, T))
@@ -353,7 +412,8 @@ def decode_equation(pair, Y, b, coeff_vector):
     scaled = (b[:, None] * Y).flatten(order="F")
     fine = pair.fine_lattice()
     zf, point, _ = closest_vector(fine, scaled)
-    ring, signal = _mod_coarse(pair, point, _combine(pair._gen_fine_rows, zf))
+    coords = _combine(pair._gen_fine_rows, zf)
+    ring, signal = _mod_coarse(pair, point, coords, pair._coset_key(coords))
     return LatticeEquation(ring_coords=ring, signal=signal,
                            coeff_residues=[pair.ideal.rho(a) for a in coeff_vector])
 

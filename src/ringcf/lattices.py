@@ -456,6 +456,13 @@ def closest_vector(lat, target):
     Returns (coefficients, point, distance). Among equal-distance minimizers
     the one with lexicographically smallest residual (target - point) wins.
     """
+    return _closest_vector(lat, target)[:3]
+
+
+def _closest_vector(lat, target):
+    """closest_vector's (coefficients, point, distance) and whether that
+    point was the only minimizer: Babai's point was certified, or the walk's
+    tie group (squared distances within d * _TIE) held it alone."""
     target = np.asarray(target, dtype=float)
     if target.shape != (lat.dim,):
         raise ValueError("target dimension mismatch")
@@ -491,17 +498,19 @@ def closest_vector(lat, target):
     except OverflowError:
         # a square, or the walk's bounds at an infinite d, left the floats
         raise _target_error(m) from None
+    unique = True
     if cands is not None:
         d = min(d for _, d in cands)
         ties = [x for x, dx in cands if dx <= d * _TIE]
         x = ties[0]
-        if len(ties) > 1:
+        unique = len(ties) == 1
+        if not unique:
             # min() keeps the first of equal keys
             x = min(ties, key=lambda v: tuple(
                 np.round(target - red_basis @ np.array(v, dtype=float), 12)))
     coeffs = _apply_transform(u_cols, x)
     point = lat.basis @ np.array(coeffs, dtype=float)
-    return coeffs, point, math.sqrt(d)
+    return coeffs, point, math.sqrt(d), unique
 
 
 _HERMITE_EXACT = {1: 1.0, 2: 2.0 / math.sqrt(3.0), 3: 2.0 ** (1.0 / 3.0),

@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ringcf import (build_nested_pair, catalog_field, closest_vector,
-                    decode_equation, destination_solve, encode,
-                    extract_ff_equation, lattices, prime_ideal, sample_dither,
-                    scale_by_ring)
+from ringcf import (FieldMismatchError, build_nested_pair, catalog_field,
+                    closest_vector, codec, decode_equation, destination_solve,
+                    encode, extract_ff_equation, lattices, prime_ideal,
+                    sample_dither, scale_by_ring)
 from ringcf.codec import CodecError, LatticeEquation
 from ringcf.exact import int_mat_det, mat_solve, mat_vec_mod
 from ringcf.fields import field_from_json
@@ -464,6 +464,21 @@ def test_encode_refuses_a_dither_of_the_wrong_shape(dither):
         encode(benchmark_codec_pair(), [2], dither=dither)
 
 
+def test_decode_refuses_coefficients_of_another_field():
+    pair = benchmark_codec_pair()
+    g = catalog_field("quad-8")
+    with pytest.raises(FieldMismatchError,
+                       match="^coefficient of field quad-8, not the pair's quad-5$"):
+        decode_equation(pair, np.zeros((2, 4)), [1.0, 1.0],
+                        [g.element([1, 0]), g.element([0, 1])])
+
+
+def test_decode_refuses_a_coefficient_that_is_not_a_ring_element():
+    pair = benchmark_codec_pair()
+    with pytest.raises(CodecError, match="^coefficient 2 is not a ring element$"):
+        decode_equation(pair, np.zeros((2, 4)), [1.0, 1.0], [pair.field.one(), 2])
+
+
 def test_decode_zero_input(golden):
     _, _, pair = golden
     eq = decode_equation(pair, np.zeros((2, 1)), [1.0, 1.0], [])
@@ -791,6 +806,84 @@ def test_codec_rounds_match_the_per_call_path_bit_for_bit():
     assert decoded > 25
 
 
+def counting_closest_vector(monkeypatch):
+    """Targets of the codec's coarse closest-vector searches, as they run."""
+    targets, original = [], codec._closest_vector
+
+    def counting(lat, target):
+        targets.append(target)
+        return original(lat, target)
+
+    monkeypatch.setattr(codec, "_closest_vector", counting)
+    return targets
+
+
+def test_coset_leader_table_equals_the_per_call_path(monkeypatch):
+    # every message fills its coset's entry (all 101 leaders of the
+    # benchmark pair are unique); then encoding each message again and
+    # decoding fine points of coefficients in [-20, 20] read the table, with
+    # the ring coordinates and signal bytes of a closest-vector search
+    pair = benchmark_codec_pair()
+    n, T = pair.field.degree, pair.T
+    for m in range(pair.p):
+        encode(pair, [m])
+    assert sorted(pair._leaders) == [(m,) for m in range(pair.p)]
+    searches = counting_closest_vector(monkeypatch)
+    for m in range(pair.p):
+        cw = encode(pair, [m])
+        ring, X = per_call_encode(pair, [m])
+        assert cw.X.tobytes() == X.tobytes()
+        assert int_coords(cw.ring_coords) == int_coords(ring)
+    rng = np.random.default_rng(39)
+    fine = pair.fine_lattice()
+    a = [pair.field.one()]
+    for _ in range(2000):
+        z = [int(c) for c in rng.integers(-20, 21, size=n * T)]
+        Y = (fine.basis @ np.array(z, dtype=float)).reshape((n, T), order="F")
+        eq = decode_equation(pair, Y, [1.0, 1.0], a)
+        ring, signal, _ = per_call_decode_equation(pair, Y, [1.0, 1.0], a)
+        assert eq.signal.tobytes() == signal.tobytes()
+        assert int_coords(eq.ring_coords) == int_coords(ring)
+    assert searches == [] and len(pair._leaders) == pair.p
+
+
+def test_a_tied_coset_is_never_stored(monkeypatch):
+    # quad-8 modulo the prime above 2 at root 0, no coarse generators: the
+    # coset of message 1 holds both +1 and -1 at one distance from 0, and
+    # the closest-vector search picks -1 by its tie rule on every call
+    f = catalog_field("quad-8")
+    pair = build_nested_pair(f, prime_ideal(f, 2, 0), np.zeros((1, 0), dtype=int),
+                             [[1]], T=1)
+    searches = counting_closest_vector(monkeypatch)
+    for m in (0, 1, 0, 1, 1):
+        cw = encode(pair, [m])
+        ring, X = per_call_encode(pair, [m])
+        assert cw.X.tobytes() == X.tobytes()
+        assert int_coords(cw.ring_coords) == int_coords(ring)
+    assert int_coords(encode(pair, [1]).ring_coords) == [(-1, 0)]
+    # one search for coset 0, then every encode of message 1 searches
+    assert len(searches) == 1 + 4
+    assert list(pair._leaders) == [(0,)] and pair._leaders[(0,)][0] == (0, 0)
+
+
+def test_a_dithered_encode_searches_the_coarse_lattice(monkeypatch):
+    pair = benchmark_codec_pair()
+    for m in range(pair.p):
+        encode(pair, [m])
+    searches = counting_closest_vector(monkeypatch)
+    rng = np.random.default_rng(3902)
+    for m in (0, 5, 100):
+        dither = sample_dither(pair, rng)
+        cw = encode(pair, [m], dither=dither)
+        word = mat_vec_mod(pair.G_msg.tolist(), [m], pair.p)
+        coords = [c for w in word for c in pair.ideal.coset_reps[w].coords]
+        x = np.concatenate([pair.ideal._embedded_reps[w] for w in word]) + dither
+        ring, X = per_call_mod_coarse(pair, x, coords)
+        assert cw.X.tobytes() == X.tobytes()
+        assert int_coords(cw.ring_coords) == int_coords(ring)
+    assert len(searches) == 3 and len(pair._leaders) == pair.p
+
+
 def test_benchmark_rounds_decode_the_fine_lattice_without_a_walk(monkeypatch):
     # the codec benchmark's round (noise std 0.2, coefficients in [-3, 3]):
     # the noise, of norm about 0.57, stays within min |R_ii| / 2 = 2.18 of
@@ -817,6 +910,34 @@ def test_benchmark_rounds_decode_the_fine_lattice_without_a_walk(monkeypatch):
         eq = decode_equation(pair, Y, [1.0, 1.0], a)
         want = sum(pair.ideal.rho(al) * m for al, m in zip(a, msgs)) % 101
         assert extract_ff_equation(pair, eq) == [want]
+
+
+def test_benchmark_rounds_walk_no_lattice_once_every_coset_is_known(monkeypatch):
+    # the codec benchmark's round after each coset of its pair has been
+    # reduced once: encodes and the decode's coarse reduction read the
+    # coset-leader table, and the fine decode is certified, so nothing walks
+    pair = benchmark_codec_pair()
+    f = pair.field
+    bound = pair.p ** (pair.k_fine - pair.k_coarse)
+    for m in range(pair.p):
+        encode(pair, [m])
+    assert len(pair._leaders) == bound == 101
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a closest-vector search walked")
+
+    monkeypatch.setattr(lattices, "_enumerate_all", no_walk)
+    rng = np.random.default_rng(3903)
+    for _ in range(300):
+        msgs = [int(w) for w in rng.integers(0, 101, size=2)]
+        a = [f.element([int(c) for c in rng.integers(-3, 4, size=2)]) for _ in range(2)]
+        cws = [encode(pair, [m]) for m in msgs]
+        Y = (scale_by_ring(pair, a[0], cws[0])[0] + scale_by_ring(pair, a[1], cws[1])[0]
+             + rng.normal(scale=0.2, size=(2, 4)))
+        eq = decode_equation(pair, Y, [1.0, 1.0], a)
+        want = sum(pair.ideal.rho(al) * m for al, m in zip(a, msgs)) % 101
+        assert extract_ff_equation(pair, eq) == [want]
+        assert len(pair._leaders) <= bound
 
 
 def test_ring_vector_refuses_a_wrong_length():
